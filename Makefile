@@ -4,16 +4,19 @@ GO ?= go
 # nightly CI job raises it (see .github/workflows/ci.yml).
 FUZZTIME ?= 10s
 
-.PHONY: check build test vet race bench bench-check bench-snapshot check-fault check-service check-journal check-diff check-obs check-sat check-load check-cluster docs fuzz
+.PHONY: check build test vet race bench bench-check bench-snapshot check-fault check-service check-journal check-diff check-obs check-overhead check-sat check-load check-cluster docs fuzz
 
 # The repository's verification gate: formatting + godoc contract, vet,
 # build everything, then the full test suite with the race detector
 # (the parallel pipeline and harness paths all run under it), plus the
-# fault-injection matrix, the service-layer contract tests, the
-# crash-safety suite, the observability overhead guard, the SAT
-# mapper + portfolio contracts, the load/soak SLO suite, and the
-# fleet/cluster contracts.
-check: docs vet build race check-fault check-service check-journal check-obs check-sat check-load check-cluster
+# observability overhead guards, which must run without it. Every
+# `-race` line of the check-* targets below is a subset of `race` —
+# the fault-injection matrix, the service-layer contracts, the
+# crash-safety suite, the SAT mapper + portfolio contracts, the
+# load/soak SLO suite and the fleet/cluster contracts all run there,
+# once — so the targets stay as named slices for local use instead of
+# running again here.
+check: docs vet build race check-overhead
 
 # The documentation contract: everything gofmt-clean, and every
 # exported symbol in the audited packages carries a doc comment
@@ -27,11 +30,15 @@ docs:
 		./internal/sat ./internal/satmap ./internal/loadtest ./internal/cluster
 
 # The observability contracts: span-tree well-formedness under 16
-# concurrent requests, /metricsz exposition-format validity, the
-# drain-time flush regression, and the no-op overhead guard — under the
-# race detector (the overhead benchmark itself runs without it).
-check-obs:
+# concurrent requests, /metricsz exposition-format validity and the
+# drain-time flush regression under the race detector, plus the
+# overhead guards.
+check-obs: check-overhead
 	$(GO) test -race ./internal/obs/ ./internal/obs/obstest/
+
+# The no-op and tracing overhead guards compare wall times, so they run
+# without the race detector — the one check `race` does not subsume.
+check-overhead:
 	$(GO) test -run 'TestNoopOverhead|TestTraceOverheadBounded|TestStageSpansSumToWallTime' ./internal/core/
 
 # The property-based differential harness: both lower-level mappers and

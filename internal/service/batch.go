@@ -1,14 +1,11 @@
 package service
 
 import (
-	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"time"
 
 	"panorama/internal/core"
-	"panorama/internal/journal"
 	"panorama/internal/obs"
 )
 
@@ -75,9 +72,7 @@ type batchItem struct {
 	cache       string // "", "hit", "coalesced", "dup"
 	entry       *Entry
 	job         *Job
-	err         error
-	errClass    string
-	errValid    []string // accepted values for enumerated-field errors
+	err         *ErrorInfo
 }
 
 // itemView snapshots item i for the wire.
@@ -86,7 +81,7 @@ func (b *Batch) itemView(i int) BatchItemView {
 	v := BatchItemView{Index: i, Fingerprint: it.fingerprint, Cache: it.cache}
 	switch {
 	case it.err != nil:
-		v.Error = &ErrorInfo{Class: it.errClass, Message: it.err.Error(), Valid: it.errValid}
+		v.Error = it.err
 	case it.entry != nil:
 		v.Status = JobDone
 		v.Result = &it.entry.Summary
@@ -137,155 +132,6 @@ func (s *Server) Batch(id string) (*Batch, bool) {
 	return b, ok
 }
 
-// submitBatch runs one admission decision over the resolved items
-// (nil slots are items the caller already rejected at resolve time).
-// The decision is atomic: either every item that needs a fresh
-// computation fits the queue — and all of them are journaled and
-// enqueued — or nothing is admitted and the whole batch is rejected
-// with ErrOverloaded (ErrShedding/ErrDraining likewise reject it
-// wholesale). Cache hits never reject; identical fingerprints within
-// the batch dedup onto one job; fingerprints already in flight
-// coalesce onto the running job.
-func (s *Server) submitBatch(reqs []*resolved) ([]Outcome, error) {
-	outs := make([]Outcome, len(reqs))
-	type pendingItem struct {
-		i    int
-		req  *resolved
-		blob []byte
-	}
-	var pending []pendingItem
-	for i, req := range reqs {
-		if req == nil {
-			continue
-		}
-		if e, ok := s.cache.Get(req.fingerprint); ok {
-			outs[i] = Outcome{Entry: &e}
-			continue
-		}
-		pending = append(pending, pendingItem{i: i, req: req})
-	}
-
-	if len(pending) > 0 {
-		switch s.breaker.state() {
-		case breakerShed:
-			s.stats.shed.Add(int64(len(pending)))
-			return nil, ErrShedding
-		case breakerDegrade:
-			for k := range pending {
-				req := pending[k].req
-				if m := DegradeMapper(req.mapper); m != "" {
-					req = req.withMapper(m)
-					pending[k].req = req
-					s.stats.degraded.Add(1)
-					if e, ok := s.cache.Get(req.fingerprint); ok {
-						outs[pending[k].i] = Outcome{Entry: &e}
-						pending[k].req = nil
-					}
-				}
-			}
-		}
-	}
-
-	if s.journal != nil {
-		for k := range pending {
-			if pending[k].req == nil {
-				continue
-			}
-			blob, err := encodeJobPayload(pending[k].req)
-			if err != nil {
-				// The job still runs; it just can't be replayed.
-				log.Printf("service: %v", err)
-			}
-			pending[k].blob = blob
-		}
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, ErrDraining
-	}
-	// Plan first: how many genuinely new jobs does the batch need once
-	// in-flight coalescing and within-batch dedup are accounted for?
-	newJobs := 0
-	batchFirst := make(map[string]int) // fingerprint → pending index of first occurrence
-	for k := range pending {
-		req := pending[k].req
-		if req == nil {
-			continue
-		}
-		if _, inFlight := s.flight[req.fingerprint]; inFlight {
-			continue
-		}
-		if _, dup := batchFirst[req.fingerprint]; dup {
-			continue
-		}
-		batchFirst[req.fingerprint] = k
-		newJobs++
-	}
-	if free := cap(s.queue) - len(s.queue); newJobs > free {
-		s.mu.Unlock()
-		s.stats.rejected.Add(int64(len(pending)))
-		return nil, ErrOverloaded
-	}
-	created := make(map[string]*Job, newJobs)
-	for k := range pending {
-		req := pending[k].req
-		if req == nil {
-			continue
-		}
-		// The created map first: a job made for an earlier item of this
-		// batch is already in s.flight too, and must read as a
-		// within-batch dup, not a coalesce onto pre-existing work.
-		if job, ok := created[req.fingerprint]; ok {
-			outs[pending[k].i] = Outcome{Job: job, Coalesced: true, Dup: true}
-			continue
-		}
-		if job, ok := s.flight[req.fingerprint]; ok {
-			outs[pending[k].i] = Outcome{Job: job, Coalesced: true}
-			continue
-		}
-		s.nextID++
-		job := &Job{
-			ID:          fmt.Sprintf("job-%06d", s.nextID),
-			Fingerprint: req.fingerprint,
-			Mapper:      req.mapper,
-			Seed:        req.seed,
-			Budgets:     req.budgets,
-			req:         req,
-			status:      JobQueued,
-			created:     time.Now(),
-			done:        make(chan struct{}),
-			events:      newEventLog(),
-		}
-		s.jobs[job.ID] = job
-		s.flight[job.Fingerprint] = job
-		created[req.fingerprint] = job
-		s.jlog(Record{Kind: journal.Submitted, JobID: job.ID, Key: job.Fingerprint, Blob: pending[k].blob})
-		job.emit(JobQueued)
-		s.queue <- job // capacity checked above, never blocks
-		outs[pending[k].i] = Outcome{Job: job}
-	}
-	s.mu.Unlock()
-
-	// Per-item stats, identical buckets to the single-submit path.
-	for i, req := range reqs {
-		if req == nil {
-			continue
-		}
-		s.stats.submitted.Add(1)
-		switch {
-		case outs[i].Entry != nil:
-			s.stats.hits.Add(1)
-		case outs[i].Coalesced:
-			s.stats.coalesced.Add(1)
-		default:
-			s.stats.misses.Add(1)
-		}
-	}
-	return outs, nil
-}
-
 // handleBatch is POST /v1/batch: decode, resolve every item against
 // the top-level defaults, run one admission decision, and answer with
 // the per-item outcomes (200 when nothing is left running, 202
@@ -294,14 +140,14 @@ func (s *Server) submitBatch(reqs []*resolved) ([]Outcome, error) {
 // batch proceeds.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var breq BatchRequest
-	if !decodeJSONBody(w, r, s.maxBodyBytes(), &breq) {
+	if !decodeJSONBody(w, r, s.opts.MaxBodyBytes, &breq) {
 		return
 	}
 	if len(breq.Items) == 0 {
 		httpError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("batch has no items"))
 		return
 	}
-	if max := s.maxBatchItems(); len(breq.Items) > max {
+	if max := s.opts.MaxBatchItems; len(breq.Items) > max {
 		httpError(w, http.StatusBadRequest, "oversized-batch",
 			fmt.Errorf("batch has %d items, limit %d", len(breq.Items), max))
 		return
@@ -327,86 +173,34 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		req.Wait = false // batch-level Wait only
 		res, err := s.resolve(&req)
 		if err != nil {
-			it := &batchItem{err: err, errClass: "bad-request"}
-			var um *UnknownMapperError
-			if errors.As(err, &um) {
-				it.errClass = "unknown-mapper"
-				it.errValid = um.Valid
-			}
-			items[i] = it
+			info := resolveErrorInfo(err)
+			items[i] = &batchItem{err: &info}
 			s.stats.batchItemsError.Add(1)
 			continue
 		}
 		reqs[i] = res
-		items[i] = &batchItem{fingerprint: res.fingerprint}
+		items[i] = &batchItem{}
 	}
 
 	s.stats.batchRequests.Add(1)
-	outs, err := s.submitBatch(reqs)
-	switch {
-	case errors.Is(err, ErrOverloaded):
+	outs, err := s.admit(reqs)
+	if err != nil {
 		s.stats.batchRejected.Add(1)
-		admit.Set("rejected", "overloaded")
+		admit.Set("rejected", s.writeAdmissionError(w, err))
 		admit.End()
-		w.Header().Set("Retry-After", strconv429(s.retryAfterSeconds()))
-		httpError(w, http.StatusTooManyRequests, "overloaded", err)
-		return
-	case errors.Is(err, ErrDraining):
-		s.stats.batchRejected.Add(1)
-		admit.Set("rejected", "draining")
-		admit.End()
-		httpError(w, http.StatusServiceUnavailable, "draining", err)
-		return
-	case errors.Is(err, ErrShedding):
-		s.stats.batchRejected.Add(1)
-		admit.Set("rejected", "shedding")
-		admit.End()
-		w.Header().Set("Retry-After", strconv429(s.retryAfterSeconds()))
-		httpError(w, http.StatusServiceUnavailable, "shedding", err)
-		return
-	case err != nil:
-		admit.End()
-		httpError(w, http.StatusInternalServerError, "internal", err)
 		return
 	}
-
-	var hits, coalesced, dups, enqueued int64
-	for i := range items {
-		if items[i].err != nil {
+	for i, it := range items {
+		if it.err != nil {
 			continue
 		}
-		out := outs[i]
-		switch {
-		case out.Entry != nil:
-			items[i].entry = out.Entry
-			items[i].fingerprint = out.Entry.Fingerprint
-			items[i].cache = "hit"
-			hits++
-		case out.Dup:
-			items[i].job = out.Job
-			items[i].fingerprint = out.Job.Fingerprint
-			items[i].cache = "dup"
-			dups++
-		case out.Coalesced:
-			items[i].job = out.Job
-			items[i].fingerprint = out.Job.Fingerprint
-			items[i].cache = "coalesced"
-			coalesced++
-		default:
-			items[i].job = out.Job
-			items[i].fingerprint = out.Job.Fingerprint
-			enqueued++
+		it.entry, it.job, it.cache = outs[i].Entry, outs[i].Job, outs[i].disposition()
+		if it.entry != nil {
+			it.fingerprint = it.entry.Fingerprint
+		} else {
+			it.fingerprint = it.job.Fingerprint
 		}
 	}
-	s.stats.batchItemsHit.Add(hits)
-	s.stats.batchItemsCoalesced.Add(coalesced)
-	s.stats.batchItemsDup.Add(dups)
-	s.stats.batchItemsEnqueued.Add(enqueued)
-	admit.Set("hits", hits)
-	admit.Set("coalesced", coalesced)
-	admit.Set("dups", dups)
-	admit.Set("enqueued", enqueued)
-	admit.End()
 
 	b := &Batch{items: items, trace: tr, created: time.Now()}
 	s.mu.Lock()
@@ -415,7 +209,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batches[b.ID] = b
 	s.mu.Unlock()
 
+	v := b.View()
+	s.stats.batchItemsHit.Add(int64(v.Hits))
+	s.stats.batchItemsCoalesced.Add(int64(v.Coalesced))
+	s.stats.batchItemsDup.Add(int64(v.Dups))
+	s.stats.batchItemsEnqueued.Add(int64(v.Enqueued))
+	admit.Set("hits", int64(v.Hits))
+	admit.Set("coalesced", int64(v.Coalesced))
+	admit.Set("dups", int64(v.Dups))
+	admit.Set("enqueued", int64(v.Enqueued))
+	admit.End()
+
 	if breq.Wait {
+	wait:
 		for _, it := range items {
 			if it.job == nil {
 				continue
@@ -425,12 +231,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			case <-r.Context().Done():
 				// The client went away mid-wait; the jobs keep running
 				// and the batch stays pollable/streamable.
-				writeJSON(w, http.StatusAccepted, b.View())
-				return
+				break wait
 			}
 		}
+		v = b.View()
 	}
-	v := b.View()
 	status := http.StatusAccepted
 	if v.Done {
 		status = http.StatusOK

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -157,7 +158,8 @@ func TestBatchSubmit(t *testing.T) {
 
 // Batch admission is atomic: when the queue cannot take every new job
 // the batch needs, the whole batch is rejected with 429 + Retry-After
-// and no item is admitted — no partial fan-out.
+// and no item is admitted — no partial fan-out, no journal record, no
+// job ID consumed.
 func TestBatchAtomicAdmission(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
@@ -169,7 +171,9 @@ func TestBatchAtomicAdmission(t *testing.T) {
 		}
 		return core.Summary{Kernel: "stub", Success: true}, nil
 	}
-	srv, err := New(Options{Workers: 1, QueueSize: 1, Run: run, RetryAfter: 7 * time.Second})
+	jdir := filepath.Join(t.TempDir(), "journal")
+	srv, err := New(Options{Workers: 1, QueueSize: 1, Run: run, RetryAfter: 7 * time.Second,
+		JournalDir: jdir, JournalNoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +194,7 @@ func TestBatchAtomicAdmission(t *testing.T) {
 	}
 
 	before := getStats(t, ts.URL)
+	kinds0, bytes0 := journalKinds(), dirBytes(t, jdir)
 	code, hdr, _ := postBatch(t, ts.URL, `{"items":[{"kernel":"fir","seed":3},{"kernel":"fir","seed":4}]}`)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("batch over capacity: status %d, want 429", code)
@@ -206,6 +211,15 @@ func TestBatchAtomicAdmission(t *testing.T) {
 	// Atomicity: neither seed-3 nor seed-4 left any trace.
 	if after.BatchItemsEnqueued != 0 || after.Submitted != before.Submitted {
 		t.Fatalf("partial admission leaked: %+v", after)
+	}
+	if kinds, grew := kindsSince(kinds0), dirBytes(t, jdir)-bytes0; len(kinds) != 0 || grew != 0 {
+		t.Fatalf("rejected batch journaled %v (%d bytes)", kinds, grew)
+	}
+	srv.mu.Lock()
+	ids := srv.nextID
+	srv.mu.Unlock()
+	if ids != 2 {
+		t.Fatalf("rejected batch consumed job IDs: next id after %d, want 2", ids)
 	}
 
 	// A batch that needs only one new job still fits (seed 3 alone

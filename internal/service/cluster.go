@@ -12,7 +12,6 @@ import (
 	"panorama/internal/cluster"
 	"panorama/internal/core"
 	"panorama/internal/failure"
-	"panorama/internal/obs"
 )
 
 // Cluster integration: the consistent-hash ring (internal/cluster)
@@ -128,43 +127,36 @@ func forwardRequest(job *Job) ([]byte, error) {
 // forwarded failure run locally rather than bouncing the fleet.
 func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (core.Summary, error, bool) {
 	job.disableForward()
-	cl := s.opts.Cluster
+
+	tr := job.startTrace(job.Mapper)
+	sp := tr.Root().Child("cluster.forward")
+	sp.Set("peer", owner)
+	defer tr.Root().End()
+	// unhandled is every exit that leaves the attempt to the local
+	// executor: nothing usable came back from the owner.
+	unhandled := func(outcome string) (core.Summary, error, bool) {
+		sp.Set("outcome", outcome)
+		sp.End()
+		s.stats.forwardFallback.Add(1)
+		return core.Summary{}, nil, false
+	}
 
 	body, err := forwardRequest(job)
 	if err != nil {
 		log.Printf("service: %v; running locally", err)
-		s.stats.forwardFallback.Add(1)
-		return core.Summary{}, nil, false
+		return unhandled("bad-request")
 	}
-
-	tr := obs.NewTrace(job.ID)
-	job.mu.Lock()
-	job.trace = tr
-	job.mu.Unlock()
-	tr.Root().Set("attempt", int64(job.Attempts()))
-	tr.Root().Set("mapper", job.Mapper)
-	sp := tr.Root().Child("cluster.forward")
-	sp.Set("peer", owner)
-	defer tr.Root().End()
-
-	status, data, err := cl.Forward(ctx, owner, "/v1/map", body)
+	status, data, err := s.opts.Cluster.Forward(ctx, owner, "/v1/map", body)
 	if err != nil {
 		// Transport failure or infrastructure refusal: typed ErrPeerDown
 		// from the cluster layer, already charged to the peer breaker.
-		sp.Set("outcome", "peer-down")
-		sp.End()
 		log.Printf("service: job %s: %v; running locally", job.ID, err)
-		s.stats.forwardFallback.Add(1)
-		return core.Summary{}, nil, false
+		return unhandled("peer-down")
 	}
-
 	var view JobView
 	if derr := json.Unmarshal(data, &view); derr != nil {
-		sp.Set("outcome", "bad-response")
-		sp.End()
 		log.Printf("service: job %s: owner %s answered undecodable %d; running locally", job.ID, owner, status)
-		s.stats.forwardFallback.Add(1)
-		return core.Summary{}, nil, false
+		return unhandled("bad-response")
 	}
 
 	switch {
@@ -177,10 +169,7 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 	case status == http.StatusMisdirectedRequest:
 		// The owner's ring disagrees about ownership (mid-reconfiguration
 		// fleet). One hop only: run locally.
-		sp.Set("outcome", "misdirected")
-		sp.End()
-		s.stats.forwardFallback.Add(1)
-		return core.Summary{}, nil, false
+		return unhandled("misdirected")
 	case view.Error != nil:
 		// A typed remote failure is a real outcome, not a peer problem:
 		// propagate it through the same taxonomy a local run would use,
@@ -197,10 +186,7 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 	default:
 		// 202 (our wait was cut short), 429, or any other anomaly:
 		// nothing usable came back; run locally.
-		sp.Set("outcome", fmt.Sprintf("status-%d", status))
-		sp.End()
-		s.stats.forwardFallback.Add(1)
-		return core.Summary{}, nil, false
+		return unhandled(fmt.Sprintf("status-%d", status))
 	}
 }
 

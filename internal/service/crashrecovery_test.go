@@ -104,11 +104,11 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := srv1.submit(res)
+		outs, err := srv1.admit([]*resolved{res})
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs = append(refs, jobRef{id: out.Job.ID, fp: out.Job.Fingerprint})
+		refs = append(refs, jobRef{id: outs[0].Job.ID, fp: outs[0].Job.Fingerprint})
 	}
 
 	// Seeds 1-3 complete; 4 and 5 stall in flight; 6-8 sit queued.
@@ -200,12 +200,12 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := srv2.submit(res)
+	outs, err := srv2.admit([]*resolved{res})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Job.ID != fmt.Sprintf("job-%06d", n+1) {
-		t.Fatalf("post-recovery job id %s, want job-%06d", out.Job.ID, n+1)
+	if outs[0].Job.ID != fmt.Sprintf("job-%06d", n+1) {
+		t.Fatalf("post-recovery job id %s, want job-%06d", outs[0].Job.ID, n+1)
 	}
 }
 
@@ -249,11 +249,11 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := srv1.submit(res)
+		outs, err := srv1.admit([]*resolved{res})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, out.Job.ID)
+		ids = append(ids, outs[0].Job.ID)
 	}
 	srv1.crashForTest()
 
@@ -338,11 +338,11 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := srv1.submit(res)
+		outs, err := srv1.admit([]*resolved{res})
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, out.Job)
+		jobs = append(jobs, outs[0].Job)
 	}
 	waitFor(t, func() bool { return int(srv1.running.Load()) == 1 }, "the first job to start")
 	close(release)

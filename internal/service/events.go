@@ -10,10 +10,6 @@ import (
 	"time"
 )
 
-// marshalEvent renders an SSE payload on a single line (the framing
-// writeSSE uses requires newline-free data).
-func marshalEvent(v any) ([]byte, error) { return json.Marshal(v) }
-
 // Event is one job state transition as streamed by the SSE surface.
 // Seq is the job-scoped event sequence number used as the SSE event
 // id, so a client can resume with Last-Event-ID after a disconnect;
@@ -43,23 +39,13 @@ type eventLog struct {
 func newEventLog() *eventLog { return &eventLog{wake: make(chan struct{})} }
 
 // append records one transition with the next sequence number and
-// wakes subscribers.
-func (l *eventLog) append(typ JobStatus, view JobView) {
+// wakes subscribers. recovered marks a transition synthesized from the
+// journal at recovery time.
+func (l *eventLog) append(typ JobStatus, view JobView, recovered bool) {
 	l.mu.Lock()
-	l.events = append(l.events, Event{Seq: len(l.events) + 1, Type: typ, Job: view})
+	l.events = append(l.events, Event{Seq: len(l.events) + 1, Type: typ, Job: view, Recovered: recovered})
 	close(l.wake)
 	l.wake = make(chan struct{})
-	l.mu.Unlock()
-}
-
-// seed pre-populates the log with events synthesized from the journal
-// at recovery time, without waking anybody (no subscriber can exist
-// yet — the server is still inside New). The events must carry
-// sequence numbers 1..n so later appends continue the numbering the
-// pre-crash process used.
-func (l *eventLog) seed(evs []Event) {
-	l.mu.Lock()
-	l.events = append(l.events, evs...)
 	l.mu.Unlock()
 }
 
@@ -88,12 +74,10 @@ func (l *eventLog) since(seq int) ([]Event, <-chan struct{}) {
 // a resume cursor taken before the crash stays valid after it.
 func seedRecoveredEvents(job *Job, attempts int) {
 	view := job.View()
-	evs := make([]Event, 0, 1+attempts)
-	evs = append(evs, Event{Seq: 1, Type: JobQueued, Job: view, Recovered: true})
+	job.events.append(JobQueued, view, true)
 	for a := 1; a <= attempts; a++ {
-		evs = append(evs, Event{Seq: 1 + a, Type: JobRunning, Job: view, Recovered: true})
+		job.events.append(JobRunning, view, true)
 	}
-	job.events.seed(evs)
 }
 
 // terminalStatus reports whether st ends a job's lifecycle (and hence
@@ -102,14 +86,8 @@ func terminalStatus(st JobStatus) bool {
 	return st == JobDone || st == JobFailed || st == JobRequeued
 }
 
-// emit appends one transition to the job's event log (a no-op for
-// jobs constructed before the log existed, e.g. in old tests).
-func (j *Job) emit(typ JobStatus) {
-	if j.events == nil {
-		return
-	}
-	j.events.append(typ, j.View())
-}
+// emit appends one transition to the job's event log.
+func (j *Job) emit(typ JobStatus) { j.events.append(typ, j.View(), false) }
 
 // lastEventID parses the SSE resume cursor: the standard
 // Last-Event-ID header, with a lastEventID query parameter accepted
@@ -126,8 +104,21 @@ func lastEventID(r *http.Request) int {
 	return n
 }
 
-// sseStart switches the response into a server-sent-event stream.
-func sseStart(w http.ResponseWriter) (http.Flusher, bool) {
+// sseStream is one open server-sent-event response: the resume cursor
+// the client sent, the flusher, and the keep-alive ticker for idle
+// stretches.
+type sseStream struct {
+	stats  *stats
+	w      http.ResponseWriter
+	f      http.Flusher
+	hb     *time.Ticker
+	cursor int // Last-Event-ID the client resumed from (0 = from the start)
+}
+
+// openSSE switches the response into a server-sent-event stream and
+// counts it; ok is false (and the error already written) when the
+// connection cannot stream. The caller defers close.
+func (s *Server) openSSE(w http.ResponseWriter, r *http.Request) (*sseStream, bool) {
 	f, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -139,27 +130,42 @@ func sseStart(w http.ResponseWriter) (http.Flusher, bool) {
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	f.Flush()
-	return f, true
+	st := &sseStream{stats: &s.stats, w: w, f: f, hb: time.NewTicker(s.opts.SSEHeartbeat), cursor: lastEventID(r)}
+	s.stats.sseStreams.Add(1)
+	if st.cursor > 0 {
+		s.stats.sseResumed.Add(1)
+	}
+	s.stats.sseActive.Add(1)
+	return st, true
 }
 
-// writeSSE frames one event: id, event name, JSON data, blank line.
-func writeSSE(w io.Writer, f http.Flusher, id int, event string, data []byte) error {
-	if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data); err != nil {
-		return err
-	}
-	f.Flush()
-	return nil
+func (st *sseStream) close() {
+	st.hb.Stop()
+	st.stats.sseActive.Add(-1)
 }
 
-// sseHeartbeat is the keep-alive comment interval used when
-// Options.SSEHeartbeat is zero.
-const sseHeartbeat = 15 * time.Second
-
-func (s *Server) heartbeatEvery() time.Duration {
-	if s.opts.SSEHeartbeat > 0 {
-		return s.opts.SSEHeartbeat
+// send frames one event — id, event name, single-line JSON data, blank
+// line — and reports whether the client is still there.
+func (st *sseStream) send(id int, event string, v any) bool {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return false
 	}
-	return sseHeartbeat
+	if _, err := fmt.Fprintf(st.w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data); err != nil {
+		return false
+	}
+	st.f.Flush()
+	st.stats.sseSent.Add(1)
+	return true
+}
+
+// keepalive writes the idle-stream comment line.
+func (st *sseStream) keepalive() bool {
+	if _, err := io.WriteString(st.w, ": keepalive\n\n"); err != nil {
+		return false
+	}
+	st.f.Flush()
+	return true
 }
 
 // handleJobEvents streams a job's state transitions as SSE
@@ -174,35 +180,19 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "not-found", fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	if job.events == nil {
-		httpError(w, http.StatusNotFound, "not-found", fmt.Errorf("job %q has no event stream", job.ID))
-		return
-	}
-	cursor := lastEventID(r)
-	f, ok := sseStart(w)
+	st, ok := s.openSSE(w, r)
 	if !ok {
 		return
 	}
-	s.stats.sseStreams.Add(1)
-	if cursor > 0 {
-		s.stats.sseResumed.Add(1)
-	}
-	s.stats.sseActive.Add(1)
-	defer s.stats.sseActive.Add(-1)
+	defer st.close()
 
-	hb := time.NewTicker(s.heartbeatEvery())
-	defer hb.Stop()
+	cursor := st.cursor
 	for {
 		evs, wake := job.events.since(cursor)
 		for _, ev := range evs {
-			data, err := marshalEvent(ev)
-			if err != nil {
+			if !st.send(ev.Seq, string(ev.Type), ev) {
 				return
 			}
-			if writeSSE(w, f, ev.Seq, string(ev.Type), data) != nil {
-				return
-			}
-			s.stats.sseSent.Add(1)
 			cursor = ev.Seq
 			if terminalStatus(ev.Type) {
 				return
@@ -221,11 +211,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-wake:
 		case <-job.Done():
-		case <-hb.C:
-			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
+		case <-st.hb.C:
+			if !st.keepalive() {
 				return
 			}
-			f.Flush()
 		case <-r.Context().Done():
 			return
 		}
@@ -245,27 +234,19 @@ func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "not-found", fmt.Errorf("unknown batch %q", r.PathValue("id")))
 		return
 	}
-	cursor := lastEventID(r)
-	f, ok := sseStart(w)
+	st, ok := s.openSSE(w, r)
 	if !ok {
 		return
 	}
-	s.stats.sseStreams.Add(1)
-	if cursor > 0 {
-		s.stats.sseResumed.Add(1)
-	}
-	s.stats.sseActive.Add(1)
-	defer s.stats.sseActive.Add(-1)
+	defer st.close()
 
 	sp := b.trace.Root().Child("batch.stream")
-	sp.Set("resumeFrom", int64(cursor))
+	sp.Set("resumeFrom", int64(st.cursor))
 	defer sp.End()
 
-	hb := time.NewTicker(s.heartbeatEvery())
-	defer hb.Stop()
 	sent := int64(0)
 	defer func() { sp.Add("events", sent) }()
-	for i := cursor; i < len(b.items); i++ {
+	for i := st.cursor; i < len(b.items); i++ {
 		it := b.items[i]
 		if it.job != nil {
 		wait:
@@ -273,35 +254,24 @@ func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 				select {
 				case <-it.job.Done():
 					break wait
-				case <-hb.C:
-					if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
+				case <-st.hb.C:
+					if !st.keepalive() {
 						return
 					}
-					f.Flush()
 				case <-r.Context().Done():
 					return
 				}
 			}
 		}
-		data, err := marshalEvent(b.itemView(i))
-		if err != nil {
+		if !st.send(i+1, "item", b.itemView(i)) {
 			return
 		}
-		if writeSSE(w, f, i+1, "item", data) != nil {
-			return
-		}
-		s.stats.sseSent.Add(1)
 		sent++
 	}
-	if cursor <= len(b.items) {
-		data, err := marshalEvent(b.View())
-		if err != nil {
+	if st.cursor <= len(b.items) {
+		if !st.send(len(b.items)+1, "batch", b.View()) {
 			return
 		}
-		if writeSSE(w, f, len(b.items)+1, "batch", data) != nil {
-			return
-		}
-		s.stats.sseSent.Add(1)
 		sent++
 	}
 }

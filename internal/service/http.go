@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"panorama/internal/cluster"
@@ -154,22 +155,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// maxBodyBytes is the request-body cap before JSON decoding.
-func (s *Server) maxBodyBytes() int64 {
-	if s.opts.MaxBodyBytes > 0 {
-		return s.opts.MaxBodyBytes
-	}
-	return 8 << 20
-}
-
-// maxBatchItems is the per-request item cap on POST /v1/batch.
-func (s *Server) maxBatchItems() int {
-	if s.opts.MaxBatchItems > 0 {
-		return s.opts.MaxBatchItems
-	}
-	return 64
-}
-
 // decodeJSONBody decodes a size-capped request body into v, writing
 // the error response (413 oversized, 400 malformed) itself and
 // reporting whether the caller should proceed.
@@ -192,19 +177,12 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v an
 
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if !decodeJSONBody(w, r, s.maxBodyBytes(), &req) {
+	if !decodeJSONBody(w, r, s.opts.MaxBodyBytes, &req) {
 		return
 	}
 	res, err := s.resolve(&req)
 	if err != nil {
-		var um *UnknownMapperError
-		if errors.As(err, &um) {
-			writeJSON(w, http.StatusBadRequest, map[string]any{
-				"error": ErrorInfo{Class: "unknown-mapper", Message: um.Error(), Valid: um.Valid},
-			})
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad-request", err)
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": resolveErrorInfo(err)})
 		return
 	}
 	if from := r.Header.Get(cluster.HeaderForwardedFrom); from != "" {
@@ -221,23 +199,12 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		res.origin = from
 		s.stats.originJobs.Add(1)
 	}
-	out, err := s.submit(res)
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", strconv429(s.retryAfterSeconds()))
-		httpError(w, http.StatusTooManyRequests, "overloaded", err)
-		return
-	case errors.Is(err, ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, "draining", err)
-		return
-	case errors.Is(err, ErrShedding):
-		w.Header().Set("Retry-After", strconv429(s.retryAfterSeconds()))
-		httpError(w, http.StatusServiceUnavailable, "shedding", err)
-		return
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, "internal", err)
+	outs, err := s.admit([]*resolved{res})
+	if err != nil {
+		s.writeAdmissionError(w, err)
 		return
 	}
+	out := outs[0]
 
 	if out.Entry != nil {
 		writeJSON(w, http.StatusOK, JobView{
@@ -251,26 +218,18 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	job := out.Job
-	cacheNote := ""
-	if out.Coalesced {
-		cacheNote = "coalesced"
-	}
 	if res.wait {
 		select {
-		case <-job.Done():
-			s.writeJobOutcome(w, job, cacheNote)
+		case <-out.Job.Done():
 		case <-r.Context().Done():
 			// The client went away mid-wait; the job keeps running and
 			// remains pollable.
-			v := job.View()
-			v.Cache = cacheNote
-			writeJSON(w, http.StatusAccepted, v)
 		}
+		s.writeJob(w, out.Job, out.disposition())
 		return
 	}
-	v := job.View()
-	v.Cache = cacheNote
+	v := out.Job.View()
+	v.Cache = out.disposition()
 	writeJSON(w, http.StatusAccepted, v)
 }
 
@@ -286,24 +245,25 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 		}
 	}
-	select {
-	case <-job.Done():
-		s.writeJobOutcome(w, job, "")
-	default:
-		writeJSON(w, http.StatusAccepted, job.View())
-	}
+	s.writeJob(w, job, "")
 }
 
-// writeJobOutcome renders a finished job: 200 on success, the typed
-// failure's status otherwise.
-func (s *Server) writeJobOutcome(w http.ResponseWriter, job *Job, cacheNote string) {
+// writeJob renders a job as it stands: 202 while it is queued or
+// running; once finished, 200 on success and the typed failure's status
+// otherwise.
+func (s *Server) writeJob(w http.ResponseWriter, job *Job, cacheNote string) {
+	status := http.StatusAccepted
+	select {
+	case <-job.Done():
+		status = http.StatusOK
+		if err := job.Err(); err != nil {
+			status = failureStatus(err)
+		}
+	default:
+	}
 	v := job.View()
 	v.Cache = cacheNote
-	if err := job.Err(); err != nil {
-		writeJSON(w, failureStatus(err), v)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
+	writeJSON(w, status, v)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -317,10 +277,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.isDraining() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
@@ -360,6 +317,37 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// resolveErrorInfo is the wire form of a request the resolver rejected:
+// an unknown mapper lists the accepted names, anything else is a plain
+// bad request.
+func resolveErrorInfo(err error) ErrorInfo {
+	var um *UnknownMapperError
+	if errors.As(err, &um) {
+		return ErrorInfo{Class: "unknown-mapper", Message: err.Error(), Valid: um.Valid}
+	}
+	return ErrorInfo{Class: "bad-request", Message: err.Error()}
+}
+
+// writeAdmissionError answers a submission admit rejected — 429 +
+// Retry-After for a full queue, 503 while draining, 503 + Retry-After
+// while the breaker sheds — and returns the error class it wrote.
+func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) string {
+	status, class, retry := http.StatusInternalServerError, "internal", false
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		status, class, retry = http.StatusTooManyRequests, "overloaded", true
+	case errors.Is(err, ErrDraining):
+		status, class = http.StatusServiceUnavailable, "draining"
+	case errors.Is(err, ErrShedding):
+		status, class, retry = http.StatusServiceUnavailable, "shedding", true
+	}
+	if retry {
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+	}
+	httpError(w, status, class, err)
+	return class
 }
 
 func httpError(w http.ResponseWriter, status int, class string, err error) {

@@ -115,20 +115,8 @@ func (s *Server) recoverJobs(pending []journal.Record) {
 				Note: "unreadable payload on recovery"})
 			continue
 		}
-		job := &Job{
-			ID:          rec.JobID,
-			Fingerprint: req.fingerprint,
-			Mapper:      req.mapper,
-			Seed:        req.seed,
-			Budgets:     req.budgets,
-			req:         req,
-			runMapper:   req.mapper,
-			attempts:    rec.Attempt,
-			status:      JobQueued,
-			created:     time.Now(),
-			done:        make(chan struct{}),
-			events:      newEventLog(),
-		}
+		job := newJob(rec.JobID, req)
+		job.attempts = rec.Attempt
 		// Re-synthesize the event history the pre-crash process streamed
 		// — one queued event, one running event per journaled attempt,
 		// with the same sequence numbers — so a client resuming with
@@ -142,24 +130,17 @@ func (s *Server) recoverJobs(pending []journal.Record) {
 			log.Printf("service: journal: job %s fingerprint drifted across restart (code version bump?)", rec.JobID)
 		}
 		s.jobs[job.ID] = job
+		s.stats.recovered.Add(1)
 		if e, ok := s.cache.Get(job.Fingerprint); ok {
 			// The computation finished before the crash (or another
 			// node shares the cache dir): resolve without re-running.
-			job.status = JobDone
-			job.summary = &e.Summary
-			job.finished = time.Now()
-			job.emit(JobDone)
-			close(job.done)
-			s.jlog(journal.Record{Kind: journal.Completed, JobID: job.ID, Key: job.Fingerprint,
-				Note: "resolved from cache on recovery"})
-			s.stats.recovered.Add(1)
+			s.finish(job, endRecovered, e.Summary, nil)
 			continue
 		}
 		if _, dup := s.flight[job.Fingerprint]; !dup {
 			s.flight[job.Fingerprint] = job
 		}
 		s.queue <- job // capacity ≥ len(pending), never blocks here
-		s.stats.recovered.Add(1)
 	}
 }
 
@@ -176,7 +157,7 @@ func jobIDNum(id string) int {
 // jlog appends a lifecycle record to the journal, when one is
 // configured. Append failures are logged and counted, never fatal: the
 // service keeps serving without durability rather than refusing work.
-func (s *Server) jlog(r Record) {
+func (s *Server) jlog(r journal.Record) {
 	if s.journal == nil {
 		return
 	}
@@ -185,7 +166,3 @@ func (s *Server) jlog(r Record) {
 		log.Printf("service: %v", err)
 	}
 }
-
-// Record aliases the journal record type for the service's own
-// call sites.
-type Record = journal.Record

@@ -2,7 +2,6 @@ package service
 
 import (
 	"math"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -116,6 +115,3 @@ func (s *Server) retryAfterSeconds() int {
 	}
 	return secs
 }
-
-// strconv429 formats a Retry-After second count for the header.
-func strconv429(secs int) string { return strconv.Itoa(secs) }

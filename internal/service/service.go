@@ -241,6 +241,23 @@ func (j *Job) forwardSpent() bool {
 	return j.noForward
 }
 
+// startTrace opens the trace of job's current attempt and stamps the
+// retry/degrade provenance on its root span: a retried job's trace says
+// which attempt this is and which rung (mapper) it ran on.
+func (j *Job) startTrace(mapper string) *obs.Trace {
+	tr := obs.NewTrace(j.ID)
+	j.mu.Lock()
+	j.trace = tr
+	attempts, degraded := j.attempts, j.degraded
+	j.mu.Unlock()
+	tr.Root().Set("attempt", int64(attempts))
+	tr.Root().Set("mapper", mapper)
+	if degraded {
+		tr.Root().Set("degraded", "true")
+	}
+	return tr
+}
+
 // Trace returns the observability trace of the job's pipeline run, or
 // nil before the job has started (it is live while the job runs —
 // obs.Trace.Dump snapshots open spans safely).
@@ -299,7 +316,7 @@ type Server struct {
 
 	drain *drainEstimator // recent completions → Retry-After hints
 
-	webhooks *webhookNotifier // nil without a webhook destination path
+	webhooks *webhookNotifier
 
 	recentMu sync.Mutex
 	recent   []string // most recently completed fingerprints, newest last
@@ -344,6 +361,21 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.BreakerShed <= 0 {
 		opts.BreakerShed = 0.8
+	}
+	if opts.MaxBodyBytes <= 0 {
+		opts.MaxBodyBytes = 8 << 20
+	}
+	if opts.MaxBatchItems <= 0 {
+		opts.MaxBatchItems = 64
+	}
+	if opts.SSEHeartbeat <= 0 {
+		opts.SSEHeartbeat = 15 * time.Second
+	}
+	if opts.WebhookTimeout <= 0 {
+		opts.WebhookTimeout = 10 * time.Second
+	}
+	if opts.WebhookMaxAttempts <= 0 {
+		opts.WebhookMaxAttempts = 3
 	}
 	cache, err := NewCache(opts.CacheSize, opts.CacheDir)
 	if err != nil {
@@ -434,73 +466,25 @@ type Outcome struct {
 	Dup       bool
 }
 
-// submit runs admission for a resolved request: cache lookup, breaker
-// check, then coalescing onto an identical in-flight job, then a
-// bounded enqueue. Cache hits are served even while the breaker sheds —
-// they cost nothing and can't fail.
-func (s *Server) submit(req *resolved) (Outcome, error) {
-	if e, ok := s.cache.Get(req.fingerprint); ok {
-		s.stats.submitted.Add(1)
-		s.stats.hits.Add(1)
-		return Outcome{Entry: &e}, nil
+// disposition is the wire "cache" note of the outcome: how it was
+// satisfied without a fresh computation ("" when a job was enqueued).
+func (o Outcome) disposition() string {
+	switch {
+	case o.Entry != nil:
+		return "hit"
+	case o.Dup:
+		return "dup"
+	case o.Coalesced:
+		return "coalesced"
 	}
-	switch s.breaker.state() {
-	case breakerShed:
-		s.stats.shed.Add(1)
-		return Outcome{}, ErrShedding
-	case breakerDegrade:
-		if m := DegradeMapper(req.mapper); m != "" {
-			// Serve a worse answer rather than none: admit the job on
-			// the next-cheaper mapper rung (which gets its own
-			// fingerprint — a degraded result must never answer a
-			// later full-strength request).
-			req = req.withMapper(m)
-			s.stats.degraded.Add(1)
-			if e, ok := s.cache.Get(req.fingerprint); ok {
-				s.stats.submitted.Add(1)
-				s.stats.hits.Add(1)
-				return Outcome{Entry: &e}, nil
-			}
-		}
-	}
+	return ""
+}
 
-	var blob []byte
-	if s.journal != nil {
-		var berr error
-		if blob, berr = encodeJobPayload(req); berr != nil {
-			// The job still runs; it just can't be replayed.
-			log.Printf("service: %v", berr)
-		}
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return Outcome{}, ErrDraining
-	}
-	if job, ok := s.flight[req.fingerprint]; ok {
-		s.mu.Unlock()
-		s.stats.submitted.Add(1)
-		s.stats.coalesced.Add(1)
-		return Outcome{Job: job, Coalesced: true}, nil
-	}
-	// An in-flight twin may have reached its terminal state between the
-	// unlocked cache check above and this lock. finishDone publishes to
-	// the cache before unregistering, and unregister synchronizes on
-	// s.mu, so when the flight index is empty here a re-check cannot
-	// miss the twin's result — without it, a submission landing in that
-	// window would re-execute a fingerprint that just completed
-	// (visible fleet-wide: three peers issuing identical streams hit
-	// completion boundaries constantly).
-	if e, ok := s.cache.Get(req.fingerprint); ok {
-		s.mu.Unlock()
-		s.stats.submitted.Add(1)
-		s.stats.hits.Add(1)
-		return Outcome{Entry: &e}, nil
-	}
-	s.nextID++
-	job := &Job{
-		ID:          fmt.Sprintf("job-%06d", s.nextID),
+// newJob builds the queued job every admission path — live submission
+// and journal recovery alike — registers under id.
+func newJob(id string, req *resolved) *Job {
+	return &Job{
+		ID:          id,
 		Fingerprint: req.fingerprint,
 		Mapper:      req.mapper,
 		Seed:        req.seed,
@@ -512,37 +496,160 @@ func (s *Server) submit(req *resolved) (Outcome, error) {
 		done:        make(chan struct{}),
 		events:      newEventLog(),
 	}
-	s.jobs[job.ID] = job
-	s.flight[job.Fingerprint] = job
-	// The Submitted record goes in before the job can be dequeued so a
-	// worker's Started record never precedes it in the journal — and
-	// the queued event before the enqueue, so no subscriber can see a
-	// running event first. (A queue-full rollback leaves a stray queued
-	// event on a job nobody can ever address; harmless.) Peer-forwarded
-	// jobs journal their origin so a post-crash operator can tell
-	// replayed fleet traffic from local submissions.
-	note := ""
-	if req.origin != "" {
-		note = "origin:" + req.origin
+}
+
+// admit runs one admission decision over the resolved requests (nil
+// slots are items the caller already rejected at resolve time): cache
+// lookup, breaker check, then — under s.mu — coalescing onto identical
+// in-flight jobs, dedup of identical fingerprints within the call, and
+// a bounded enqueue. The decision is atomic: either every request that
+// needs a fresh computation fits the queue — and all of them are
+// journaled and enqueued — or nothing is admitted and the whole call is
+// rejected with ErrOverloaded (ErrShedding/ErrDraining likewise reject
+// it wholesale). Cache hits never reject: they are served even while
+// the breaker sheds or the server drains — they cost nothing and can't
+// fail. POST /v1/map is the one-request case.
+func (s *Server) admit(reqs []*resolved) ([]Outcome, error) {
+	outs := make([]Outcome, len(reqs))
+	type pendingItem struct {
+		i    int
+		req  *resolved
+		blob []byte
 	}
-	s.jlog(Record{Kind: journal.Submitted, JobID: job.ID, Key: job.Fingerprint, Note: note, Blob: blob})
-	job.emit(JobQueued)
-	select {
-	case s.queue <- job:
-	default:
-		// Admission control: the queue is full. Undo the registration
-		// so the rejected job leaves no trace.
-		delete(s.jobs, job.ID)
-		delete(s.flight, job.Fingerprint)
+	var pending []pendingItem
+	for i, req := range reqs {
+		if req == nil {
+			continue
+		}
+		if e, ok := s.cache.Get(req.fingerprint); ok {
+			outs[i] = Outcome{Entry: &e}
+			continue
+		}
+		pending = append(pending, pendingItem{i: i, req: req})
+	}
+
+	if len(pending) > 0 {
+		switch s.breaker.state() {
+		case breakerShed:
+			s.stats.shed.Add(int64(len(pending)))
+			return nil, ErrShedding
+		case breakerDegrade:
+			kept := pending[:0]
+			for _, p := range pending {
+				if m := DegradeMapper(p.req.mapper); m != "" {
+					// Serve a worse answer rather than none: admit the job on
+					// the next-cheaper mapper rung (which gets its own
+					// fingerprint — a degraded result must never answer a
+					// later full-strength request).
+					p.req = p.req.withMapper(m)
+					s.stats.degraded.Add(1)
+					if e, ok := s.cache.Get(p.req.fingerprint); ok {
+						outs[p.i] = Outcome{Entry: &e}
+						continue
+					}
+				}
+				kept = append(kept, p)
+			}
+			pending = kept
+		}
+	}
+
+	if s.journal != nil {
+		for k := range pending {
+			blob, err := encodeJobPayload(pending[k].req)
+			if err != nil {
+				// The job still runs; it just can't be replayed.
+				log.Printf("service: %v", err)
+			}
+			pending[k].blob = blob
+		}
+	}
+
+	if len(pending) > 0 {
+		s.mu.Lock()
+		if s.draining {
+			s.mu.Unlock()
+			return nil, ErrDraining
+		}
+		// Plan first: which requests need a genuinely new job once
+		// in-flight coalescing and within-call dedup are accounted for?
+		created := make(map[string]*Job) // fingerprint → the job this call makes for it
+		var fresh []pendingItem          // the requests those jobs were made for, in order
+		for _, p := range pending {
+			fp := p.req.fingerprint
+			// The created map first: a job made for an earlier request of
+			// this call must read as a within-call dup, not a coalesce onto
+			// pre-existing work.
+			if job, ok := created[fp]; ok {
+				outs[p.i] = Outcome{Job: job, Coalesced: true, Dup: true}
+				continue
+			}
+			if job, ok := s.flight[fp]; ok {
+				outs[p.i] = Outcome{Job: job, Coalesced: true}
+				continue
+			}
+			// An in-flight twin may have reached its terminal state between
+			// the unlocked cache check above and this lock. finish publishes
+			// to the cache before unregistering, and unregister synchronizes
+			// on s.mu, so when the flight index is empty here a re-check
+			// cannot miss the twin's result — without it, a submission
+			// landing in that window would re-execute a fingerprint that
+			// just completed (visible fleet-wide: three peers issuing
+			// identical streams hit completion boundaries constantly).
+			if e, ok := s.cache.Get(fp); ok {
+				outs[p.i] = Outcome{Entry: &e}
+				continue
+			}
+			job := newJob(fmt.Sprintf("job-%06d", s.nextID+len(fresh)+1), p.req)
+			created[fp] = job
+			fresh = append(fresh, p)
+			outs[p.i] = Outcome{Job: job}
+		}
+		// Capacity is priced in the same critical section as the enqueue,
+		// before anything is journaled: a rejected call writes no record,
+		// consumes no job ID, and the channel send below never blocks.
+		if len(fresh) > cap(s.queue)-len(s.queue) {
+			s.mu.Unlock()
+			s.stats.rejected.Add(int64(len(pending)))
+			return nil, ErrOverloaded
+		}
+		s.nextID += len(fresh)
+		for _, p := range fresh {
+			job := outs[p.i].Job
+			s.jobs[job.ID] = job
+			s.flight[job.Fingerprint] = job
+			// The Submitted record goes in before the job can be dequeued so
+			// a worker's Started record never precedes it in the journal —
+			// and the queued event before the enqueue, so no subscriber can
+			// see a running event first. Peer-forwarded jobs journal their
+			// origin so a post-crash operator can tell replayed fleet
+			// traffic from local submissions.
+			note := ""
+			if p.req.origin != "" {
+				note = "origin:" + p.req.origin
+			}
+			s.jlog(journal.Record{Kind: journal.Submitted, JobID: job.ID, Key: job.Fingerprint, Note: note, Blob: p.blob})
+			job.emit(JobQueued)
+			s.queue <- job
+		}
 		s.mu.Unlock()
-		s.jlog(Record{Kind: journal.Cancelled, JobID: job.ID, Key: job.Fingerprint, Note: "queue full"})
-		s.stats.rejected.Add(1)
-		return Outcome{}, ErrOverloaded
 	}
-	s.mu.Unlock()
-	s.stats.submitted.Add(1)
-	s.stats.misses.Add(1)
-	return Outcome{Job: job}, nil
+
+	for i, req := range reqs {
+		if req == nil {
+			continue
+		}
+		s.stats.submitted.Add(1)
+		switch {
+		case outs[i].Entry != nil:
+			s.stats.hits.Add(1)
+		case outs[i].Coalesced:
+			s.stats.coalesced.Add(1)
+		default:
+			s.stats.misses.Add(1)
+		}
+	}
+	return outs, nil
 }
 
 // Job returns a previously accepted job by id.
@@ -563,28 +670,28 @@ func (s *Server) runJob(job *Job) {
 	defer s.running.Add(-1)
 
 	if s.journal != nil && s.isDraining() {
-		s.finishRequeued(job)
+		s.finish(job, endRequeued, core.Summary{}, nil)
 		return
 	}
 	if e, ok := s.cache.Get(job.Fingerprint); ok {
-		s.finishFromCache(job, e)
+		s.finish(job, endCached, e.Summary, nil)
 		return
 	}
 
 	for {
 		attempt := job.beginAttempt()
-		s.jlog(Record{Kind: journal.Started, JobID: job.ID, Key: job.Fingerprint,
+		s.jlog(journal.Record{Kind: journal.Started, JobID: job.ID, Key: job.Fingerprint,
 			Attempt: attempt, Note: job.currentMapper()})
 		job.emit(JobRunning)
 
 		sum, err, watchdog := s.runAttempt(job)
 		if err == nil {
-			s.finishDone(job, sum)
+			s.finish(job, endDone, sum, nil)
 			return
 		}
 		switch retryDecision(err, attempt, s.opts.MaxAttempts, job.currentMapper(), job.isDegraded(), watchdog) {
 		case decideFail:
-			s.finishFailed(job, sum, err)
+			s.finish(job, endFailed, sum, err)
 			return
 		case decideDegrade:
 			next := DegradeMapper(job.currentMapper())
@@ -600,14 +707,14 @@ func (s *Server) runJob(job *Job) {
 			case <-t.C:
 			case <-s.baseCtx.Done():
 				t.Stop()
-				s.finishFailed(job, sum, err)
+				s.finish(job, endFailed, sum, err)
 				return
 			}
 		}
 		if s.journal != nil && s.isDraining() {
 			// The server started draining during the backoff; leave
 			// the retry to the next process.
-			s.finishRequeued(job)
+			s.finish(job, endRequeued, core.Summary{}, nil)
 			return
 		}
 	}
@@ -669,95 +776,93 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// finishDone publishes a successful attempt: cache, journal, breaker,
-// waiters.
-func (s *Server) finishDone(job *Job, sum core.Summary) {
-	job.mu.Lock()
-	job.finished = time.Now()
-	job.status = JobDone
-	job.summary = &sum
-	degraded := job.degraded
-	mapper := job.runMapper
-	job.mu.Unlock()
-	s.stats.completed.Add(1)
-	s.stats.recordStages(sum)
-	key := job.Fingerprint
-	note := ""
-	if degraded {
-		// A degraded run answers a cheaper computation than the one
-		// the fingerprint names; caching it under the original key
-		// would poison future full-strength requests.
-		key = Key(job.req.graph, job.req.arch, mapper, job.Seed, job.Budgets)
-		note = "degraded to " + mapper
-	}
-	if perr := s.cache.Put(Entry{Fingerprint: key, Summary: sum}); perr != nil {
-		// Persistence is best-effort; the in-memory entry serves.
-		log.Printf("service: %v", perr)
-	}
-	s.jlog(Record{Kind: journal.Completed, JobID: job.ID, Key: job.Fingerprint,
-		Attempt: job.Attempts(), Note: note})
-	s.breaker.record(false)
-	s.drain.record()
-	s.rememberFingerprint(key)
-	s.unregister(job)
-	job.emit(JobDone)
-	close(job.done)
-	s.webhooks.notify(s, job)
-}
+// ending says how a job reached its terminal status.
+type ending int
 
-// finishFailed publishes a terminal failure (salvaging the partial
-// summary the ladder returned, when there is one).
-func (s *Server) finishFailed(job *Job, sum core.Summary, err error) {
+const (
+	endDone      ending = iota // an attempt returned a clean summary
+	endFailed                  // the retry ladder gave up on the attempt's error
+	endRequeued                // a draining server hands the job back to the journal
+	endCached                  // an existing cache entry answers the job; nothing ran
+	endRecovered               // the same, found while replaying the journal in New
+)
+
+// finish publishes job's terminal status — the one place a job ends:
+// the status-specific bookkeeping first, then the terminal journal
+// record, the in-flight index, the event stream, the waiters and the
+// webhook, in that order. sum is the result (for endFailed, whatever
+// partial summary the ladder salvaged); err is set for endFailed only.
+func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
+	status, kind := JobDone, journal.Completed
+	switch how {
+	case endFailed:
+		status, kind = JobFailed, journal.Failed
+	case endRequeued:
+		status, kind = JobRequeued, journal.Requeued
+	}
 	job.mu.Lock()
 	job.finished = time.Now()
-	job.status = JobFailed
+	job.status = status
 	job.err = err
-	if sum.Kernel != "" || len(sum.Stages) > 0 {
-		job.summary = &sum // partial result salvaged by the ladder
+	if status == JobDone || sum.Kernel != "" || len(sum.Stages) > 0 {
+		job.summary = &sum // for a failure, the partial result the ladder salvaged
 	}
+	attempts, degraded, mapper := job.attempts, job.degraded, job.runMapper
 	job.mu.Unlock()
-	s.stats.recordFailure(err)
-	s.stats.recordStages(sum)
-	s.jlog(Record{Kind: journal.Failed, JobID: job.ID, Key: job.Fingerprint,
-		Attempt: job.Attempts(), Note: failureClass(err)})
-	s.breaker.record(true)
-	s.drain.record()
-	s.unregister(job)
-	job.emit(JobFailed)
-	close(job.done)
-	s.webhooks.notify(s, job)
-}
 
-// finishRequeued hands a job back to the journal for the next process.
-func (s *Server) finishRequeued(job *Job) {
-	job.mu.Lock()
-	job.finished = time.Now()
-	job.status = JobRequeued
-	job.mu.Unlock()
-	s.stats.requeued.Add(1)
-	s.jlog(Record{Kind: journal.Requeued, JobID: job.ID, Key: job.Fingerprint,
-		Attempt: job.Attempts(), Note: "draining"})
-	s.unregister(job)
-	job.emit(JobRequeued)
-	close(job.done)
-}
+	note := ""
+	switch how {
+	case endDone:
+		s.stats.completed.Add(1)
+		s.stats.recordStages(sum)
+		key := job.Fingerprint
+		if degraded {
+			// A degraded run answers a cheaper computation than the one
+			// the fingerprint names; caching it under the original key
+			// would poison future full-strength requests.
+			key = Key(job.req.graph, job.req.arch, mapper, job.Seed, job.Budgets)
+			note = "degraded to " + mapper
+		}
+		// The cache is published before unregister below: admission relies
+		// on that order when it re-checks the cache under s.mu.
+		if perr := s.cache.Put(Entry{Fingerprint: key, Summary: sum}); perr != nil {
+			// Persistence is best-effort; the in-memory entry serves.
+			log.Printf("service: %v", perr)
+		}
+		s.breaker.record(false)
+		s.rememberFingerprint(key)
+	case endFailed:
+		s.stats.recordFailure(err)
+		s.stats.recordStages(sum)
+		s.breaker.record(true)
+		note = failureClass(err)
+	case endRequeued:
+		s.stats.requeued.Add(1)
+		note = "draining"
+	case endCached:
+		// The breaker sees no sample — nothing ran.
+		s.stats.completed.Add(1)
+		note = "resolved from cache"
+	case endRecovered:
+		note = "resolved from cache on recovery"
+	}
 
-// finishFromCache resolves a job from an existing cache entry without
-// executing it (the breaker sees no sample — nothing ran).
-func (s *Server) finishFromCache(job *Job, e Entry) {
-	job.mu.Lock()
-	job.finished = time.Now()
-	job.status = JobDone
-	job.summary = &e.Summary
-	job.mu.Unlock()
-	s.stats.completed.Add(1)
-	s.jlog(Record{Kind: journal.Completed, JobID: job.ID, Key: job.Fingerprint,
-		Note: "resolved from cache"})
-	s.drain.record()
+	// The terminal record precedes close(job.done): a waiter that saw the
+	// job finish can rely on the journal never replaying it.
+	s.jlog(journal.Record{Kind: kind, JobID: job.ID, Key: job.Fingerprint, Attempt: attempts, Note: note})
+	// Jobs that ended in this process feed the drain estimator and fire
+	// their webhook; a requeued job has not ended, and a recovered one
+	// ended in a previous process.
+	ended := how != endRequeued && how != endRecovered
+	if ended {
+		s.drain.record()
+	}
 	s.unregister(job)
-	job.emit(JobDone)
+	job.emit(status)
 	close(job.done)
-	s.webhooks.notify(s, job)
+	if ended {
+		s.webhooks.notify(s, job)
+	}
 }
 
 // unregister drops the job from the in-flight index.
@@ -772,17 +877,7 @@ func (s *Server) unregister(job *Job) {
 // runPipeline is the default RunFunc: the real Panorama stack, mapper
 // selected by name exactly as in the CLIs.
 func (s *Server) runPipeline(ctx context.Context, job *Job) (core.Summary, error) {
-	tr := obs.NewTrace(job.ID)
-	job.mu.Lock()
-	job.trace = tr
-	job.mu.Unlock()
-	// The retry/degrade provenance on the root span: a retried job's
-	// trace says which attempt this is and which rung it ran on.
-	tr.Root().Set("attempt", int64(job.Attempts()))
-	tr.Root().Set("mapper", job.currentMapper())
-	if job.isDegraded() {
-		tr.Root().Set("degraded", "true")
-	}
+	tr := job.startTrace(job.currentMapper())
 	ctx = obs.WithSpan(ctx, tr.Root())
 	defer tr.Root().End()
 

@@ -215,8 +215,6 @@ func (s *Server) Stats() Stats {
 		out.ClusterPeers = len(cs.Peers)
 		out.ClusterPeersDown = cs.PeersDown
 	}
-	s.mu.Lock()
-	out.Draining = s.draining
-	s.mu.Unlock()
+	out.Draining = s.isDraining()
 	return out
 }

@@ -64,20 +64,12 @@ type webhookNotifier struct {
 
 // newWebhookNotifier wires a notifier from already-defaulted Options.
 func newWebhookNotifier(st *stats, opts Options) *webhookNotifier {
-	timeout := opts.WebhookTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	maxAttempts := opts.WebhookMaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
 	return &webhookNotifier{
 		st:          st,
 		url:         opts.WebhookURL,
 		secret:      opts.WebhookSecret,
-		timeout:     timeout,
-		maxAttempts: maxAttempts,
+		timeout:     opts.WebhookTimeout,
+		maxAttempts: opts.WebhookMaxAttempts,
 		retryBase:   opts.RetryBase,
 		client:      &http.Client{},
 		queue:       make(chan webhookEvent, webhookQueueSize),
@@ -89,13 +81,7 @@ func newWebhookNotifier(st *stats, opts Options) *webhookNotifier {
 // configured (per-request webhook wins over the server-wide URL).
 // Never blocks: a full queue drops the event and counts the drop.
 func (n *webhookNotifier) notify(s *Server, job *Job) {
-	if n == nil {
-		return
-	}
-	dest := ""
-	if job.req != nil {
-		dest = job.req.webhook
-	}
+	dest := job.req.webhook
 	if dest == "" {
 		dest = n.url
 	}
@@ -178,9 +164,6 @@ func (n *webhookNotifier) post(ev webhookEvent) error {
 // bounded by ctx (an already-expired ctx skips the wait — crash-style
 // shutdowns drop undelivered webhooks, which at-most-once allows).
 func (n *webhookNotifier) close(ctx context.Context) {
-	if n == nil {
-		return
-	}
 	// If the sender never started (no event was ever queued), the
 	// startOnce here closes done so the wait below returns at once;
 	// otherwise the sender closes done when the queue drains.
