@@ -26,7 +26,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -41,7 +40,6 @@ import (
 	"time"
 
 	"panorama/internal/loadtest"
-	"panorama/internal/service"
 )
 
 func main() {
@@ -202,7 +200,7 @@ func runParent(ctx context.Context, procs int, qps float64, seed int64, out stri
 // runFleet spawns n panoramad peers wired into one consistent-hash
 // ring on loopback ports, re-executes this binary once per peer with
 // the SAME workload seed (identical streams maximize cross-peer
-// duplication), merges the reports, scrapes every peer's /statsz, and
+// duplication), merges the reports, scrapes every peer's /metricsz, and
 // asserts the fleet SLOs: zero failures, zero misdirected forwards,
 // and — since every stream is identical — no more fleet-wide pipeline
 // executions than one stream's distinct specs.
@@ -351,35 +349,28 @@ func runFleet(ctx context.Context, n int, bin string, qps float64, seed int64, o
 	printSummary(merged)
 
 	// Scrape every peer's view of the run before draining them.
-	var executed, forwarded, fallback, misdirected int64
-	for i, u := range urls {
-		st, err := scrapeStats(ctx, u)
-		if err != nil {
-			return fmt.Errorf("peer %d statsz: %w", i, err)
-		}
-		executed += st.Executed
-		forwarded += st.ClusterForwarded
-		fallback += st.ClusterFallback
-		misdirected += st.ClusterMisdirected
+	fc, err := loadtest.ScrapeFleet(ctx, urls)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("  fleet:  peers=%d executed=%d distinct=%d forwarded=%d fallback=%d misdirected=%d\n",
-		n, executed, maxDistinct, forwarded, fallback, misdirected)
+		n, fc.Executed, maxDistinct, fc.Forwarded, fc.Fallback, fc.Misdirected)
 
 	var violations []string
 	if merged.Failed > 0 {
 		violations = append(violations, fmt.Sprintf("%d failed operation(s): %v", merged.Failed, merged.Errors))
 	}
-	if misdirected > 0 {
-		violations = append(violations, fmt.Sprintf("%d misdirected forward(s): ring views disagree", misdirected))
+	if fc.Misdirected > 0 {
+		violations = append(violations, fmt.Sprintf("%d misdirected forward(s): ring views disagree", fc.Misdirected))
 	}
-	if forwarded == 0 {
+	if fc.Forwarded == 0 {
 		violations = append(violations, "no operation was forwarded: the ring was not exercised")
 	}
-	if merged.Failed == 0 && executed > maxDistinct {
+	if merged.Failed == 0 && fc.Executed > maxDistinct {
 		// Only a zero-failure run supports the exactly-once bound:
 		// legitimate retries of failing specs re-execute.
 		violations = append(violations,
-			fmt.Sprintf("executed %d pipelines for %d distinct specs: duplicate work across the ring", executed, maxDistinct))
+			fmt.Sprintf("executed %d pipelines for %d distinct specs: duplicate work across the ring", fc.Executed, maxDistinct))
 	}
 	if len(violations) > 0 {
 		return fmt.Errorf("fleet SLO violated:\n  %s", strings.Join(violations, "\n  "))
@@ -412,24 +403,6 @@ func waitHealthy(ctx context.Context, url string, budget time.Duration) error {
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
-}
-
-// scrapeStats fetches one peer's /statsz snapshot.
-func scrapeStats(ctx context.Context, url string) (service.Stats, error) {
-	var st service.Stats
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/statsz", nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
 }
 
 func printSummary(r *loadtest.Report) {

@@ -3,9 +3,12 @@ package loadtest
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"time"
 
 	"panorama/internal/cluster"
+	"panorama/internal/obs"
 	"panorama/internal/service"
 )
 
@@ -137,4 +140,57 @@ func (f *Fleet) Close(ctx context.Context) error {
 		}
 	}
 	return first
+}
+
+// FleetCounts are the counters the fleet SLOs are judged on, summed
+// over every peer: pipeline executions, forwards concluded on a ring
+// owner, forwards that fell back to local execution, and forwarded
+// requests a peer refused as misdirected.
+type FleetCounts struct {
+	Executed, Forwarded, Fallback, Misdirected int64
+}
+
+// ScrapeFleet reads every peer's /metricsz and sums the FleetCounts
+// series — the fleet's own account of a run, as `panoramaload -fleet`
+// and any external scraper see it. A peer whose body lacks one of the
+// series is an error, not a zero.
+func ScrapeFleet(ctx context.Context, urls []string) (FleetCounts, error) {
+	var c FleetCounts
+	for _, u := range urls {
+		series, err := scrapeMetricsz(ctx, u)
+		if err != nil {
+			return c, fmt.Errorf("%s/metricsz: %w", u, err)
+		}
+		for name, sum := range map[string]*int64{
+			"panorama_service_executed_total":         &c.Executed,
+			"panorama_cluster_forwarded_total":        &c.Forwarded,
+			"panorama_cluster_forward_fallback_total": &c.Fallback,
+			"panorama_cluster_misdirected_total":      &c.Misdirected,
+		} {
+			v, ok := series[name]
+			if !ok {
+				return c, fmt.Errorf("%s/metricsz: no %s series", u, name)
+			}
+			*sum += int64(v)
+		}
+	}
+	return c, nil
+}
+
+// scrapeMetricsz fetches one peer's /metricsz as a series → value map
+// (obs.Registry.Snapshot's keys).
+func scrapeMetricsz(ctx context.Context, base string) (map[string]float64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metricsz", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return obs.ParseProm(resp.Body)
 }

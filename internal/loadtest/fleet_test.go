@@ -2,6 +2,8 @@ package loadtest
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -233,5 +235,57 @@ func TestFleetOwnerKillMidJob(t *testing.T) {
 	}
 	if st.ClusterPeersDown != 1 {
 		t.Errorf("origin sees %d peers down, want 1", st.ClusterPeersDown)
+	}
+}
+
+// TestScrapeFleetMatchesStats is the tier-1 cover for the scrape
+// `panoramaload -fleet` judges its SLOs on (the binary itself only runs
+// in the nightly job): against two in-process peers, the counts summed
+// off the /metricsz bodies equal the sums of the peers' own Stats().
+func TestScrapeFleetMatchesStats(t *testing.T) {
+	f, err := NewFleet(FleetConfig{
+		N: 2,
+		Options: func(i int) service.Options {
+			return service.Options{Workers: 1, QueueSize: 8, RetryBase: -1,
+				Run: func(ctx context.Context, job *service.Job) (core.Summary, error) {
+					return core.Summary{Kernel: "stub", Success: true}, nil
+				}}
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	defer f.Close(context.Background())
+
+	// Everything enters at peer 0; the seeds peer 1 owns are forwarded.
+	const jobs = 24
+	for seed := int64(1); seed <= jobs; seed++ {
+		mapOnce(t, f.URLs()[0], Item{Kernel: "fir", Scale: 0.1, Arch: "4x4", Mapper: "ultrafast", Seed: seed})
+	}
+
+	var want FleetCounts
+	for _, h := range f.Peers {
+		st := h.Srv.Stats()
+		want.Executed += st.Executed
+		want.Forwarded += st.ClusterForwarded
+		want.Fallback += st.ClusterFallback
+		want.Misdirected += st.ClusterMisdirected
+	}
+	got, err := ScrapeFleet(context.Background(), f.URLs())
+	if err != nil {
+		t.Fatalf("ScrapeFleet: %v", err)
+	}
+	if got != want {
+		t.Fatalf("scraped %+v, peers' Stats() sum to %+v", got, want)
+	}
+	if got.Executed != jobs || got.Forwarded == 0 || got.Forwarded == jobs {
+		t.Fatalf("%+v: want %d executions split across both peers", got, jobs)
+	}
+
+	// A body without the series is a broken scrape, not a quiet fleet.
+	empty := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer empty.Close()
+	if _, err := ScrapeFleet(context.Background(), []string{empty.URL}); err == nil {
+		t.Fatal("scraping a peer that exposes none of the series must fail")
 	}
 }

@@ -26,15 +26,18 @@
 //
 // # Metrics
 //
-// A process-wide [Registry] ([Default]) holds counters, gauges, and
-// histograms. Hot paths touch only atomics: counters are a single
-// atomic add, histogram observation is an atomic bucket increment plus
-// a CAS-accumulated sum; label lookup ([CounterVec.With]) can be done
-// once and the returned child retained. The registry serialises in
-// Prometheus text exposition format ([Registry.WriteProm]; served at
-// /metricsz by panoramad) and snapshots to a flat map
-// ([Registry.Snapshot]) so the bench harness can print per-table
-// solver-effort deltas.
+// A [Registry] holds counters, callback gauges, and histograms: the
+// process-wide one ([Default]) carries the pipeline's and solvers'
+// families, and anything that exists several times per process — a
+// service.Server — owns its own. Hot paths touch only atomics: counters
+// are a single atomic add, histogram observation is an atomic bucket
+// increment plus a CAS-accumulated sum; label lookup ([CounterVec.With])
+// can be done once and the returned child retained. A registry
+// serialises in Prometheus text exposition format ([Registry.WriteProm];
+// panoramad serves the server's registry and then Default at /metricsz)
+// and snapshots to a flat map ([Registry.Snapshot]) so the bench harness
+// can print per-table solver-effort deltas; [ParseProm] reads an
+// exposition body back into the same map.
 //
 // OBSERVABILITY.md is the operator-facing reference: every metric name
 // with type, labels, and meaning, plus how to read trace dumps and

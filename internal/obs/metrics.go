@@ -1,19 +1,24 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Default is the process-wide metrics registry. Package-level metric
-// variables across the pipeline register here at init time; panoramad
-// serves it at /metricsz and the bench harness diffs its Snapshot for
-// the per-table effort appendix.
+// variables across the pipeline register here at init time (the
+// package-level New* constructors are shorthands for its methods);
+// panoramad serves it at /metricsz after the server's own registry,
+// and the bench harness diffs its Snapshot for the per-table effort
+// appendix.
 var Default = NewRegistry()
 
 // Registry holds metric families and serialises them in Prometheus
@@ -34,7 +39,6 @@ type family struct {
 
 	mu       sync.Mutex
 	children map[string]metric
-	gaugeFn  func() float64 // label-less callback gauge (typ "gauge")
 }
 
 // metric is one labelled child of a family.
@@ -42,8 +46,15 @@ type metric interface {
 	sample() []float64 // counter/gauge: {value}; histogram: buckets..., sum, count
 }
 
-// NewRegistry returns an empty registry. Most code uses Default; tests
-// that need isolation build their own.
+// gaugeFunc is a callback gauge: sampled at exposition time, so
+// instantaneous values like queue depth need no write-path bookkeeping.
+type gaugeFunc func() float64
+
+func (g gaugeFunc) sample() []float64 { return []float64{g()} }
+
+// NewRegistry returns an empty registry. Process-wide instruments live
+// on Default; anything that exists several times per process (a
+// service.Server) owns a registry of its own.
 func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
@@ -108,27 +119,65 @@ func (v *CounterVec) With(vals ...string) *Counter {
 	return v.f.child(vals, func() metric { return &Counter{} }).(*Counter)
 }
 
-// NewCounter registers a label-less counter on Default.
-func NewCounter(name, help string) *Counter {
-	f := Default.register(name, help, "counter", nil)
+// NewCounter registers a label-less counter.
+func (r *Registry) NewCounter(name, help string) *Counter {
+	f := r.register(name, help, "counter", nil)
 	return f.child(nil, func() metric { return &Counter{} }).(*Counter)
+}
+
+// NewCounter registers a label-less counter on Default.
+func NewCounter(name, help string) *Counter { return Default.NewCounter(name, help) }
+
+// NewCounterVec registers a labelled counter family.
+func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
+	return &CounterVec{f: r.register(name, help, "counter", labels)}
 }
 
 // NewCounterVec registers a labelled counter family on Default.
 func NewCounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{f: Default.register(name, help, "counter", labels)}
+	return Default.NewCounterVec(name, help, labels...)
 }
 
-// RegisterGauge registers (or replaces) a callback gauge on Default:
-// fn is sampled at exposition time, so instantaneous values like queue
-// depth need no write-path bookkeeping. Replacement keeps tests that
-// build several servers in one process from tripping the duplicate
-// check; the live server registered last wins.
-func RegisterGauge(name, help string, fn func() float64) {
-	f := Default.register(name, help, "gauge", nil)
+// SecondsCounter accumulates durations for a *_seconds_total family: it
+// stores integer nanoseconds, so Add is one atomic add like Counter's,
+// and samples float seconds.
+type SecondsCounter struct{ ns atomic.Int64 }
+
+// Add adds d (non-negative, as for Counter.Add).
+func (c *SecondsCounter) Add(d time.Duration) { c.ns.Add(int64(d)) }
+
+// Value returns the accumulated duration.
+func (c *SecondsCounter) Value() time.Duration { return time.Duration(c.ns.Load()) }
+
+func (c *SecondsCounter) sample() []float64 {
+	return []float64{float64(c.ns.Load()) / float64(time.Second)}
+}
+
+// SecondsCounterVec is a SecondsCounter family with labels.
+type SecondsCounterVec struct{ f *family }
+
+// With returns the child for the given label values.
+func (v *SecondsCounterVec) With(vals ...string) *SecondsCounter {
+	return v.f.child(vals, func() metric { return &SecondsCounter{} }).(*SecondsCounter)
+}
+
+// NewSecondsCounterVec registers a labelled SecondsCounter family.
+func (r *Registry) NewSecondsCounterVec(name, help string, labels ...string) *SecondsCounterVec {
+	return &SecondsCounterVec{f: r.register(name, help, "counter", labels)}
+}
+
+// GaugeFunc registers a label-less callback gauge: fn is called on
+// every WriteProm and Snapshot, outside the registry's locks. Unlike
+// the fetch-or-create constructors it panics on a duplicate name — a
+// second callback could only shadow the first.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	f := r.register(name, help, "gauge", nil)
 	f.mu.Lock()
-	f.gaugeFn = fn
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	if len(f.children) > 0 {
+		panic(fmt.Sprintf("obs: gauge %q registered twice", name))
+	}
+	f.children[""] = gaugeFunc(fn)
 }
 
 // Histogram is a fixed-bucket distribution. Observe is an atomic
@@ -186,16 +235,26 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
-// NewHistogram registers a label-less histogram on Default. Bounds are
-// ascending bucket upper limits; +Inf is implicit.
-func NewHistogram(name, help string, bounds []float64) *Histogram {
-	f := Default.register(name, help, "histogram", nil)
+// NewHistogram registers a label-less histogram. Bounds are ascending
+// bucket upper limits; +Inf is implicit.
+func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
+	f := r.register(name, help, "histogram", nil)
 	return f.child(nil, func() metric { return newHistogram(bounds) }).(*Histogram)
+}
+
+// NewHistogram registers a label-less histogram on Default.
+func NewHistogram(name, help string, bounds []float64) *Histogram {
+	return Default.NewHistogram(name, help, bounds)
+}
+
+// NewHistogramVec registers a labelled histogram family.
+func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
+	return &HistogramVec{f: r.register(name, help, "histogram", labels), bounds: bounds}
 }
 
 // NewHistogramVec registers a labelled histogram family on Default.
 func NewHistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{f: Default.register(name, help, "histogram", labels), bounds: bounds}
+	return Default.NewHistogramVec(name, help, bounds, labels...)
 }
 
 // TimeBuckets is the default latency bucket set (seconds): microsecond
@@ -205,63 +264,59 @@ var TimeBuckets = []float64{.001, .005, .01, .05, .1, .25, .5, 1, 2.5, 5, 10, 30
 // IIBuckets buckets achieved initiation intervals.
 var IIBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}
 
-// WriteProm writes every family in Prometheus text exposition format
-// (the /metricsz body), families and label sets in sorted order so the
-// output is stable for golden tests.
-func (r *Registry) WriteProm(w io.Writer) error {
+// families returns the registered families sorted by name.
+func (r *Registry) families() []*family {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		names = append(names, name)
+	defer r.mu.Unlock()
+	fams := make([]*family, 0, len(r.fams))
+	for _, f := range r.fams {
+		fams = append(fams, f)
 	}
-	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
-	for _, name := range names {
-		fams = append(fams, r.fams[name])
-	}
-	r.mu.Unlock()
-
-	for _, f := range fams {
-		if err := f.writeProm(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	return fams
 }
 
-func (f *family) writeProm(w io.Writer) error {
+// row is one child of a family with its label values.
+type row struct {
+	vals []string
+	m    metric
+}
+
+// rows lists the family's children in sorted label order. Callers
+// sample them after the family lock is released: a callback gauge may
+// take locks of its own, or scrape the registry it is registered on.
+func (f *family) rows() []row {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	keys := make([]string, 0, len(f.children))
 	for k := range f.children {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	gaugeFn := f.gaugeFn
-	type row struct {
-		vals []string
-		m    metric
-	}
 	rows := make([]row, 0, len(keys))
 	for _, k := range keys {
 		var vals []string
-		if k != "" || len(f.labels) > 0 {
+		if len(f.labels) > 0 {
 			vals = strings.Split(k, "\x00")
 		}
 		rows = append(rows, row{vals: vals, m: f.children[k]})
 	}
-	f.mu.Unlock()
+	return rows
+}
 
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-		f.name, escapeHelp(f.help), f.name, f.typ); err != nil {
-		return err
-	}
-	if gaugeFn != nil {
-		_, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(gaugeFn()))
-		return err
-	}
-	for _, r := range rows {
-		if err := f.writeChild(w, r.vals, r.m); err != nil {
+// WriteProm writes every family in Prometheus text exposition format
+// (the /metricsz body), families and label sets in sorted order so the
+// output is stable for golden tests.
+func (r *Registry) WriteProm(w io.Writer) error {
+	for _, f := range r.families() {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
+			f.name, escapeHelp(f.help), f.name, f.typ); err != nil {
 			return err
+		}
+		for _, row := range f.rows() {
+			if err := f.writeChild(w, row.vals, row.m); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -304,7 +359,7 @@ func labelString(keys, vals []string, extraKey, extraVal string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", k, escapeLabel(vals[i]))
+		fmt.Fprintf(&b, "%s=%q", k, vals[i]) // %q escapes quotes and backslashes
 	}
 	if extraKey != "" {
 		if len(keys) > 0 {
@@ -328,44 +383,57 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-func escapeLabel(s string) string {
-	// %q already escapes quotes and backslashes; nothing further needed.
-	return s
-}
-
 // Snapshot flattens the registry into metric-name → value: counters
 // and gauges by name (labelled children as name{k="v",...}),
 // histograms as name_sum and name_count. The bench harness diffs two
 // snapshots to render the per-table solver-effort appendix.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	for _, f := range fams {
-		f.mu.Lock()
-		if f.gaugeFn != nil {
-			out[f.name] = f.gaugeFn()
-			f.mu.Unlock()
-			continue
-		}
-		for k, m := range f.children {
-			var vals []string
-			if k != "" || len(f.labels) > 0 {
-				vals = strings.Split(k, "\x00")
-			}
-			suffix := labelString(f.labels, vals, "", "")
-			if h, ok := m.(*Histogram); ok {
+	for _, f := range r.families() {
+		for _, row := range f.rows() {
+			suffix := labelString(f.labels, row.vals, "", "")
+			if h, ok := row.m.(*Histogram); ok {
 				out[f.name+"_sum"+suffix] = h.Sum()
 				out[f.name+"_count"+suffix] = float64(h.Count())
 				continue
 			}
-			out[f.name+suffix] = m.sample()[0]
+			out[f.name+suffix] = row.m.sample()[0]
 		}
-		f.mu.Unlock()
 	}
 	return out
+}
+
+// ParseProm reads a WriteProm body back into Snapshot's shape — the
+// same keys, histogram buckets dropped — so a scraper of /metricsz
+// addresses series exactly as in-process code addresses a Snapshot.
+func ParseProm(r io.Reader) (map[string]float64, error) {
+	out := make(map[string]float64)
+	hists := make(map[string]bool)
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			hists[name] = typ == "histogram"
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			return nil, fmt.Errorf("obs: malformed sample line %q", line)
+		}
+		key := line[:sp]
+		name, _, _ := strings.Cut(key, "{")
+		if base, ok := strings.CutSuffix(name, "_bucket"); ok && hists[base] {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("obs: sample line %q: %w", line, err)
+		}
+		out[key] = v
+	}
+	return out, sc.Err()
 }

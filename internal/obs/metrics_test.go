@@ -1,9 +1,13 @@
 package obs
 
 import (
+	"io"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"panorama/internal/obs/obstest"
 )
@@ -49,11 +53,122 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestRegisterGaugeReplaces(t *testing.T) {
-	RegisterGauge("obstest_gauge", "test gauge", func() float64 { return 1 })
-	RegisterGauge("obstest_gauge", "test gauge", func() float64 { return 42 })
-	if v := Default.Snapshot()["obstest_gauge"]; v != 42 {
-		t.Fatalf("gauge reads %g, want the replacement's 42", v)
+func TestGaugeFuncDuplicatePanics(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("obstest_gauge", "test gauge", func() float64 { return 42 })
+	if v := r.Snapshot()["obstest_gauge"]; v != 42 {
+		t.Fatalf("gauge reads %g, want 42", v)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a second callback under one name must panic")
+		}
+	}()
+	r.GaugeFunc("obstest_gauge", "test gauge", func() float64 { return 1 })
+}
+
+// Registries are independent scopes: the same family name on two of
+// them is two instruments, and neither shows up on Default.
+func TestRegistriesAreScoped(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.NewCounter("obstest_scoped_total", "scoped").Add(3)
+	cb := b.NewCounter("obstest_scoped_total", "scoped")
+	if cb.Value() != 0 || b.Snapshot()["obstest_scoped_total"] != 0 {
+		t.Fatal("a counter on one registry moved its namesake on another")
+	}
+	if _, ok := Default.Snapshot()["obstest_scoped_total"]; ok {
+		t.Fatal("a family registered on its own registry leaked onto Default")
+	}
+}
+
+// A callback gauge runs outside the registry's locks, so it may scrape
+// the registry it is registered on (a server gauge reading server state
+// that is itself exported) without deadlocking either exposition path.
+func TestGaugeFuncMayScrapeItsRegistry(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("obstest_reentrant_total", "counter the gauge reads back").Add(7)
+	var nested atomic.Bool // the scrape inside the callback samples the gauge again
+	r.GaugeFunc("obstest_reentrant_gauge", "gauge that scrapes its own registry", func() float64 {
+		if !nested.CompareAndSwap(false, true) {
+			return 0
+		}
+		defer nested.Store(false)
+		if err := r.WriteProm(io.Discard); err != nil {
+			t.Error(err)
+		}
+		return r.Snapshot()["obstest_reentrant_total"]
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if v := r.Snapshot()["obstest_reentrant_gauge"]; v != 7 {
+			t.Errorf("gauge reads %g through Snapshot, want 7", v)
+		}
+		var sb strings.Builder
+		if err := r.WriteProm(&sb); err != nil {
+			t.Error(err)
+		}
+		if !strings.Contains(sb.String(), "obstest_reentrant_gauge 7\n") {
+			t.Errorf("gauge missing from exposition:\n%s", sb.String())
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("scraping a registry from one of its own gauge callbacks deadlocked")
+	}
+}
+
+func TestSecondsCounterSamplesSeconds(t *testing.T) {
+	r := NewRegistry()
+	vec := r.NewSecondsCounterVec("obstest_stage_seconds_total", "durations", "stage")
+	c := vec.With("lower")
+	c.Add(40 * time.Millisecond)
+	c.Add(120 * time.Millisecond)
+	if c.Value() != 160*time.Millisecond {
+		t.Fatalf("accumulated %v, want 160ms", c.Value())
+	}
+	if v := r.Snapshot()[`obstest_stage_seconds_total{stage="lower"}`]; v != 0.16 {
+		t.Fatalf("sampled %g, want 0.16 seconds", v)
+	}
+}
+
+// The scrape round trip: parsing WriteProm's output yields exactly
+// Snapshot — same keys, same values, histograms as _sum/_count with
+// their buckets dropped.
+func TestParsePromRoundTripsSnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("obstest_rt_total", "plain").Add(5)
+	r.NewCounterVec("obstest_rt_labelled_total", "labelled", "site", "kind").With(`a "quoted" site`, "x y").Add(2)
+	r.NewSecondsCounterVec("obstest_rt_seconds_total", "float-valued", "stage").With("lower").Add(1234567 * time.Microsecond)
+	r.GaugeFunc("obstest_rt_gauge", "gauge", func() float64 { return 0.375 })
+	r.NewHistogram("obstest_rt_hist", "plain histogram", IIBuckets).Observe(4)
+	hv := r.NewHistogramVec("obstest_rt_seconds", "labelled histogram", TimeBuckets, "stage")
+	hv.With("lower").Observe(0.2)
+	hv.With("lower").Observe(7.5)
+	// A counter that merely ends in _bucket is not a histogram series.
+	r.NewCounter("obstest_rt_leaky_bucket", "not a histogram").Inc()
+
+	var sb strings.Builder
+	if err := r.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := obstest.ValidateExposition(sb.String()); err != nil {
+		t.Fatalf("invalid exposition: %v\n%s", err, sb.String())
+	}
+	got, err := ParseProm(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := r.Snapshot()
+	if len(want) != 9 {
+		t.Fatalf("snapshot has %d series, want 9: %v", len(want), want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseProm(WriteProm) != Snapshot\n got  %v\n want %v", got, want)
+	}
+	if _, err := ParseProm(strings.NewReader("obstest_rt_total five\n")); err == nil {
+		t.Fatal("a non-numeric sample value must be an error")
 	}
 }
 
@@ -80,14 +195,14 @@ func TestSnapshotShapes(t *testing.T) {
 }
 
 func TestWritePromIsValidAndStable(t *testing.T) {
-	// Exercise every family shape, then validate the whole Default
-	// registry (this test binary's families plus the package-level ones
-	// other tests registered) against the exposition format.
+	// Exercise the counter and histogram shapes, then validate the whole
+	// Default registry (this test binary's families plus the
+	// package-level ones other tests registered) against the exposition
+	// format. Gauges are exercised on registries of their own above.
 	NewCounter("obstest_prom_total", "prom test counter").Inc()
 	NewCounterVec("obstest_prom_labelled_total", "labelled", "stage").With("clustering").Inc()
 	NewHistogramVec("obstest_prom_seconds", "labelled histogram", TimeBuckets, "stage").
 		With("lower").Observe(0.2)
-	RegisterGauge("obstest_prom_gauge", "gauge", func() float64 { return 2.5 })
 
 	var a, b strings.Builder
 	if err := Default.WriteProm(&a); err != nil {
@@ -109,7 +224,6 @@ func TestWritePromIsValidAndStable(t *testing.T) {
 		`obstest_prom_labelled_total{stage="clustering"} 1`,
 		`obstest_prom_seconds_bucket{stage="lower",le="0.25"} 1`,
 		`obstest_prom_seconds_count{stage="lower"} 1`,
-		"obstest_prom_gauge 2.5",
 	} {
 		if !strings.Contains(a.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, a.String())

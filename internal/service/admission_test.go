@@ -388,7 +388,7 @@ func TestBatchItemRechecksCacheUnderLock(t *testing.T) {
 	}()
 	// batchRequests ticks just before admit runs; a poll interval later
 	// the handler has missed the cache and is queued on s.mu.
-	waitFor(t, func() bool { return srv.stats.batchRequests.Load() == 1 }, "the batch to reach admission")
+	waitFor(t, func() bool { return srv.met.batchRequests.Value() == 1 }, "the batch to reach admission")
 	time.Sleep(5 * time.Millisecond)
 	srv.cache.Put(Entry{Fingerprint: res.fingerprint, Summary: core.Summary{Kernel: "twin", Success: true}})
 	srv.mu.Unlock()

@@ -175,17 +175,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			info := resolveErrorInfo(err)
 			items[i] = &batchItem{err: &info}
-			s.stats.batchItemsError.Add(1)
+			s.met.batchItemsError.Inc()
 			continue
 		}
 		reqs[i] = res
 		items[i] = &batchItem{}
 	}
 
-	s.stats.batchRequests.Add(1)
+	s.met.batchRequests.Inc()
 	outs, err := s.admit(reqs)
 	if err != nil {
-		s.stats.batchRejected.Add(1)
+		s.met.batchRejected.Inc()
 		admit.Set("rejected", s.writeAdmissionError(w, err))
 		admit.End()
 		return
@@ -210,10 +210,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	v := b.View()
-	s.stats.batchItemsHit.Add(int64(v.Hits))
-	s.stats.batchItemsCoalesced.Add(int64(v.Coalesced))
-	s.stats.batchItemsDup.Add(int64(v.Dups))
-	s.stats.batchItemsEnqueued.Add(int64(v.Enqueued))
+	s.met.batchItemsHit.Add(int64(v.Hits))
+	s.met.batchItemsCoalesced.Add(int64(v.Coalesced))
+	s.met.batchItemsDup.Add(int64(v.Dups))
+	s.met.batchItemsEnqueued.Add(int64(v.Enqueued))
 	admit.Set("hits", int64(v.Hits))
 	admit.Set("coalesced", int64(v.Coalesced))
 	admit.Set("dups", int64(v.Dups))

@@ -137,7 +137,7 @@ func TestBatchSubmit(t *testing.T) {
 		t.Fatalf("batch trace: status %d dump %+v", code, d)
 	}
 
-	st := getStats(t, ts.URL)
+	st := srv.Stats()
 	if st.BatchRequests != 1 || st.BatchItemsHit != 1 || st.BatchItemsDup != 1 ||
 		st.BatchItemsEnqueued != 2 || st.BatchItemsError != 2 {
 		t.Fatalf("batch stats: %+v", st)
@@ -193,7 +193,7 @@ func TestBatchAtomicAdmission(t *testing.T) {
 		t.Fatalf("job 2: status %d", code)
 	}
 
-	before := getStats(t, ts.URL)
+	before := srv.Stats()
 	kinds0, bytes0 := journalKinds(), dirBytes(t, jdir)
 	code, hdr, _ := postBatch(t, ts.URL, `{"items":[{"kernel":"fir","seed":3},{"kernel":"fir","seed":4}]}`)
 	if code != http.StatusTooManyRequests {
@@ -204,7 +204,7 @@ func TestBatchAtomicAdmission(t *testing.T) {
 	if got := hdr.Get("Retry-After"); got != "7" {
 		t.Fatalf("Retry-After = %q, want \"7\"", got)
 	}
-	after := getStats(t, ts.URL)
+	after := srv.Stats()
 	if after.BatchRejected != before.BatchRejected+1 {
 		t.Fatalf("batchRejected %d → %d, want +1", before.BatchRejected, after.BatchRejected)
 	}

@@ -91,7 +91,7 @@ func TestBreakerShedsLoad(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed response missing Retry-After")
 	}
-	st := getStats(t, ts.URL)
+	st := srv.Stats()
 	if st.Shed != 1 || st.BreakerState != "shed" {
 		t.Fatalf("shed=%d breakerState=%q, want 1/shed", st.Shed, st.BreakerState)
 	}
@@ -145,7 +145,7 @@ func TestBreakerDegradesAdmissions(t *testing.T) {
 			t.Fatalf("seed %d: status %d, want %d", seed, code, want)
 		}
 	}
-	if st := getStats(t, ts.URL); st.BreakerState != "degrade" {
+	if st := srv.Stats(); st.BreakerState != "degrade" {
 		t.Fatalf("breakerState=%q rate=%v, want degrade", st.BreakerState, st.BreakerFailureRate)
 	}
 	// A pan-spr request is admitted on the pan-ultrafast rung.
@@ -156,7 +156,7 @@ func TestBreakerDegradesAdmissions(t *testing.T) {
 	if v.Mapper != "pan-ultrafast" {
 		t.Fatalf("degraded admission ran mapper %q, want pan-ultrafast", v.Mapper)
 	}
-	if st := getStats(t, ts.URL); st.Degraded == 0 {
+	if st := srv.Stats(); st.Degraded == 0 {
 		t.Fatal("admission degrade not counted")
 	}
 }

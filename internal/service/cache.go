@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -17,8 +16,9 @@ import (
 )
 
 // mCacheLoadSkipped counts persisted entries the cache refused to load:
-// unreadable files, corrupt or foreign content, and files whose name no
-// longer matches the fingerprint inside. Silent skips hid operator
+// unreadable files, corrupt or foreign content, files whose name no
+// longer matches the fingerprint inside, and .json entries left by
+// builds that predate the binary codec. Silent skips hid operator
 // errors (a bad volume, a truncating copy); now they're visible.
 var mCacheLoadSkipped = obs.NewCounter("panorama_cache_load_skipped_total",
 	"Persisted cache entries skipped at load (unreadable, corrupt, or foreign).")
@@ -32,13 +32,11 @@ type Entry struct {
 
 // Cache is a content-addressed result cache: an in-memory LRU over
 // mapping summaries, optionally persisted to a directory (one file per
-// entry, written atomically via rename). New entries are written in
-// the versioned binary codec as <fingerprint>.bin; directories
-// populated by older builds hold <fingerprint>.json, and load accepts
-// both formats side by side, so a cache directory survives the format
-// change without migration. Mapping results are deterministic
-// functions of their fingerprint, so entries never need invalidation —
-// only eviction.
+// entry, written atomically via rename) in the versioned binary codec
+// as <fingerprint>.bin. Mapping results are deterministic functions of
+// their fingerprint, so entries never need invalidation — only
+// eviction — and an entry in a format this build cannot read is simply
+// recomputed on its next miss.
 //
 // All methods are safe for concurrent use.
 type Cache struct {
@@ -170,26 +168,6 @@ func (c *Cache) persist(dir string, e Entry) error {
 // process sharing the directory, and is left alone.
 const staleTmpAge = time.Hour
 
-// decodeEntry decodes one persisted cache file by its extension:
-// ".bin" is the versioned binary codec, ".json" the pre-codec format
-// kept readable so existing cache directories survive upgrades.
-func decodeEntry(name string, data []byte) (Entry, bool) {
-	var e Entry
-	switch filepath.Ext(name) {
-	case ".bin":
-		if e.UnmarshalBinary(data) != nil {
-			return Entry{}, false
-		}
-	case ".json":
-		if json.Unmarshal(data, &e) != nil {
-			return Entry{}, false
-		}
-	default:
-		return Entry{}, false
-	}
-	return e, e.Fingerprint != ""
-}
-
 // loadDir fills the LRU from the persistence directory, newest first
 // so that when the directory holds more entries than the memory
 // capacity the most recently written ones survive. Stray *.tmp files
@@ -204,12 +182,17 @@ func (c *Cache) loadDir() error {
 		mtime int64
 	}
 	var cands []candidate
+	legacy := 0
 	for _, de := range des {
 		if de.IsDir() {
 			continue
 		}
 		ext := filepath.Ext(de.Name())
-		if ext != ".json" && ext != ".bin" && ext != ".tmp" {
+		if ext == ".json" {
+			legacy++
+			continue
+		}
+		if ext != ".bin" && ext != ".tmp" {
 			continue
 		}
 		info, err := de.Info()
@@ -228,9 +211,12 @@ func (c *Cache) loadDir() error {
 	if len(cands) > c.cap {
 		cands = cands[:c.cap]
 	}
-	// Insert oldest first so LRU order matches write order. A
-	// fingerprint present in both formats (a directory written by two
-	// builds) keeps only the newer file's content.
+	// Entries from builds that predate the binary codec are left on disk
+	// unread: counted here, reported by the summary line below, and
+	// recomputed on their next miss.
+	c.loadSkipped += legacy
+	mCacheLoadSkipped.Add(int64(legacy))
+	// Insert oldest first so LRU order matches write order.
 	skip := func(name, why string) {
 		c.loadSkipped++
 		mCacheLoadSkipped.Inc()
@@ -242,25 +228,20 @@ func (c *Cache) loadDir() error {
 			skip(cands[i].name, err.Error())
 			continue
 		}
-		e, ok := decodeEntry(cands[i].name, data)
-		if !ok {
+		var e Entry
+		if e.UnmarshalBinary(data) != nil || e.Fingerprint == "" {
 			skip(cands[i].name, "corrupt or foreign content") // don't fail startup
 			continue
 		}
-		if strings.TrimSuffix(cands[i].name, filepath.Ext(cands[i].name)) != e.Fingerprint {
+		if strings.TrimSuffix(cands[i].name, ".bin") != e.Fingerprint {
 			skip(cands[i].name, "file name does not match the fingerprint inside")
-			continue
-		}
-		if el, dup := c.entries[e.Fingerprint]; dup {
-			el.Value = &e
-			c.lru.MoveToFront(el)
 			continue
 		}
 		c.entries[e.Fingerprint] = c.lru.PushFront(&e)
 	}
 	if c.loadSkipped > 0 {
-		log.Printf("service: cache: loaded %d entr(ies), skipped %d corrupt/foreign file(s) in %s",
-			c.lru.Len(), c.loadSkipped, c.dir)
+		log.Printf("service: cache: loaded %d entr(ies), skipped %d file(s) in %s (%d corrupt/foreign, %d legacy .json)",
+			c.lru.Len(), c.loadSkipped, c.dir, c.loadSkipped-legacy, legacy)
 	}
 	return nil
 }

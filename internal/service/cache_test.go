@@ -104,12 +104,8 @@ func TestCacheLoadSkipsCorruptAndForeignFiles(t *testing.T) {
 	if err := c.Put(entry("good", 2)); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt files in both formats, a file whose name disagrees with
-	// its content, and a foreign file must not break startup or leak
-	// entries.
-	if err := os.WriteFile(filepath.Join(dir, "corrupt.json"), []byte("{nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A corrupt file, a file whose name disagrees with its content, and
+	// a foreign file must not break startup or leak entries.
 	if err := os.WriteFile(filepath.Join(dir, "corrupt.bin"), []byte("PCEN\x01truncated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +138,10 @@ func TestCacheLoadSkipsCorruptAndForeignFiles(t *testing.T) {
 	if c2.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (corrupt/foreign files must be skipped)", c2.Len())
 	}
-	// Skips are counted and surfaced: corrupt.json, corrupt.bin,
-	// renamed.bin and the truncated entry. README is never a candidate.
-	if got := c2.LoadSkipped(); got != 4 {
-		t.Fatalf("LoadSkipped = %d, want 4", got)
+	// Skips are counted and surfaced: corrupt.bin, renamed.bin and the
+	// truncated entry. README is never a candidate.
+	if got := c2.LoadSkipped(); got != 3 {
+		t.Fatalf("LoadSkipped = %d, want 3", got)
 	}
 	if c.LoadSkipped() != 0 {
 		t.Fatal("a cache that loaded nothing must report 0 skips")
@@ -209,48 +205,60 @@ func TestCacheLoadKeepsNewestWithinCapacity(t *testing.T) {
 	}
 }
 
-func TestCacheLoadsMixedFormats(t *testing.T) {
+// The cache has one codec. A directory written by a build that predates
+// it holds <fingerprint>.json files: they are not read (an entry is a
+// pure function of its fingerprint, so it recomputes on its next miss),
+// not deleted, and counted into the skip total.
+func TestCacheIgnoresLegacyJSONEntries(t *testing.T) {
 	dir := t.TempDir()
-	// A directory written by an older build holds JSON entries; the
-	// current build adds binary ones. Both must load side by side.
-	jsonData, err := json.Marshal(entry("legacy", 4))
-	if err != nil {
-		t.Fatal(err)
+	for i, fp := range []string{"legacy-a", "legacy-b"} {
+		data, err := json.Marshal(entry(fp, 4+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fp+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "legacy.json"), jsonData, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	before := mCacheLoadSkipped.Value()
 	c, err := NewCache(8, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := c.Get("legacy"); !ok || e.Summary.II != 4 {
-		t.Fatalf("legacy JSON entry not loaded: ok=%v %+v", ok, e.Summary)
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d, want 0: a directory of only .json files loads empty", c.Len())
 	}
-	if err := c.Put(entry("modern", 5)); err != nil {
-		t.Fatal(err)
+	if _, ok := c.Get("legacy-a"); ok {
+		t.Fatal("a legacy .json entry was served")
 	}
-
-	c2, err := NewCache(8, dir)
-	if err != nil {
-		t.Fatal(err)
+	if got := c.LoadSkipped(); got != 2 {
+		t.Fatalf("LoadSkipped = %d, want 2", got)
 	}
-	for fp, ii := range map[string]int{"legacy": 4, "modern": 5} {
-		e, ok := c2.Get(fp)
-		if !ok || e.Summary.II != ii {
-			t.Fatalf("%s: ok=%v II=%d, want II=%d", fp, ok, e.Summary.II, ii)
+	if got := mCacheLoadSkipped.Value() - before; got != 2 {
+		t.Fatalf("panorama_cache_load_skipped_total moved by %d, want 2", got)
+	}
+	for _, fp := range []string{"legacy-a", "legacy-b"} {
+		if _, err := os.Stat(filepath.Join(dir, fp+".json")); err != nil {
+			t.Fatalf("legacy file must be left on disk: %v", err)
 		}
-	}
-	if c2.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c2.Len())
 	}
 }
 
-func TestCacheLoadPrefersNewerDuplicateFormat(t *testing.T) {
+// A .json twin of a .bin entry — the directory an upgraded service
+// rewrote an entry in — does not shadow it, however new the twin is.
+func TestCacheLegacyTwinDoesNotShadowBinaryEntry(t *testing.T) {
 	dir := t.TempDir()
-	// The same fingerprint in both formats (an upgraded service rewrote
-	// the entry): the newer file's content must win and the LRU must
-	// hold it once, not twice.
+	c, err := NewCache(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(entry("dup", 9)); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-30 * time.Minute)
+	if err := os.Chtimes(filepath.Join(dir, "dup.bin"), old, old); err != nil {
+		t.Fatal(err)
+	}
 	jsonData, err := json.Marshal(entry("dup", 1))
 	if err != nil {
 		t.Fatal(err)
@@ -258,28 +266,16 @@ func TestCacheLoadPrefersNewerDuplicateFormat(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "dup.json"), jsonData, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old := time.Now().Add(-30 * time.Minute)
-	if err := os.Chtimes(filepath.Join(dir, "dup.json"), old, old); err != nil {
-		t.Fatal(err)
-	}
-	e := entry("dup", 9)
-	binData, err := e.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "dup.bin"), binData, 0o644); err != nil {
-		t.Fatal(err)
-	}
 
-	c, err := NewCache(8, dir)
+	c2, err := NewCache(8, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := c.Get("dup"); !ok || got.Summary.II != 9 {
-		t.Fatalf("newer duplicate lost: ok=%v II=%d, want 9", ok, got.Summary.II)
+	if got, ok := c2.Get("dup"); !ok || got.Summary.II != 9 {
+		t.Fatalf("binary entry shadowed by its .json twin: ok=%v II=%d, want 9", ok, got.Summary.II)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (duplicate fingerprint must collapse)", c.Len())
+	if c2.Len() != 1 || c2.LoadSkipped() != 1 {
+		t.Fatalf("Len = %d, LoadSkipped = %d, want 1 and 1", c2.Len(), c2.LoadSkipped())
 	}
 }
 

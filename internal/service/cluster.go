@@ -137,7 +137,7 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 	unhandled := func(outcome string) (core.Summary, error, bool) {
 		sp.Set("outcome", outcome)
 		sp.End()
-		s.stats.forwardFallback.Add(1)
+		s.met.forwardFallback.Inc()
 		return core.Summary{}, nil, false
 	}
 
@@ -164,7 +164,7 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 		sp.Set("outcome", "ok")
 		sp.Set("remoteJob", view.ID)
 		sp.End()
-		s.stats.forwarded.Add(1)
+		s.met.forwarded.Inc()
 		return *view.Result, nil, true
 	case status == http.StatusMisdirectedRequest:
 		// The owner's ring disagrees about ownership (mid-reconfiguration
@@ -177,7 +177,7 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 		// (or degrades) locally.
 		sp.Set("outcome", "remote-"+view.Error.Class)
 		sp.End()
-		s.stats.forwarded.Add(1)
+		s.met.forwarded.Inc()
 		var sum core.Summary
 		if view.Result != nil {
 			sum = *view.Result
@@ -276,6 +276,6 @@ func (s *Server) fillFromPeer(ctx context.Context, peer, fp string) bool {
 	if err := s.cache.Put(e); err != nil {
 		log.Printf("service: gossip fill: %v", err)
 	}
-	s.stats.gossipFilled.Add(1)
+	s.met.gossipFilled.Inc()
 	return true
 }

@@ -34,20 +34,6 @@ func postMap(t *testing.T, url string, body string) (int, JobView) {
 	return resp.StatusCode, v
 }
 
-func getStats(t *testing.T, url string) Stats {
-	t.Helper()
-	resp, err := http.Get(url + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
 // The satellite requirement: N racing clients submitting the identical
 // request share exactly one pipeline execution and all receive the
 // same result. The executor blocks until every client has been
@@ -99,9 +85,9 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 
 	// Admit everyone before releasing the single computation.
 	deadline := time.Now().Add(10 * time.Second)
-	for getStats(t, ts.URL).Submitted < clients {
+	for srv.Stats().Submitted < clients {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d clients admitted", getStats(t, ts.URL).Submitted, clients)
+			t.Fatalf("only %d/%d clients admitted", srv.Stats().Submitted, clients)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -141,7 +127,7 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 		t.Fatalf("%d clients coalesced, want %d", coalesced, clients-1)
 	}
 
-	st := getStats(t, ts.URL)
+	st := srv.Stats()
 	if st.CacheMisses != 1 || st.Coalesced != clients-1 || st.CacheHits != 0 {
 		t.Fatalf("stats misses=%d coalesced=%d hits=%d, want 1/%d/0",
 			st.CacheMisses, st.Coalesced, st.CacheHits, clients-1)

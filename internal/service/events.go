@@ -108,7 +108,7 @@ func lastEventID(r *http.Request) int {
 // the client sent, the flusher, and the keep-alive ticker for idle
 // stretches.
 type sseStream struct {
-	stats  *stats
+	met    *metrics
 	w      http.ResponseWriter
 	f      http.Flusher
 	hb     *time.Ticker
@@ -130,18 +130,18 @@ func (s *Server) openSSE(w http.ResponseWriter, r *http.Request) (*sseStream, bo
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	f.Flush()
-	st := &sseStream{stats: &s.stats, w: w, f: f, hb: time.NewTicker(s.opts.SSEHeartbeat), cursor: lastEventID(r)}
-	s.stats.sseStreams.Add(1)
+	st := &sseStream{met: s.met, w: w, f: f, hb: time.NewTicker(s.opts.SSEHeartbeat), cursor: lastEventID(r)}
+	s.met.sseStreams.Inc()
 	if st.cursor > 0 {
-		s.stats.sseResumed.Add(1)
+		s.met.sseResumed.Inc()
 	}
-	s.stats.sseActive.Add(1)
+	s.met.sseActive.Add(1)
 	return st, true
 }
 
 func (st *sseStream) close() {
 	st.hb.Stop()
-	st.stats.sseActive.Add(-1)
+	st.met.sseActive.Add(-1)
 }
 
 // send frames one event — id, event name, single-line JSON data, blank
@@ -155,7 +155,7 @@ func (st *sseStream) send(id int, event string, v any) bool {
 		return false
 	}
 	st.f.Flush()
-	st.stats.sseSent.Add(1)
+	st.met.sseSent.Inc()
 	return true
 }
 

@@ -158,7 +158,7 @@ func TestJobEventsStream(t *testing.T) {
 		t.Fatalf("terminal event carries no result: %+v", last.Job)
 	}
 
-	st := getStats(t, ts.URL)
+	st := srv.Stats()
 	if st.SSEStreams != 1 || st.SSESent != 3 || st.SSEActive != 0 {
 		t.Fatalf("sse stats: %+v", st)
 	}
@@ -233,7 +233,7 @@ func TestJobEventsResume(t *testing.T) {
 	}
 	resp3.Body.Close()
 
-	if st := getStats(t, ts.URL); st.SSEResumed != 2 {
+	if st := srv.Stats(); st.SSEResumed != 2 {
 		t.Fatalf("sseResumed = %d, want 2", st.SSEResumed)
 	}
 }

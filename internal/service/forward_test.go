@@ -112,7 +112,7 @@ func TestForwardToOwner(t *testing.T) {
 	if _, ok := p.srvA.Cache().Get(fp); !ok {
 		t.Fatal("origin cache not peer-filled from the owner response")
 	}
-	stA, stB := getStats(t, p.tsA.URL), getStats(t, p.tsB.URL)
+	stA, stB := p.srvA.Stats(), p.srvB.Stats()
 	if stA.ClusterForwarded != 1 || stA.ClusterFallback != 0 {
 		t.Errorf("origin stats: forwarded=%d fallback=%d, want 1/0", stA.ClusterForwarded, stA.ClusterFallback)
 	}
@@ -167,7 +167,7 @@ func TestForwardLoopGuard(t *testing.T) {
 	if a, b := p.execA.Load(), p.execB.Load(); a != 0 || b != 0 {
 		t.Fatalf("guard executed something: A=%d B=%d", a, b)
 	}
-	if st := getStats(t, p.tsA.URL); st.ClusterMisdirected != 1 {
+	if st := p.srvA.Stats(); st.ClusterMisdirected != 1 {
 		t.Errorf("misdirected=%d, want 1", st.ClusterMisdirected)
 	}
 }
@@ -190,7 +190,7 @@ func TestForwardOwnerDownFallback(t *testing.T) {
 	if p.clA.Healthy(p.tsB.URL) {
 		t.Error("dead owner still marked healthy at FailThreshold 1")
 	}
-	st := getStats(t, p.tsA.URL)
+	st := p.srvA.Stats()
 	if st.ClusterFallback != 1 || st.ClusterForwarded != 0 {
 		t.Errorf("stats fallback=%d forwarded=%d, want 1/0", st.ClusterFallback, st.ClusterForwarded)
 	}
@@ -205,7 +205,7 @@ func TestForwardOwnerDownFallback(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("second map: status %d", code)
 	}
-	if st := getStats(t, p.tsA.URL); st.ClusterFallback != 1 {
+	if st := p.srvA.Stats(); st.ClusterFallback != 1 {
 		t.Errorf("down-peer forward attempted again: fallback=%d, want still 1", st.ClusterFallback)
 	}
 }
@@ -292,7 +292,7 @@ func TestGossipRecoveryAndCacheFill(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if st := getStats(t, tsA.URL); st.ClusterGossipFill < 1 {
+	if st := srvA.Stats(); st.ClusterGossipFill < 1 {
 		t.Errorf("gossipFill=%d, want ≥1", st.ClusterGossipFill)
 	}
 }

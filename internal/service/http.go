@@ -135,9 +135,8 @@ func failureStatus(err error) int {
 //	                    and recently completed fingerprints (the
 //	                    fleet gossip surface)
 //	GET  /healthz       liveness ("ok", or "draining" during shutdown)
-//	GET  /metricsz      service + pipeline metrics (Prometheus text)
-//	GET  /statsz        cache/queue/failure counters (JSON; deprecated
-//	                    alias of /metricsz, kept for old scrapers)
+//	GET  /metricsz      this server's metrics, then the process-wide
+//	                    pipeline metrics (Prometheus text)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/map", s.handleMap)
@@ -151,7 +150,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cluster/statsz", s.handleClusterStats)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metricsz", s.handleMetrics)
-	mux.HandleFunc("GET /statsz", s.handleStats)
 	return mux
 }
 
@@ -191,13 +189,13 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		// elsewhere (a mid-reconfiguration fleet), 421 tells the origin
 		// to run the job locally instead of starting a loop.
 		if cl := s.opts.Cluster; cl.Enabled() && !cl.IsSelf(cl.Owner(res.fingerprint)) {
-			s.stats.forwardMisdirected.Add(1)
+			s.met.forwardMisdirected.Inc()
 			httpError(w, http.StatusMisdirectedRequest, "misdirected",
 				fmt.Errorf("peer %s forwarded fingerprint %s, but this peer does not own it", from, res.fingerprint))
 			return
 		}
 		res.origin = from
-		s.stats.originJobs.Add(1)
+		s.met.originJobs.Inc()
 	}
 	outs, err := s.admit([]*resolved{res})
 	if err != nil {
@@ -282,10 +280,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

@@ -282,7 +282,7 @@ func TestHTTPShedAndDrainPaths(t *testing.T) {
 			t.Fatalf("seed %d: wait=true returned 202", seed)
 		}
 	}
-	waitFor(t, func() bool { return getStats(t, ts.URL).BreakerState == "shed" }, "breaker to shed")
+	waitFor(t, func() bool { return srv.Stats().BreakerState == "shed" }, "breaker to shed")
 
 	for _, path := range []string{"/v1/map", "/v1/batch"} {
 		body := `{"kernel":"fir","seed":77}`

@@ -130,7 +130,7 @@ func (s *Server) recoverJobs(pending []journal.Record) {
 			log.Printf("service: journal: job %s fingerprint drifted across restart (code version bump?)", rec.JobID)
 		}
 		s.jobs[job.ID] = job
-		s.stats.recovered.Add(1)
+		s.met.recovered.Inc()
 		if e, ok := s.cache.Get(job.Fingerprint); ok {
 			// The computation finished before the crash (or another
 			// node shares the cache dir): resolve without re-running.
@@ -162,7 +162,7 @@ func (s *Server) jlog(r journal.Record) {
 		return
 	}
 	if err := s.journal.Append(r); err != nil {
-		s.stats.journalErrors.Add(1)
+		s.met.journalErrors.Inc()
 		log.Printf("service: %v", err)
 	}
 }

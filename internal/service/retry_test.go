@@ -134,7 +134,7 @@ func TestRetryTransientFaultRecovers(t *testing.T) {
 	if v.Attempts != 3 {
 		t.Fatalf("attempts = %d, want 3", v.Attempts)
 	}
-	st := getStats(t, ts.URL)
+	st := srv.Stats()
 	if st.Retried != 2 || st.Executed != 3 || st.Completed != 1 {
 		t.Fatalf("retried=%d executed=%d completed=%d, want 2/3/1", st.Retried, st.Executed, st.Completed)
 	}
@@ -171,7 +171,7 @@ func TestBudgetDegradesToCheaperMapper(t *testing.T) {
 	if _, ok := srv.Cache().Get(v.Fingerprint); ok {
 		t.Fatal("degraded result cached under the full-strength fingerprint (cache poisoning)")
 	}
-	if st := getStats(t, ts.URL); st.Degraded != 1 {
+	if st := srv.Stats(); st.Degraded != 1 {
 		t.Fatalf("degraded=%d, want 1", st.Degraded)
 	}
 	// The same request again must recompute (or re-degrade), never hit
@@ -207,7 +207,7 @@ func TestPanicIsRetried(t *testing.T) {
 	if code != http.StatusOK || v.Attempts != 2 {
 		t.Fatalf("status %d attempts %d, want 200/2", code, v.Attempts)
 	}
-	if st := getStats(t, ts.URL); st.Retried != 1 {
+	if st := srv.Stats(); st.Retried != 1 {
 		t.Fatalf("retried=%d, want 1", st.Retried)
 	}
 }
@@ -242,7 +242,7 @@ func TestWatchdogCancelsStalledRun(t *testing.T) {
 	if v.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (stall + retry)", v.Attempts)
 	}
-	if st := getStats(t, ts.URL); st.Retried != 1 {
+	if st := srv.Stats(); st.Retried != 1 {
 		t.Fatalf("retried=%d, want 1", st.Retried)
 	}
 }
@@ -303,7 +303,7 @@ func TestJournalAppendFaultDegradesGracefully(t *testing.T) {
 	if code != http.StatusOK || v.Status != JobDone {
 		t.Fatalf("status %d view %+v: a failing journal must not fail jobs", code, v)
 	}
-	st := getStats(t, ts.URL)
+	st := srv.Stats()
 	if st.JournalErrors == 0 {
 		t.Fatal("journal append errors not counted")
 	}

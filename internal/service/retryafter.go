@@ -58,12 +58,8 @@ func (d *drainEstimator) record() {
 //
 // Stale samples are evicted by timestamp, and the drain rate is
 // computed over the span the surviving samples actually cover (floored
-// at 1s), not over the whole window. The old fixed-window denominator
-// made an idle-then-burst server look ~window/span times slower than
-// it was: after 25 idle seconds, 10 completions in the last 5 seconds
-// were read as 10-per-30s instead of 10-per-5s, inflating Retry-After
-// six-fold exactly when the server had just sped up (regression test:
-// TestDrainEstimatorIdleThenBurst).
+// at 1s), not over the whole window, so a burst after an idle stretch
+// reads as the burst's rate (TestDrainEstimatorIdleThenBurst).
 func (d *drainEstimator) hint(backlog int, fallback time.Duration) time.Duration {
 	if d == nil {
 		return fallback

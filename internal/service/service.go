@@ -295,7 +295,8 @@ func (j *Job) Summary() (core.Summary, bool) {
 type Server struct {
 	opts    Options
 	cache   *Cache
-	stats   stats
+	reg     *obs.Registry    // this server's metric families (see WriteMetrics)
+	met     *metrics         // the instruments registered on reg
 	journal *journal.Journal // nil without Options.JournalDir
 	breaker *breaker         // nil when disabled
 
@@ -406,13 +407,15 @@ func New(opts Options) (*Server, error) {
 		flight:     make(map[string]*Job),
 		batches:    make(map[string]*Batch),
 		queue:      make(chan *Job, qsize),
+		reg:        obs.NewRegistry(),
 		drain:      newDrainEstimator(),
 		gossipStop: make(chan struct{}),
 	}
-	s.webhooks = newWebhookNotifier(&s.stats, opts)
 	if opts.BreakerWindow > 0 {
 		s.breaker = newBreaker(opts.BreakerWindow, opts.BreakerDegrade, opts.BreakerShed)
 	}
+	s.met = newMetrics(s)
+	s.webhooks = newWebhookNotifier(s.met, opts)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if s.opts.Run == nil {
 		s.opts.Run = s.runPipeline
@@ -531,7 +534,7 @@ func (s *Server) admit(reqs []*resolved) ([]Outcome, error) {
 	if len(pending) > 0 {
 		switch s.breaker.state() {
 		case breakerShed:
-			s.stats.shed.Add(int64(len(pending)))
+			s.met.shed.Add(int64(len(pending)))
 			return nil, ErrShedding
 		case breakerDegrade:
 			kept := pending[:0]
@@ -542,7 +545,7 @@ func (s *Server) admit(reqs []*resolved) ([]Outcome, error) {
 					// fingerprint — a degraded result must never answer a
 					// later full-strength request).
 					p.req = p.req.withMapper(m)
-					s.stats.degraded.Add(1)
+					s.met.degraded.Inc()
 					if e, ok := s.cache.Get(p.req.fingerprint); ok {
 						outs[p.i] = Outcome{Entry: &e}
 						continue
@@ -610,7 +613,7 @@ func (s *Server) admit(reqs []*resolved) ([]Outcome, error) {
 		// consumes no job ID, and the channel send below never blocks.
 		if len(fresh) > cap(s.queue)-len(s.queue) {
 			s.mu.Unlock()
-			s.stats.rejected.Add(int64(len(pending)))
+			s.met.rejected.Add(int64(len(pending)))
 			return nil, ErrOverloaded
 		}
 		s.nextID += len(fresh)
@@ -639,14 +642,14 @@ func (s *Server) admit(reqs []*resolved) ([]Outcome, error) {
 		if req == nil {
 			continue
 		}
-		s.stats.submitted.Add(1)
+		s.met.submitted.Inc()
 		switch {
 		case outs[i].Entry != nil:
-			s.stats.hits.Add(1)
+			s.met.hits.Inc()
 		case outs[i].Coalesced:
-			s.stats.coalesced.Add(1)
+			s.met.coalesced.Inc()
 		default:
-			s.stats.misses.Add(1)
+			s.met.misses.Inc()
 		}
 	}
 	return outs, nil
@@ -697,9 +700,9 @@ func (s *Server) runJob(job *Job) {
 			next := DegradeMapper(job.currentMapper())
 			log.Printf("service: job %s attempt %d over budget; degrading to %s", job.ID, attempt, next)
 			job.degradeTo(next)
-			s.stats.degraded.Add(1)
+			s.met.degraded.Inc()
 		default:
-			s.stats.retried.Add(1)
+			s.met.retried.Inc()
 		}
 		if d := backoff(s.opts.RetryBase, attempt); d > 0 {
 			t := time.NewTimer(d)
@@ -756,7 +759,7 @@ func (s *Server) runAttempt(job *Job) (sum core.Summary, err error, watchdog boo
 	// Count only attempts that reach the local executor: a forwarded
 	// attempt is the owner's execution, and counting it here too would
 	// make a fleet's summed executed_total read as duplicate work.
-	s.stats.executed.Add(1)
+	s.met.executed.Inc()
 	sum, err = s.opts.Run(ctx, job)
 	return sum, err, tripped.Load()
 }
@@ -813,8 +816,8 @@ func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
 	note := ""
 	switch how {
 	case endDone:
-		s.stats.completed.Add(1)
-		s.stats.recordStages(sum)
+		s.met.completed.Inc()
+		s.met.recordStages(sum)
 		key := job.Fingerprint
 		if degraded {
 			// A degraded run answers a cheaper computation than the one
@@ -832,16 +835,16 @@ func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
 		s.breaker.record(false)
 		s.rememberFingerprint(key)
 	case endFailed:
-		s.stats.recordFailure(err)
-		s.stats.recordStages(sum)
+		s.met.recordFailure(err)
+		s.met.recordStages(sum)
 		s.breaker.record(true)
 		note = failureClass(err)
 	case endRequeued:
-		s.stats.requeued.Add(1)
+		s.met.requeued.Inc()
 		note = "draining"
 	case endCached:
 		// The breaker sees no sample — nothing ran.
-		s.stats.completed.Add(1)
+		s.met.completed.Inc()
 		note = "resolved from cache"
 	case endRecovered:
 		note = "resolved from cache on recovery"

@@ -18,7 +18,7 @@ import (
 // The acceptance criterion end to end, against the real pipeline:
 // start the service in-process, submit the same kernel twice — the
 // second response must be a cache hit served in under 1% of the
-// first's wall time, with /statsz reporting exactly one hit.
+// first's wall time, with Stats() reporting exactly one hit.
 func TestEndToEndCacheHit(t *testing.T) {
 	srv, err := New(Options{Workers: 1, QueueSize: 4})
 	if err != nil {
@@ -65,7 +65,7 @@ func TestEndToEndCacheHit(t *testing.T) {
 		t.Fatalf("cache hit took %v, more than 1%% of the first run's %v", secondWall, firstWall)
 	}
 
-	st := getStats(t, ts.URL)
+	st := srv.Stats()
 	if st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Fatalf("stats hits=%d misses=%d, want 1/1", st.CacheHits, st.CacheMisses)
 	}
@@ -158,7 +158,7 @@ func TestAdmissionControl(t *testing.T) {
 	if hdr.Get("Retry-After") != "2" {
 		t.Fatalf("Retry-After = %q, want %q", hdr.Get("Retry-After"), "2")
 	}
-	if st := getStats(t, ts.URL); st.Rejected != 1 {
+	if st := srv.Stats(); st.Rejected != 1 {
 		t.Fatalf("stats rejected=%d, want 1", st.Rejected)
 	}
 
@@ -265,7 +265,7 @@ func TestShutdownDeadlineCancelsInFlight(t *testing.T) {
 }
 
 // Typed pipeline failures must surface as distinct HTTP status codes
-// and distinct /statsz counters.
+// and distinct failure counters.
 func TestTypedFailureStatusCodes(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -306,7 +306,7 @@ func TestTypedFailureStatusCodes(t *testing.T) {
 			t.Errorf("%s: view %+v, want failed job with class %q", c.name, v, c.class)
 		}
 	}
-	st := getStats(t, ts.URL)
+	st := srv.Stats()
 	if st.FailedBudget != 1 || st.FailedInfeasib != 1 || st.FailedCancel != 1 || st.FailedOther != 1 {
 		t.Fatalf("failure counters budget=%d infeasible=%d cancelled=%d other=%d, want 1 each",
 			st.FailedBudget, st.FailedInfeasib, st.FailedCancel, st.FailedOther)

@@ -1,220 +1,307 @@
 package service
 
 import (
+	"io"
 	"sync/atomic"
 	"time"
 
 	"panorama/internal/core"
 	"panorama/internal/failure"
+	"panorama/internal/obs"
 )
 
-// stats is the server's hot-path counter set. Everything is atomic so
-// handlers and workers never contend on a lock for bookkeeping.
-type stats struct {
-	submitted atomic.Int64 // accepted submissions (hit, coalesced or enqueued)
-	rejected  atomic.Int64 // 429s from admission control
+// metrics is the server's instrument set, registered once on the
+// server's own obs.Registry (newMetrics): /metricsz serialises that
+// registry and Stats() reads the same instruments. Counting is one
+// atomic add, so handlers and workers never contend on a lock for
+// bookkeeping; labelled children are resolved at construction, so their
+// zero-valued series are in the exposition from the first scrape.
+type metrics struct {
+	submitted *obs.Counter // accepted submissions (hit, coalesced or enqueued)
+	rejected  *obs.Counter // 429s from admission control
 
-	hits      atomic.Int64 // served straight from the cache
-	misses    atomic.Int64 // required a computation
-	coalesced atomic.Int64 // attached to an identical in-flight job
+	hits      *obs.Counter // served straight from the cache
+	misses    *obs.Counter // required a computation
+	coalesced *obs.Counter // attached to an identical in-flight job
 
-	executed  atomic.Int64 // pipeline executions started
-	completed atomic.Int64 // executions that returned a clean Summary
+	executed  *obs.Counter // pipeline executions started
+	completed *obs.Counter // executions that returned a clean Summary
 
-	failedBudget     atomic.Int64
-	failedInfeasible atomic.Int64
-	failedCancelled  atomic.Int64
-	failedOther      atomic.Int64
+	failedBudget     *obs.Counter
+	failedInfeasible *obs.Counter
+	failedCancelled  *obs.Counter
+	failedOther      *obs.Counter
 
-	retried       atomic.Int64 // attempts re-run by the retry ladder
-	degraded      atomic.Int64 // jobs stepped down to a cheaper mapper
-	shed          atomic.Int64 // submissions refused by the breaker
-	requeued      atomic.Int64 // jobs handed back to the journal on drain
-	recovered     atomic.Int64 // jobs replayed from the journal at startup
-	journalErrors atomic.Int64 // journal appends that failed
+	retried       *obs.Counter // attempts re-run by the retry ladder
+	degraded      *obs.Counter // jobs stepped down to a cheaper mapper
+	shed          *obs.Counter // submissions refused by the breaker
+	requeued      *obs.Counter // jobs handed back to the journal on drain
+	recovered     *obs.Counter // jobs replayed from the journal at startup
+	journalErrors *obs.Counter // journal appends that failed
 
-	batchRequests       atomic.Int64 // POST /v1/batch requests that reached admission
-	batchRejected       atomic.Int64 // batches rejected wholesale (429/503)
-	batchItemsHit       atomic.Int64 // batch items served from the cache
-	batchItemsCoalesced atomic.Int64 // batch items attached to an in-flight job
-	batchItemsDup       atomic.Int64 // batch items deduped within their batch
-	batchItemsEnqueued  atomic.Int64 // batch items that created a job
-	batchItemsError     atomic.Int64 // batch items rejected at resolve time
+	batchRequests       *obs.Counter // POST /v1/batch requests that reached admission
+	batchRejected       *obs.Counter // batches rejected wholesale (429/503)
+	batchItemsHit       *obs.Counter // batch items served from the cache
+	batchItemsCoalesced *obs.Counter // batch items attached to an in-flight job
+	batchItemsDup       *obs.Counter // batch items deduped within their batch
+	batchItemsEnqueued  *obs.Counter // batch items that created a job
+	batchItemsError     *obs.Counter // batch items rejected at resolve time
 
-	sseStreams atomic.Int64 // event streams opened (job + batch)
-	sseResumed atomic.Int64 // streams opened with a Last-Event-ID cursor
-	sseSent    atomic.Int64 // events written to streams
+	sseStreams *obs.Counter // event streams opened (job + batch)
+	sseResumed *obs.Counter // streams opened with a Last-Event-ID cursor
+	sseSent    *obs.Counter // events written to streams
 	sseActive  atomic.Int64 // streams currently open (gauge)
 
-	forwarded          atomic.Int64 // attempts concluded on the ring owner
-	forwardFallback    atomic.Int64 // forwards that fell back to local execution
-	forwardMisdirected atomic.Int64 // forwarded requests this peer answered 421
-	originJobs         atomic.Int64 // jobs accepted on behalf of another peer
-	gossipFilled       atomic.Int64 // cache entries pulled from peers by gossip
+	forwarded          *obs.Counter // attempts concluded on the ring owner
+	forwardFallback    *obs.Counter // forwards that fell back to local execution
+	forwardMisdirected *obs.Counter // forwarded requests this peer answered 421
+	originJobs         *obs.Counter // jobs accepted on behalf of another peer
+	gossipFilled       *obs.Counter // cache entries pulled from peers by gossip
 
-	webhookSent    atomic.Int64 // webhook deliveries acknowledged 2xx
-	webhookRetried atomic.Int64 // delivery attempts that will be retried
-	webhookFailed  atomic.Int64 // events given up after the retry ladder
-	webhookDropped atomic.Int64 // events dropped (full queue, bad payload)
+	webhookSent    *obs.Counter // webhook deliveries acknowledged 2xx
+	webhookRetried *obs.Counter // delivery attempts that will be retried
+	webhookFailed  *obs.Counter // events given up after the retry ladder
+	webhookDropped *obs.Counter // events dropped (full queue, bad payload)
 
 	// Cumulative per-stage wall time of executed jobs, from
-	// Result.Provenance (nanoseconds).
-	clusteringNS atomic.Int64
-	clustermapNS atomic.Int64
-	lowerNS      atomic.Int64
+	// Result.Provenance.
+	clustering *obs.SecondsCounter
+	clustermap *obs.SecondsCounter
+	lower      *obs.SecondsCounter
 }
 
-func (st *stats) recordStages(sum core.Summary) {
+// newMetrics registers every service family on s.reg — the one place a
+// family's name, help string and instrument meet. The gauges sample s
+// at scrape time, so the registry describes this server only;
+// process-wide families (pipeline, solvers, journal) live on
+// obs.Default.
+func newMetrics(s *Server) *metrics {
+	reg := s.reg
+	batchItems := reg.NewCounterVec("panorama_batch_items_total", "Batch items by admission disposition.", "disposition")
+	failed := reg.NewCounterVec("panorama_service_failed_total", "Executions that returned an error, by failure class.", "class")
+	stage := reg.NewSecondsCounterVec("panorama_service_stage_seconds_total", "Cumulative per-stage wall time of executed jobs.", "stage")
+	m := &metrics{
+		batchItemsCoalesced: batchItems.With("coalesced"),
+		batchItemsDup:       batchItems.With("dup"),
+		batchItemsEnqueued:  batchItems.With("enqueued"),
+		batchItemsError:     batchItems.With("error"),
+		batchItemsHit:       batchItems.With("hit"),
+		batchRejected:       reg.NewCounter("panorama_batch_rejected_total", "Batch requests rejected wholesale by admission control."),
+		batchRequests:       reg.NewCounter("panorama_batch_requests_total", "Batch requests that reached admission."),
+		forwardFallback:     reg.NewCounter("panorama_cluster_forward_fallback_total", "Forwards that fell back to local execution (owner down or misdirected)."),
+		forwarded:           reg.NewCounter("panorama_cluster_forwarded_total", "Job attempts concluded on the ring owner peer."),
+		gossipFilled:        reg.NewCounter("panorama_cluster_gossip_fill_total", "Cache entries pulled from peers by the gossip loop."),
+		forwardMisdirected:  reg.NewCounter("panorama_cluster_misdirected_total", "Forwarded requests this peer rejected with 421 (ring disagreement)."),
+		originJobs:          reg.NewCounter("panorama_cluster_origin_jobs_total", "Jobs accepted on behalf of a forwarding peer."),
+		hits:                reg.NewCounter("panorama_service_cache_hits_total", "Submissions served straight from the result cache."),
+		misses:              reg.NewCounter("panorama_service_cache_misses_total", "Submissions that required a computation."),
+		coalesced:           reg.NewCounter("panorama_service_coalesced_total", "Submissions attached to an identical in-flight job."),
+		completed:           reg.NewCounter("panorama_service_completed_total", "Executions that returned a clean summary."),
+		degraded:            reg.NewCounter("panorama_service_degraded_total", "Jobs stepped down to a cheaper mapper (retry ladder or admission breaker)."),
+		executed:            reg.NewCounter("panorama_service_executed_total", "Pipeline executions started."),
+		failedBudget:        failed.With("budget"),
+		failedCancelled:     failed.With("cancelled"),
+		failedInfeasible:    failed.With("infeasible"),
+		failedOther:         failed.With("other"),
+		journalErrors:       reg.NewCounter("panorama_service_journal_append_errors_total", "Job lifecycle records the service failed to journal."),
+		recovered:           reg.NewCounter("panorama_service_recovered_total", "Jobs replayed from the journal at startup."),
+		rejected:            reg.NewCounter("panorama_service_rejected_total", "Submissions rejected by admission control (429)."),
+		requeued:            reg.NewCounter("panorama_service_requeued_total", "Jobs a draining server handed back to the journal."),
+		retried:             reg.NewCounter("panorama_service_retried_total", "Failed attempts re-run by the retry ladder."),
+		shed:                reg.NewCounter("panorama_service_shed_total", "Submissions refused because the breaker was shedding load."),
+		clustering:          stage.With("clustering"),
+		clustermap:          stage.With("clustermap"),
+		lower:               stage.With("lower"),
+		submitted:           reg.NewCounter("panorama_service_submitted_total", "Accepted submissions (cache hit, coalesced or enqueued)."),
+		sseSent:             reg.NewCounter("panorama_sse_events_sent_total", "Events written to SSE streams."),
+		sseResumed:          reg.NewCounter("panorama_sse_resumed_total", "SSE streams opened with a Last-Event-ID resume cursor."),
+		sseStreams:          reg.NewCounter("panorama_sse_streams_total", "SSE streams opened (job and batch)."),
+		webhookDropped:      reg.NewCounter("panorama_webhook_dropped_total", "Webhook events dropped (full queue or unmarshalable payload)."),
+		webhookFailed:       reg.NewCounter("panorama_webhook_failed_total", "Webhook events abandoned after the retry ladder."),
+		webhookRetried:      reg.NewCounter("panorama_webhook_retried_total", "Webhook delivery attempts that will be retried."),
+		webhookSent:         reg.NewCounter("panorama_webhook_sent_total", "Webhook deliveries acknowledged with a 2xx."),
+	}
+	gauge := func(name, help string, fn func() int) {
+		reg.GaugeFunc(name, help, func() float64 { return float64(fn()) })
+	}
+	gauge("panorama_cluster_peers", "Peers on the hash ring, self included (0 standalone).", func() int { return len(s.opts.Cluster.Stats().Peers) })
+	gauge("panorama_cluster_peers_down", "Remote peers currently considered unreachable.", func() int { return s.opts.Cluster.Stats().PeersDown })
+	reg.GaugeFunc("panorama_service_breaker_failure_rate", "Windowed failure fraction behind the service breaker.", s.breaker.failureRate)
+	gauge("panorama_service_breaker_state", "Service breaker state: 0 ok, 1 degrading admissions, 2 shedding load.", func() int { return int(s.breaker.state()) })
+	gauge("panorama_service_cache_entries", "Entries in the result cache.", s.cache.Len)
+	gauge("panorama_service_draining", "1 while the server is draining for shutdown, else 0.", func() int {
+		if s.isDraining() {
+			return 1
+		}
+		return 0
+	})
+	gauge("panorama_service_queue_depth", "Jobs waiting behind the running ones.", func() int { return len(s.queue) })
+	gauge("panorama_service_running_jobs", "Jobs currently executing.", func() int { return int(s.running.Load()) })
+	gauge("panorama_sse_active_streams", "Event streams currently open.", func() int { return int(m.sseActive.Load()) })
+	return m
+}
+
+// WriteMetrics renders this server's families and then the
+// process-wide ones from obs.Default as Prometheus text (exposition
+// format 0.0.4). It is the body of GET /metricsz and of the final
+// snapshot panoramad logs on shutdown.
+func (s *Server) WriteMetrics(w io.Writer) error {
+	if err := s.reg.WriteProm(w); err != nil {
+		return err
+	}
+	return obs.Default.WriteProm(w)
+}
+
+func (m *metrics) recordStages(sum core.Summary) {
 	for _, rec := range sum.Stages {
 		switch rec.Stage {
 		case "clustering":
-			st.clusteringNS.Add(int64(rec.Wall))
+			m.clustering.Add(rec.Wall)
 		case "clustermap":
-			st.clustermapNS.Add(int64(rec.Wall))
+			m.clustermap.Add(rec.Wall)
 		case "lower":
-			st.lowerNS.Add(int64(rec.Wall))
+			m.lower.Add(rec.Wall)
 		}
 	}
 }
 
-func (st *stats) recordFailure(err error) {
+func (m *metrics) recordFailure(err error) {
 	switch {
 	case failure.IsBudget(err):
-		st.failedBudget.Add(1)
+		m.failedBudget.Inc()
 	case failure.IsCancelled(err):
-		st.failedCancelled.Add(1)
+		m.failedCancelled.Inc()
 	case failure.IsInfeasible(err):
-		st.failedInfeasible.Add(1)
+		m.failedInfeasible.Inc()
 	default:
-		st.failedOther.Add(1)
+		m.failedOther.Inc()
 	}
 }
 
-// Stats is the /statsz wire format: a consistent-enough snapshot of
-// the counters plus instantaneous queue and cache gauges.
+// Stats is the typed in-process snapshot of the server's instruments:
+// the counters plus the instantaneous queue, cache and breaker gauges.
+// Scrapers read the same numbers off /metricsz.
 type Stats struct {
-	Submitted int64 `json:"submitted"`
-	Rejected  int64 `json:"rejected"`
+	Submitted int64
+	Rejected  int64
 
-	CacheHits      int64   `json:"cacheHits"`
-	CacheMisses    int64   `json:"cacheMisses"`
-	Coalesced      int64   `json:"coalesced"`
-	CacheHitRate   float64 `json:"cacheHitRate"` // hits / (hits+misses)
-	CacheEntries   int     `json:"cacheEntries"`
-	QueueDepth     int     `json:"queueDepth"`
-	RunningJobs    int     `json:"runningJobs"`
-	Executed       int64   `json:"executed"`
-	Completed      int64   `json:"completed"`
-	FailedBudget   int64   `json:"failedBudget"`
-	FailedInfeasib int64   `json:"failedInfeasible"`
-	FailedCancel   int64   `json:"failedCancelled"`
-	FailedOther    int64   `json:"failedOther"`
+	CacheHits      int64
+	CacheMisses    int64
+	Coalesced      int64
+	CacheHitRate   float64 // hits / (hits+misses)
+	CacheEntries   int
+	QueueDepth     int
+	RunningJobs    int
+	Executed       int64
+	Completed      int64
+	FailedBudget   int64
+	FailedInfeasib int64
+	FailedCancel   int64
+	FailedOther    int64
 
-	Retried       int64 `json:"retried"`
-	Degraded      int64 `json:"degraded"`
-	Shed          int64 `json:"shed"`
-	Requeued      int64 `json:"requeued"`
-	Recovered     int64 `json:"recovered"`
-	JournalErrors int64 `json:"journalAppendErrors"`
+	Retried       int64
+	Degraded      int64
+	Shed          int64
+	Requeued      int64
+	Recovered     int64
+	JournalErrors int64
 
-	BatchRequests       int64 `json:"batchRequests"`
-	BatchRejected       int64 `json:"batchRejected"`
-	BatchItemsHit       int64 `json:"batchItemsHit"`
-	BatchItemsCoalesced int64 `json:"batchItemsCoalesced"`
-	BatchItemsDup       int64 `json:"batchItemsDup"`
-	BatchItemsEnqueued  int64 `json:"batchItemsEnqueued"`
-	BatchItemsError     int64 `json:"batchItemsError"`
+	BatchRequests       int64
+	BatchRejected       int64
+	BatchItemsHit       int64
+	BatchItemsCoalesced int64
+	BatchItemsDup       int64
+	BatchItemsEnqueued  int64
+	BatchItemsError     int64
 
-	SSEStreams int64 `json:"sseStreams"`
-	SSEResumed int64 `json:"sseResumed"`
-	SSESent    int64 `json:"sseEventsSent"`
-	SSEActive  int64 `json:"sseActiveStreams"`
+	SSEStreams int64
+	SSEResumed int64
+	SSESent    int64
+	SSEActive  int64
 
-	ClusterForwarded   int64 `json:"clusterForwarded"`
-	ClusterFallback    int64 `json:"clusterForwardFallback"`
-	ClusterMisdirected int64 `json:"clusterMisdirected"`
-	ClusterOriginJobs  int64 `json:"clusterOriginJobs"`
-	ClusterGossipFill  int64 `json:"clusterGossipFill"`
+	ClusterForwarded   int64
+	ClusterFallback    int64
+	ClusterMisdirected int64
+	ClusterOriginJobs  int64
+	ClusterGossipFill  int64
 	// ClusterPeers/ClusterPeersDown mirror the ring membership gauges
 	// (zero on standalone servers).
-	ClusterPeers     int `json:"clusterPeers"`
-	ClusterPeersDown int `json:"clusterPeersDown"`
+	ClusterPeers     int
+	ClusterPeersDown int
 
-	WebhooksSent    int64 `json:"webhooksSent"`
-	WebhooksRetried int64 `json:"webhooksRetried"`
-	WebhooksFailed  int64 `json:"webhooksFailed"`
-	WebhooksDropped int64 `json:"webhooksDropped"`
+	WebhooksSent    int64
+	WebhooksRetried int64
+	WebhooksFailed  int64
+	WebhooksDropped int64
 
 	// BreakerState is "ok", "degrade" or "shed"; BreakerFailureRate is
 	// the windowed failure fraction behind it.
-	BreakerState       string  `json:"breakerState"`
-	BreakerFailureRate float64 `json:"breakerFailureRate"`
+	BreakerState       string
+	BreakerFailureRate float64
 
-	ClusteringMS float64 `json:"stageClusteringMS"`
-	ClusterMapMS float64 `json:"stageClusterMapMS"`
-	LowerMS      float64 `json:"stageLowerMS"`
+	ClusteringMS float64
+	ClusterMapMS float64
+	LowerMS      float64
 
-	Draining bool `json:"draining"`
+	Draining bool
 }
 
 // Stats snapshots the server's counters and gauges.
 func (s *Server) Stats() Stats {
-	st := &s.stats
+	st := s.met
+	cs := s.opts.Cluster.Stats() // zero on a standalone server
 	out := Stats{
-		Submitted:           st.submitted.Load(),
-		Rejected:            st.rejected.Load(),
-		CacheHits:           st.hits.Load(),
-		CacheMisses:         st.misses.Load(),
-		Coalesced:           st.coalesced.Load(),
+		Submitted:           st.submitted.Value(),
+		Rejected:            st.rejected.Value(),
+		CacheHits:           st.hits.Value(),
+		CacheMisses:         st.misses.Value(),
+		Coalesced:           st.coalesced.Value(),
 		CacheEntries:        s.cache.Len(),
 		QueueDepth:          len(s.queue),
 		RunningJobs:         int(s.running.Load()),
-		Executed:            st.executed.Load(),
-		Completed:           st.completed.Load(),
-		FailedBudget:        st.failedBudget.Load(),
-		FailedInfeasib:      st.failedInfeasible.Load(),
-		FailedCancel:        st.failedCancelled.Load(),
-		FailedOther:         st.failedOther.Load(),
-		Retried:             st.retried.Load(),
-		Degraded:            st.degraded.Load(),
-		Shed:                st.shed.Load(),
-		Requeued:            st.requeued.Load(),
-		Recovered:           st.recovered.Load(),
-		JournalErrors:       st.journalErrors.Load(),
-		BatchRequests:       st.batchRequests.Load(),
-		BatchRejected:       st.batchRejected.Load(),
-		BatchItemsHit:       st.batchItemsHit.Load(),
-		BatchItemsCoalesced: st.batchItemsCoalesced.Load(),
-		BatchItemsDup:       st.batchItemsDup.Load(),
-		BatchItemsEnqueued:  st.batchItemsEnqueued.Load(),
-		BatchItemsError:     st.batchItemsError.Load(),
-		SSEStreams:          st.sseStreams.Load(),
-		SSEResumed:          st.sseResumed.Load(),
-		SSESent:             st.sseSent.Load(),
+		Executed:            st.executed.Value(),
+		Completed:           st.completed.Value(),
+		FailedBudget:        st.failedBudget.Value(),
+		FailedInfeasib:      st.failedInfeasible.Value(),
+		FailedCancel:        st.failedCancelled.Value(),
+		FailedOther:         st.failedOther.Value(),
+		Retried:             st.retried.Value(),
+		Degraded:            st.degraded.Value(),
+		Shed:                st.shed.Value(),
+		Requeued:            st.requeued.Value(),
+		Recovered:           st.recovered.Value(),
+		JournalErrors:       st.journalErrors.Value(),
+		BatchRequests:       st.batchRequests.Value(),
+		BatchRejected:       st.batchRejected.Value(),
+		BatchItemsHit:       st.batchItemsHit.Value(),
+		BatchItemsCoalesced: st.batchItemsCoalesced.Value(),
+		BatchItemsDup:       st.batchItemsDup.Value(),
+		BatchItemsEnqueued:  st.batchItemsEnqueued.Value(),
+		BatchItemsError:     st.batchItemsError.Value(),
+		SSEStreams:          st.sseStreams.Value(),
+		SSEResumed:          st.sseResumed.Value(),
+		SSESent:             st.sseSent.Value(),
 		SSEActive:           st.sseActive.Load(),
-		ClusterForwarded:    st.forwarded.Load(),
-		ClusterFallback:     st.forwardFallback.Load(),
-		ClusterMisdirected:  st.forwardMisdirected.Load(),
-		ClusterOriginJobs:   st.originJobs.Load(),
-		ClusterGossipFill:   st.gossipFilled.Load(),
-		WebhooksSent:        st.webhookSent.Load(),
-		WebhooksRetried:     st.webhookRetried.Load(),
-		WebhooksFailed:      st.webhookFailed.Load(),
-		WebhooksDropped:     st.webhookDropped.Load(),
+		ClusterForwarded:    st.forwarded.Value(),
+		ClusterFallback:     st.forwardFallback.Value(),
+		ClusterMisdirected:  st.forwardMisdirected.Value(),
+		ClusterOriginJobs:   st.originJobs.Value(),
+		ClusterGossipFill:   st.gossipFilled.Value(),
+		ClusterPeers:        len(cs.Peers),
+		ClusterPeersDown:    cs.PeersDown,
+		WebhooksSent:        st.webhookSent.Value(),
+		WebhooksRetried:     st.webhookRetried.Value(),
+		WebhooksFailed:      st.webhookFailed.Value(),
+		WebhooksDropped:     st.webhookDropped.Value(),
 		BreakerState:        s.breaker.state().String(),
 		BreakerFailureRate:  s.breaker.failureRate(),
-		ClusteringMS:        float64(st.clusteringNS.Load()) / float64(time.Millisecond),
-		ClusterMapMS:        float64(st.clustermapNS.Load()) / float64(time.Millisecond),
-		LowerMS:             float64(st.lowerNS.Load()) / float64(time.Millisecond),
+		ClusteringMS:        float64(st.clustering.Value()) / float64(time.Millisecond),
+		ClusterMapMS:        float64(st.clustermap.Value()) / float64(time.Millisecond),
+		LowerMS:             float64(st.lower.Value()) / float64(time.Millisecond),
+		Draining:            s.isDraining(),
 	}
 	if n := out.CacheHits + out.CacheMisses; n > 0 {
 		out.CacheHitRate = float64(out.CacheHits) / float64(n)
 	}
-	if cl := s.opts.Cluster; cl != nil {
-		cs := cl.Stats()
-		out.ClusterPeers = len(cs.Peers)
-		out.ClusterPeersDown = cs.PeersDown
-	}
-	out.Draining = s.isDraining()
 	return out
 }

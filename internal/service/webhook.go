@@ -48,7 +48,7 @@ type webhookEvent struct {
 // starts once the first event is queued, so servers without webhooks
 // (most tests) never pay for one.
 type webhookNotifier struct {
-	st          *stats
+	met         *metrics
 	url         string
 	secret      string
 	timeout     time.Duration
@@ -63,9 +63,9 @@ type webhookNotifier struct {
 }
 
 // newWebhookNotifier wires a notifier from already-defaulted Options.
-func newWebhookNotifier(st *stats, opts Options) *webhookNotifier {
+func newWebhookNotifier(met *metrics, opts Options) *webhookNotifier {
 	return &webhookNotifier{
-		st:          st,
+		met:         met,
 		url:         opts.WebhookURL,
 		secret:      opts.WebhookSecret,
 		timeout:     opts.WebhookTimeout,
@@ -95,14 +95,14 @@ func (n *webhookNotifier) notify(s *Server, job *Job) {
 	body, err := json.Marshal(WebhookPayload{Event: event, Job: job.View()})
 	if err != nil {
 		log.Printf("service: webhook payload for %s: %v", job.ID, err)
-		n.st.webhookDropped.Add(1)
+		n.met.webhookDropped.Inc()
 		return
 	}
 	n.startOnce.Do(func() { go n.run() })
 	select {
 	case n.queue <- webhookEvent{url: dest, event: event, body: body}:
 	default:
-		n.st.webhookDropped.Add(1)
+		n.met.webhookDropped.Inc()
 	}
 }
 
@@ -120,15 +120,15 @@ func (n *webhookNotifier) deliver(ev webhookEvent) {
 	for attempt := 1; ; attempt++ {
 		err := n.post(ev)
 		if err == nil {
-			n.st.webhookSent.Add(1)
+			n.met.webhookSent.Inc()
 			return
 		}
 		if attempt >= n.maxAttempts {
-			n.st.webhookFailed.Add(1)
+			n.met.webhookFailed.Inc()
 			log.Printf("service: webhook %s: giving up after %d attempt(s): %v", ev.url, attempt, err)
 			return
 		}
-		n.st.webhookRetried.Add(1)
+		n.met.webhookRetried.Inc()
 		if d := backoff(n.retryBase, attempt); d > 0 {
 			time.Sleep(d)
 		}
