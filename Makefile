@@ -4,7 +4,7 @@ GO ?= go
 # nightly CI job raises it (see .github/workflows/ci.yml).
 FUZZTIME ?= 10s
 
-.PHONY: check build test vet race bench bench-check bench-snapshot check-fault check-service check-journal check-diff check-obs check-overhead check-sat check-load check-cluster docs fuzz
+.PHONY: check layering build test vet race bench bench-check bench-snapshot check-fault check-service check-journal check-diff check-obs check-overhead check-sat check-load check-cluster docs fuzz
 
 # The repository's verification gate: formatting + godoc contract, vet,
 # build everything, then the full test suite with the race detector
@@ -16,7 +16,15 @@ FUZZTIME ?= 10s
 # load/soak SLO suite and the fleet/cluster contracts all run there,
 # once — so the targets stay as named slices for local use instead of
 # running again here.
-check: docs vet build race check-overhead
+check: docs layering vet build race check-overhead
+
+# The layering guard: everything downstream of a mapping (simulator,
+# configuration generator, renderer) and the oracle that judges it must
+# stay independent of the mappers they check and of the pipeline.
+layering:
+	@bad=$$($(GO) list -deps ./internal/sim ./internal/config ./internal/viz ./internal/verify | \
+		grep -E 'internal/(spr|ultrafast|satmap|core)$$'); \
+	if [ -n "$$bad" ]; then echo "layering: a mapping consumer links" $$bad; exit 1; fi
 
 # The documentation contract: everything gofmt-clean, and every
 # exported symbol in the audited packages carries a doc comment
@@ -27,7 +35,8 @@ docs:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) run ./cmd/doccheck ./internal/core ./internal/dfg ./internal/verify \
 		./internal/service ./internal/failure ./internal/obs ./internal/journal \
-		./internal/sat ./internal/satmap ./internal/loadtest ./internal/cluster
+		./internal/sat ./internal/satmap ./internal/loadtest ./internal/cluster \
+		./internal/arch ./internal/spr ./internal/ultrafast ./internal/sim ./internal/config ./internal/mrrg
 
 # The observability contracts: span-tree well-formedness under 16
 # concurrent requests, /metricsz exposition-format validity and the

@@ -6,6 +6,11 @@
 //
 //	panorama -kernel fir -scale 0.25 -arch 8x8 -mapper pan-spr -show-schedule
 //	panorama -dfg mygraph.json -arch 16x16 -mapper spr
+//	panorama -kernel fir -verify -report -out fir.json
+//
+// The artifact flags (-show-schedule, -verify, -report, -out) work with
+// every mapper whose result carries routes; UltraFast*'s crossbar-model
+// placements have none and are refused with an error.
 package main
 
 import (
@@ -16,6 +21,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"panorama/internal/arch"
@@ -48,13 +54,13 @@ func run() int {
 		seed       = flag.Int64("seed", 1, "random seed")
 		workers    = flag.Int("j", 0, "pipeline worker pool size (0 = one per CPU, 1 = serial); pan mappers only")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the whole mapping, e.g. 30s (0 = unbounded); on expiry the best partial result and the exhausted stage are reported")
-		cacheDir   = flag.String("cache-dir", "", "persistent result cache directory shared with panoramad; repeated invocations of the same kernel/arch/config are served from it (ignored when -show-schedule, -verify, -report or -out need a full mapping)")
+		cacheDir   = flag.String("cache-dir", "", "persistent result cache directory shared with panoramad; repeated invocations of the same kernel/arch/config are served from it (bypassed when -show-schedule, -verify, -report or -out ask for artifacts: summaries are cached, mappings are not)")
 		list       = flag.Bool("list", false, "list benchmark kernels and exit")
-		showSched  = flag.Bool("show-schedule", false, "print the time-extended schedule (SPR mappers)")
+		showSched  = flag.Bool("show-schedule", false, "print the time-extended schedule (routed mappings: every mapper but ultrafast)")
 		showClus   = flag.Bool("show-clusters", true, "print the cluster mapping grid (pan mappers)")
-		verify     = flag.Bool("verify", false, "simulate the mapping and check it against the DFG reference (SPR mappers)")
-		outFile    = flag.String("out", "", "write the mapping and configuration program as JSON (SPR mappers)")
-		report     = flag.Bool("report", false, "print route/utilisation statistics (SPR mappers)")
+		verify     = flag.Bool("verify", false, "simulate the mapping and check it against the DFG reference (routed mappings)")
+		outFile    = flag.String("out", "", "write the mapping and configuration program as JSON (routed mappings)")
+		report     = flag.Bool("report", false, "print route/utilisation statistics (routed mappings)")
 		traceOut   = flag.String("trace-out", "", "write the run's span tree as JSON to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -133,35 +139,17 @@ func run() int {
 		}
 	}
 
+	// Every mapper comes from the core lowering registry: "pan-<name>"
+	// runs the guided pipeline, a bare name the unguided baseline.
 	start := time.Now()
+	bare, pan := strings.CutPrefix(*mapper, "pan-")
 	var res *core.Result
-	var sprRes *spr.Result
-	if *mapper == "spr" {
-		// Bare SPR keeps its dedicated path: the artifact flags
-		// (-show-schedule, -verify, -report, -out) need spr.Result's
-		// routed mapping, which the generic Lower interface hides.
-		sprOpts := spr.Options{Seed: *seed}
-		sprRes, err = spr.MapCtx(ctx, g, a, sprOpts)
-		if err == nil {
-			res = &core.Result{Kernel: g.Name, Lower: core.LowerResult{
-				Success: sprRes.Success, MII: sprRes.MII, II: sprRes.II, QoM: sprRes.QoM()}}
-		}
-	} else {
-		// Everything else comes from the core lowering registry:
-		// "pan-<name>" runs the guided pipeline, a bare name the
-		// unguided baseline.
-		bare, pan := *mapper, false
-		if len(bare) > 4 && bare[:4] == "pan-" {
-			bare, pan = bare[4:], true
-		}
-		var lower core.Lower
-		lower, err = core.NewLowerByName(bare, *seed)
-		if err == nil && pan {
-			res, err = core.MapPanoramaCtx(ctx, g, a, lower,
-				core.Config{Seed: *seed, RelaxOnFailure: true, Workers: *workers})
-		} else if err == nil {
-			res, err = core.MapBaselineCtx(ctx, g, a, lower)
-		}
+	lower, err := core.NewLowerByName(bare, *seed)
+	if err == nil && pan {
+		res, err = core.MapPanoramaCtx(ctx, g, a, lower,
+			core.Config{Seed: *seed, RelaxOnFailure: true, Workers: *workers})
+	} else if err == nil {
+		res, err = core.MapBaselineCtx(ctx, g, a, lower)
 	}
 	if err != nil {
 		if res != nil {
@@ -197,31 +185,33 @@ func run() int {
 			fmt.Println(viz.ClusterGrid(res.ClusterMap))
 		}
 	}
-	if *showSched && sprRes != nil && sprRes.Mapping != nil {
+	// The artifacts below are derived from the mapping's routes, so they
+	// exist for every routed result, whichever mapper produced it; a
+	// crossbar-model mapping (UltraFast*) is refused by each of them.
+	m := res.Lower.Mapping
+	if *showSched {
+		sched, err := viz.TimeExtended(g, a, m)
+		if err != nil {
+			return fail(err)
+		}
 		fmt.Println("time-extended schedule:")
-		fmt.Println(viz.TimeExtended(g, a, sprRes.Mapping))
+		fmt.Println(sched)
 	}
-	if *report && sprRes != nil && sprRes.Mapping != nil {
-		rep, err := spr.Analyze(g, a, sprRes.Mapping)
+	if *report {
+		rep, err := spr.Analyze(g, a, m)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Println(rep)
 	}
 	if *verify {
-		if sprRes == nil || sprRes.Mapping == nil {
-			fmt.Println("verify: only available with -mapper spr (the mapping must carry routes)")
-		} else if err := sim.Verify(g, a, sprRes.Mapping, 4); err != nil {
+		if err := sim.Verify(g, a, m, 4); err != nil {
 			return fail(fmt.Errorf("simulation check failed: %w", err))
-		} else {
-			fmt.Println("simulation check: fabric output matches the DFG reference")
 		}
+		fmt.Println("simulation check: fabric output matches the DFG reference")
 	}
 	if *outFile != "" {
-		if sprRes == nil || sprRes.Mapping == nil {
-			return fail(fmt.Errorf("-out requires -mapper spr (the mapping must carry routes)"))
-		}
-		prog, err := config.Generate(g, a, sprRes.Mapping)
+		prog, err := config.Generate(g, a, m)
 		if err != nil {
 			return fail(err)
 		}
@@ -232,7 +222,7 @@ func run() int {
 			PlacePE []int           `json:"placePE"`
 			PlaceT  []int           `json:"placeT"`
 			Program *config.Program `json:"program"`
-		}{g.Name, a.Name, sprRes.II, sprRes.Mapping.PlacePE, sprRes.Mapping.PlaceT, prog}
+		}{g.Name, a.Name, m.II, m.PlacePE, m.PlaceT, prog}
 		f, err := os.Create(*outFile)
 		if err != nil {
 			return fail(err)

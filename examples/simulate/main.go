@@ -1,6 +1,8 @@
-// simulate: compile a kernel, lower it to configuration words, execute
-// it cycle-accurately on the fabric model, and check the observed
-// output stream against a direct interpretation of the dataflow graph.
+// simulate: compile a kernel with the full Pan-SPR* pipeline, lower the
+// resulting mapping to configuration words, execute it cycle-accurately
+// on the fabric model, and check the observed output stream against a
+// direct interpretation of the dataflow graph. Any routed result works
+// the same way: config and sim take the mapping a core.Result carries.
 //
 //	go run ./examples/simulate [-kernel mmul] [-iters 6]
 package main
@@ -14,7 +16,6 @@ import (
 	"panorama"
 	"panorama/internal/config"
 	"panorama/internal/sim"
-	"panorama/internal/spr"
 )
 
 func main() {
@@ -28,16 +29,17 @@ func main() {
 	}
 	cgra := panorama.NewCGRA8x8()
 
-	res, err := spr.Map(kernel, cgra, spr.Options{Seed: 1})
+	res, err := panorama.MapPanSPR(kernel, cgra, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !res.Success {
+	if !res.Lower.Success {
 		log.Fatal("mapping failed")
 	}
-	fmt.Printf("%s mapped at II=%d on %s\n", kernel.Name, res.II, cgra)
+	mapping := res.Lower.Mapping
+	fmt.Printf("%s mapped at II=%d on %s\n", kernel.Name, mapping.II, cgra)
 
-	prog, err := config.Generate(kernel, cgra, res.Mapping)
+	prog, err := config.Generate(kernel, cgra, mapping)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func main() {
 	fmt.Printf("configuration: %d/%d FU slots active (%.0f%% utilisation), %d wire drives, %d RF writes\n",
 		stats.ActiveFUSlots, stats.TotalFUSlots, prog.Utilisation()*100, stats.WireDrives, stats.RFWrites)
 
-	trace, err := sim.Execute(kernel, cgra, res.Mapping, *iters)
+	trace, err := sim.Execute(kernel, cgra, mapping, *iters)
 	if err != nil {
 		log.Fatalf("cycle-accurate execution failed: %v", err)
 	}

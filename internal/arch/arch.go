@@ -238,6 +238,10 @@ func (g *CGRA) PEDistance(a, b int) int {
 	return abs(pa.Row-pb.Row) + abs(pa.Col-pb.Col)
 }
 
+// InfeasibleMII is the sentinel the II lower bounds return when no II
+// can work: memory operations with no memory-capable PE to run on.
+const InfeasibleMII = 1 << 20
+
 // ResMII returns the resource-constrained minimum initiation interval
 // for a DFG on this CGRA: every operation needs one FU slot per II
 // cycles, and memory operations are restricted to memory-capable PEs.
@@ -249,8 +253,8 @@ func (g *CGRA) ResMII(d *dfg.Graph) int {
 			mii = m
 		}
 	} else if stats.MemOps > 0 {
-		// No memory PEs at all: unmappable, signal with a huge MII.
-		return 1 << 20
+		// No memory PEs at all: unmappable.
+		return InfeasibleMII
 	}
 	if mii < 1 {
 		mii = 1
@@ -267,6 +271,59 @@ func (g *CGRA) MII(d *dfg.Graph) int {
 		return rec
 	}
 	return res
+}
+
+// ClusterMII returns the tightest per-cluster resource lower bound on
+// II implied by a cluster restriction (Panorama guidance): every node
+// pinned to a single cluster needs an FU slot there (memory ops a
+// memory-capable one). Nodes allowed several clusters are charged to
+// none (conservative). It returns InfeasibleMII when a memory op is
+// pinned to a cluster without a memory-capable PE; what to do then —
+// fail, or relax the restriction — is the caller's policy.
+func (g *CGRA) ClusterMII(d *dfg.Graph, allowed [][]int) int {
+	load := make([]int, g.NumClusters())
+	memLoad := make([]int, g.NumClusters())
+	for v, cids := range allowed {
+		if len(cids) != 1 {
+			continue
+		}
+		load[cids[0]]++
+		if d.Nodes[v].Op.IsMem() {
+			memLoad[cids[0]]++
+		}
+	}
+	bound := 1
+	for cid := 0; cid < g.NumClusters(); cid++ {
+		pes := len(g.PEsInCluster(cid))
+		mems := 0
+		for _, pe := range g.PEsInCluster(cid) {
+			if g.PEs[pe].MemCapable {
+				mems++
+			}
+		}
+		if pes > 0 {
+			if b := ceilDiv(load[cid], pes); b > bound {
+				bound = b
+			}
+		}
+		if mems > 0 {
+			if b := ceilDiv(memLoad[cid], mems); b > bound {
+				bound = b
+			}
+		} else if memLoad[cid] > 0 {
+			return InfeasibleMII
+		}
+	}
+	return bound
+}
+
+// QoM returns the paper's Quality of Mapping metric MII/II (1.0 is
+// optimal); 0 when there is no mapping (ii is 0).
+func QoM(mii, ii int) float64 {
+	if ii <= 0 {
+		return 0
+	}
+	return float64(mii) / float64(ii)
 }
 
 func abs(x int) int {

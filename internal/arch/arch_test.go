@@ -244,3 +244,54 @@ func TestQuickClusterContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestClusterMIIBounds(t *testing.T) {
+	a := Preset8x8() // 4 PEs per cluster, 2 memory PEs per cluster
+	g := dfg.New("t")
+	for i := 0; i < 9; i++ {
+		g.AddNode(dfg.OpAdd, "")
+	}
+	g.MustFreeze()
+	// 9 ALU ops pinned to cluster 0 (4 PEs): bound = ceil(9/4) = 3.
+	allowed := make([][]int, 9)
+	for i := range allowed {
+		allowed[i] = []int{0}
+	}
+	if got := a.ClusterMII(g, allowed); got != 3 {
+		t.Fatalf("ClusterMII = %d, want 3", got)
+	}
+	// Multi-cluster nodes are charged to none.
+	for i := range allowed {
+		allowed[i] = []int{0, 1}
+	}
+	if got := a.ClusterMII(g, allowed); got != 1 {
+		t.Fatalf("ClusterMII multi = %d, want 1", got)
+	}
+}
+
+func TestClusterMIIMemPressure(t *testing.T) {
+	a := Preset8x8()
+	g := dfg.New("t")
+	for i := 0; i < 5; i++ {
+		g.AddNode(dfg.OpLoad, "")
+	}
+	g.MustFreeze()
+	allowed := make([][]int, 5)
+	for i := range allowed {
+		allowed[i] = []int{0}
+	}
+	// 5 loads on 2 memory PEs: ceil(5/2) = 3.
+	if got := a.ClusterMII(g, allowed); got != 3 {
+		t.Fatalf("ClusterMII = %d, want 3", got)
+	}
+}
+
+func TestQoM(t *testing.T) {
+	if got := QoM(3, 4); got != 0.75 {
+		t.Fatalf("QoM(3,4) = %v, want 0.75", got)
+	}
+	// A failed run carries II 0 and must score 0, not divide by it.
+	if got := QoM(3, 0); got != 0 {
+		t.Fatalf("QoM(3,0) = %v, want 0", got)
+	}
+}

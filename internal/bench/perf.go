@@ -163,7 +163,7 @@ func RunPerf(reps int, seed int64) (PerfSnapshot, error) {
 				pk.MII = res.MII
 				if res.Success {
 					pk.II = res.II
-					pk.MapSHA = oracleMappingSHA(res.Mapping)
+					pk.MapSHA = mappingSHA(res.Mapping)
 				}
 				st := res.Stats()
 				pk.Conflicts = st.Conflicts
@@ -204,33 +204,9 @@ func RunPerf(reps int, seed int64) (PerfSnapshot, error) {
 }
 
 // mappingSHA hashes a mapping's full content — II, placement and every
-// route — so two snapshots can prove byte-identical mapping results.
-func mappingSHA(m *spr.Mapping) string {
-	h := sha256.New()
-	var buf [8]byte
-	wr := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wr(int64(m.II))
-	wr(int64(len(m.PlacePE)))
-	for i := range m.PlacePE {
-		wr(int64(m.PlacePE[i]))
-		wr(int64(m.PlaceT[i]))
-	}
-	wr(int64(len(m.Routes)))
-	for _, r := range m.Routes {
-		wr(int64(len(r)))
-		for _, n := range r {
-			wr(int64(n))
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// oracleMappingSHA hashes an oracle-form mapping with the same scheme
-// as mappingSHA, so SAT* rows get the same byte-identity gate.
-func oracleMappingSHA(m *verify.Mapping) string {
+// route — so two snapshots can prove byte-identical mapping results,
+// whichever mapper produced them.
+func mappingSHA(m *verify.Mapping) string {
 	h := sha256.New()
 	var buf [8]byte
 	wr := func(v int64) {

@@ -19,7 +19,7 @@ import (
 	"panorama/internal/arch"
 	"panorama/internal/dfg"
 	"panorama/internal/mrrg"
-	"panorama/internal/spr"
+	"panorama/internal/verify"
 )
 
 // SourceKind says where a routed value enters a resource from.
@@ -33,6 +33,7 @@ const (
 	SrcRF                // a register-file read
 )
 
+// String names the source kind as the program dumps print it.
 func (k SourceKind) String() string {
 	switch k {
 	case SrcNone:
@@ -80,10 +81,15 @@ type Program struct {
 	Words [][]Word
 }
 
-// Generate lowers a validated mapping to configuration words.
-func Generate(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping) (*Program, error) {
-	if err := spr.Validate(d, a, m, nil); err != nil {
+// Generate lowers a legal routed mapping — from any mapper — to
+// configuration words. The words are derived from the routes, so a
+// crossbar-model mapping, which has none, is refused.
+func Generate(d *dfg.Graph, a *arch.CGRA, m *verify.Mapping) (*Program, error) {
+	if err := verify.Check(d, a, m, nil); err != nil {
 		return nil, fmt.Errorf("config: refusing invalid mapping: %w", err)
+	}
+	if m.Model != verify.ModelRouted {
+		return nil, fmt.Errorf("config: a %s-model mapping has no routes to lower", m.Model)
 	}
 	g, err := mrrg.New(a, m.II)
 	if err != nil {
@@ -107,16 +113,12 @@ func Generate(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping) (*Program, error) {
 
 	// Routes: walk each edge's path and translate hops into wire
 	// drives, RF writes, and FU operand sources.
-	inEdges := make([][]int, d.NumNodes())
-	for i, e := range d.Edges {
-		inEdges[e.To] = append(inEdges[e.To], i)
-	}
 	for v := range d.Nodes {
 		pe, slot := m.PlacePE[v], m.PlaceT[v]%m.II
 		w := &p.Words[pe][slot]
-		w.Operands = make([]Source, len(inEdges[v]))
-		for oi, ei := range inEdges[v] {
-			src, err := lowerRoute(g, a, p, m.Routes[ei])
+		w.Operands = make([]Source, d.InDeg(v))
+		for oi, ei := range d.InEdges(v) {
+			src, err := lowerRoute(g, p, m.Routes[ei])
 			if err != nil {
 				return nil, fmt.Errorf("config: edge %d: %w", ei, err)
 			}
@@ -135,7 +137,7 @@ func Generate(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping) (*Program, error) {
 
 // lowerRoute translates one route into configuration entries and
 // returns the FU operand source at the consumer end.
-func lowerRoute(g *mrrg.Graph, a *arch.CGRA, p *Program, route []int32) (Source, error) {
+func lowerRoute(g *mrrg.Graph, p *Program, route []int32) (Source, error) {
 	// cur is the source feeding the next hop, as seen by the PE that
 	// consumes it.
 	var cur Source
@@ -150,13 +152,11 @@ func lowerRoute(g *mrrg.Graph, a *arch.CGRA, p *Program, route []int32) (Source,
 	for i := 0; i+1 < len(route); i++ {
 		from, to := route[i], route[i+1]
 		slot := int(g.TimeOf[from])
-		pe := int(g.PEOf[from])
 		switch g.Kinds[to] {
 		case mrrg.KindLink:
 			// Drive a wire: configured in the driving PE's word at the
 			// wire's slot.
-			li := linkIndexOf(g, to)
-			fromPE, toPE := g.LinkEnds(li)
+			fromPE, toPE := g.LinkEnds(g.LinkOf(int(to)))
 			word := &p.Words[fromPE][int(g.TimeOf[to])]
 			word.Wires = appendWire(word.Wires, WireDrive{To: toPE, Src: cur})
 			// Downstream, the value is seen as arriving on a wire from
@@ -176,7 +176,6 @@ func lowerRoute(g *mrrg.Graph, a *arch.CGRA, p *Program, route []int32) (Source,
 		case mrrg.KindRes:
 			return cur, fmt.Errorf("route passes through a result register at %s", g.Describe(int(to)))
 		}
-		_ = pe
 	}
 	return cur, fmt.Errorf("route does not end at an FU")
 }
@@ -199,17 +198,6 @@ func appendWrite(ws []RFWrite, w RFWrite) []RFWrite {
 		}
 	}
 	return append(ws, w)
-}
-
-// linkIndexOf recovers the wire index of a KindLink node.
-func linkIndexOf(g *mrrg.Graph, node int32) int {
-	// LinkNode(li, t) layout: linkBase + li*II + t.
-	for li := 0; li < g.NumLinks(); li++ {
-		if g.LinkNode(li, int(g.TimeOf[node])) == int(node) {
-			return li
-		}
-	}
-	return -1
 }
 
 // Stats summarises a program for reports.

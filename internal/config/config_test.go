@@ -7,9 +7,10 @@ import (
 	"panorama/internal/dfg"
 	"panorama/internal/kernels"
 	"panorama/internal/spr"
+	"panorama/internal/verify"
 )
 
-func mapped(t *testing.T, g *dfg.Graph, a *arch.CGRA) *spr.Mapping {
+func mapped(t *testing.T, g *dfg.Graph, a *arch.CGRA) *verify.Mapping {
 	t.Helper()
 	res, err := spr.Map(g, a, spr.Options{Seed: 1})
 	if err != nil || !res.Success {

@@ -32,8 +32,7 @@ func (s SATLower) Map(ctx context.Context, d *dfg.Graph, a *arch.CGRA, allowed [
 	if err != nil {
 		return LowerResult{}, err
 	}
-	return LowerResult{Success: res.Success, MII: res.MII, II: res.II, QoM: res.QoM(),
-		Mapping: res.Mapping}, nil
+	return lowered(res.Success, res.MII, res.II, res.Mapping), nil
 }
 
 // LowerSpec describes a lower-level mapper in the registry: its wire

@@ -48,11 +48,18 @@ type LowerResult struct {
 	// Winner names the member mapper that produced this result when it
 	// came out of a portfolio race ("" for solo mappers).
 	Winner string
-	// Mapping is the concrete mapping in the legality oracle's
-	// mapper-independent form (nil when the mapper failed), so callers
-	// and the differential harness can verify.Check what the pipeline
-	// actually produced. It is not part of the Summary wire form.
+	// Mapping is the concrete mapping, exactly as the mapper returned it
+	// (nil when the mapper failed), so callers can verify.Check what the
+	// pipeline actually produced and, when it is routed, simulate it or
+	// lower it to a configuration program. It is not part of the Summary
+	// wire form.
 	Mapping *verify.Mapping
+}
+
+// lowered is the LowerResult every mapper adapter returns: the mappers'
+// own results differ only in their effort records.
+func lowered(success bool, mii, ii int, m *verify.Mapping) LowerResult {
+	return LowerResult{Success: success, MII: mii, II: ii, QoM: arch.QoM(mii, ii), Mapping: m}
 }
 
 // SPRLower adapts internal/spr to the Lower interface.
@@ -71,8 +78,7 @@ func (s SPRLower) Map(ctx context.Context, d *dfg.Graph, a *arch.CGRA, allowed [
 	if err != nil {
 		return LowerResult{}, err
 	}
-	return LowerResult{Success: res.Success, MII: res.MII, II: res.II, QoM: res.QoM(),
-		Mapping: res.Mapping.Verifiable()}, nil
+	return lowered(res.Success, res.MII, res.II, res.Mapping), nil
 }
 
 // UltraFastLower adapts internal/ultrafast to the Lower interface.
@@ -91,8 +97,7 @@ func (u UltraFastLower) Map(ctx context.Context, d *dfg.Graph, a *arch.CGRA, all
 	if err != nil {
 		return LowerResult{}, err
 	}
-	return LowerResult{Success: res.Success, MII: res.MII, II: res.II, QoM: res.QoM(),
-		Mapping: res.Mapping.Verifiable(u.Options.CrossbarCap)}, nil
+	return lowered(res.Success, res.MII, res.II, res.Mapping), nil
 }
 
 // Budgets caps the wall-clock of the pipeline stages. Zero means

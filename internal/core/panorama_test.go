@@ -10,6 +10,7 @@ import (
 	"panorama/internal/kernels"
 	"panorama/internal/spr"
 	"panorama/internal/ultrafast"
+	"panorama/internal/verify"
 )
 
 func firKernel(t *testing.T, scale float64) *dfg.Graph {
@@ -314,5 +315,18 @@ func TestUltraFastLowerRespectsOptions(t *testing.T) {
 	}
 	if res.Success && res4.Success && res.II < res4.II {
 		t.Fatalf("tighter crossbar yielded better II (%d < %d)", res.II, res4.II)
+	}
+	// The mapping carries the capacity it was placed under, so the
+	// oracle re-derives bandwidth against the mapper's own limit.
+	for want, r := range map[int]LowerResult{1: res, 8: res4} {
+		if !r.Success {
+			continue
+		}
+		if r.Mapping.Model != verify.ModelCrossbar || r.Mapping.CrossbarCap != want {
+			t.Errorf("cap %d: mapping stamped %s / cap %d", want, r.Mapping.Model, r.Mapping.CrossbarCap)
+		}
+		if err := verify.Check(d, a, r.Mapping, nil); err != nil {
+			t.Errorf("cap %d: %v", want, err)
+		}
 	}
 }

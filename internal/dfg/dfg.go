@@ -108,8 +108,8 @@ type Graph struct {
 	frozen bool
 	succs  [][]int // successor node ids over all edges
 	preds  [][]int // predecessor node ids over all edges
-	fwdOut [][]int // successor edge indices, Dist==0 only
-	fwdIn  [][]int // predecessor edge indices, Dist==0 only
+	outIdx [][]int // outgoing edge indices over all edges, ascending
+	inIdx  [][]int // incoming edge indices over all edges, ascending
 }
 
 // New returns an empty named graph.
@@ -154,15 +154,13 @@ func (g *Graph) Freeze() error {
 	n := len(g.Nodes)
 	g.succs = make([][]int, n)
 	g.preds = make([][]int, n)
-	g.fwdOut = make([][]int, n)
-	g.fwdIn = make([][]int, n)
+	g.outIdx = make([][]int, n)
+	g.inIdx = make([][]int, n)
 	for i, e := range g.Edges {
 		g.succs[e.From] = append(g.succs[e.From], e.To)
 		g.preds[e.To] = append(g.preds[e.To], e.From)
-		if e.Dist == 0 {
-			g.fwdOut[e.From] = append(g.fwdOut[e.From], i)
-			g.fwdIn[e.To] = append(g.fwdIn[e.To], i)
-		}
+		g.outIdx[e.From] = append(g.outIdx[e.From], i)
+		g.inIdx[e.To] = append(g.inIdx[e.To], i)
 	}
 	g.frozen = true
 	return nil
@@ -260,6 +258,15 @@ func (g *Graph) Succs(v int) []int { g.ensureFrozen(); return g.succs[v] }
 // returned slice must not be modified.
 func (g *Graph) Preds(v int) []int { g.ensureFrozen(); return g.preds[v] }
 
+// OutEdges returns the indices into Edges of v's outgoing edges (all
+// distances), ascending. The returned slice must not be modified.
+func (g *Graph) OutEdges(v int) []int { g.ensureFrozen(); return g.outIdx[v] }
+
+// InEdges returns the indices into Edges of v's incoming edges (all
+// distances), ascending — the operand order of v. The returned slice
+// must not be modified.
+func (g *Graph) InEdges(v int) []int { g.ensureFrozen(); return g.inIdx[v] }
+
 // OutDeg returns the number of outgoing edges of v (all distances).
 func (g *Graph) OutDeg(v int) int { g.ensureFrozen(); return len(g.succs[v]) }
 
@@ -298,8 +305,11 @@ func (g *Graph) ASAP() []int {
 	g.ensureFrozen()
 	lv := make([]int, len(g.Nodes))
 	for _, v := range g.TopoOrder() {
-		for _, ei := range g.fwdOut[v] {
+		for _, ei := range g.outIdx[v] {
 			e := g.Edges[ei]
+			if e.Dist != 0 {
+				continue
+			}
 			if t := lv[v] + g.Nodes[v].Op.Latency(); t > lv[e.To] {
 				lv[e.To] = t
 			}
@@ -320,8 +330,11 @@ func (g *Graph) ALAP() []int {
 	order := g.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
-		for _, ei := range g.fwdOut[v] {
+		for _, ei := range g.outIdx[v] {
 			e := g.Edges[ei]
+			if e.Dist != 0 {
+				continue
+			}
 			if t := lv[e.To] - g.Nodes[v].Op.Latency(); t < lv[v] {
 				lv[v] = t
 			}

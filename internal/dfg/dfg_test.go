@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -155,6 +156,39 @@ func TestSuccsPreds(t *testing.T) {
 	}
 	if g.InDeg(c) != 2 || g.OutDeg(c) != 0 || g.Degree(c) != 2 {
 		t.Fatalf("degrees of c wrong: in=%d out=%d", g.InDeg(c), g.OutDeg(c))
+	}
+}
+
+// TestEdgeIndex checks InEdges/OutEdges against a scan of Edges on a
+// graph with fan-in, fan-out, a recurrence edge and a self-loop.
+func TestEdgeIndex(t *testing.T) {
+	g := New("t")
+	for i := 0; i < 4; i++ {
+		g.AddNode(OpAdd, "")
+	}
+	g.AddEdge(0, 2)
+	g.AddEdge(1, 2)
+	g.AddEdge(2, 3)
+	g.AddEdgeDist(3, 0, 1)
+	g.AddEdgeDist(2, 2, 1)
+	g.AddEdge(0, 3)
+	g.MustFreeze()
+	for v := range g.Nodes {
+		var in, out []int
+		for i, e := range g.Edges {
+			if e.To == v {
+				in = append(in, i)
+			}
+			if e.From == v {
+				out = append(out, i)
+			}
+		}
+		if got := g.InEdges(v); !reflect.DeepEqual(got, in) {
+			t.Errorf("InEdges(%d) = %v, want %v", v, got, in)
+		}
+		if got := g.OutEdges(v); !reflect.DeepEqual(got, out) {
+			t.Errorf("OutEdges(%d) = %v, want %v", v, got, out)
+		}
 	}
 }
 

@@ -3,16 +3,21 @@ package difftest
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"panorama/internal/arch"
+	"panorama/internal/config"
 	"panorama/internal/core"
 	"panorama/internal/dfg"
 	"panorama/internal/dfgen"
+	"panorama/internal/kernels"
 	"panorama/internal/service"
+	"panorama/internal/sim"
 	"panorama/internal/spr"
 	"panorama/internal/ultrafast"
 	"panorama/internal/verify"
+	"panorama/internal/viz"
 )
 
 // CorpusSize is how many seeded random DFGs each mapper is checked
@@ -25,8 +30,7 @@ const (
 // TestDifferentialSPR maps every corpus graph with SPR* and checks the
 // result against the legality oracle and the cycle-accurate simulator.
 // The mapper self-validates through the same oracle, so the extra
-// information here is the independent sim replay and the conversion
-// path the pipeline uses.
+// information here is the independent sim replay.
 func TestDifferentialSPR(t *testing.T) {
 	a := arch.Preset4x4()
 	for s := 0; s < shards; s++ {
@@ -49,7 +53,7 @@ func TestDifferentialSPR(t *testing.T) {
 				if res.MII > res.II {
 					t.Errorf("corpus %d: MII %d > II %d", i, res.MII, res.II)
 				}
-				if err := VerifyRouted(d, a, res.Mapping, nil); err != nil {
+				if err := Verify(d, a, res.Mapping, nil); err != nil {
 					t.Errorf("corpus %d: %v", i, err)
 				}
 			}
@@ -76,7 +80,7 @@ func TestDifferentialUltraFast(t *testing.T) {
 		if res.MII > res.II {
 			t.Errorf("corpus %d: MII %d > II %d", i, res.MII, res.II)
 		}
-		if err := VerifyCrossbar(d, a, res.Mapping, nil, 0); err != nil {
+		if err := Verify(d, a, res.Mapping, nil); err != nil {
 			t.Errorf("corpus %d: %v", i, err)
 		}
 	}
@@ -113,13 +117,53 @@ func TestDifferentialPipeline(t *testing.T) {
 			if res.GuidanceLabel() == "guided" {
 				allowed = core.AllowedClusters(d, a, res.Partition, res.ClusterMap)
 			}
-			if err := verify.Check(d, a, res.Lower.Mapping, allowed); err != nil {
+			if err := Verify(d, a, res.Lower.Mapping, allowed); err != nil {
 				t.Errorf("%s corpus %d (%s): %v", lower.Name(), idx, res.GuidanceLabel(), err)
 			}
-			if m := RoutedFromOracle(res.Lower.Mapping); m != nil {
-				if err := VerifyRouted(d, a, m, allowed); err != nil {
-					t.Errorf("%s corpus %d: %v", lower.Name(), idx, err)
-				}
+		}
+	}
+}
+
+// TestDownstreamTakesAnyMapper maps a quick kernel through core with
+// every kind of lowerer and hands res.Lower.Mapping, unconverted, to
+// everything downstream of a mapping. A routed result — whichever
+// mapper produced it — must replay in the simulator and lower to a
+// configuration program; a crossbar result (UltraFast*, or a portfolio
+// race it won) must be refused with an error naming the model, not
+// crash on its missing routes.
+func TestDownstreamTakesAnyMapper(t *testing.T) {
+	g, a := kernels.FIR(0.05), arch.Preset8x8()
+	for _, name := range []string{"spr", "pan-spr", "sat", "portfolio", "ultrafast"} {
+		bare, pan := strings.CutPrefix(name, "pan-")
+		lower, err := core.NewLowerByName(bare, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *core.Result
+		if pan {
+			res, err = core.MapPanorama(g, a, lower, core.Config{Seed: 1, RelaxOnFailure: true})
+		} else {
+			res, err = core.MapBaseline(g, a, lower)
+		}
+		if err != nil || !res.Lower.Success {
+			t.Errorf("%s: no mapping (err %v)", name, err)
+			continue
+		}
+		m := res.Lower.Mapping
+		if name != "portfolio" && (m.Model == verify.ModelCrossbar) != (name == "ultrafast") {
+			t.Errorf("%s: unexpected %s-model mapping", name, m.Model)
+		}
+		_, simErr := sim.Execute(g, a, m, SimIters)
+		_, cfgErr := config.Generate(g, a, m)
+		_, vizErr := viz.TimeExtended(g, a, m)
+		_, repErr := spr.Analyze(g, a, m)
+		for fn, err := range map[string]error{"sim.Execute": simErr, "sim.Verify": sim.Verify(g, a, m, SimIters),
+			"config.Generate": cfgErr, "viz.TimeExtended": vizErr, "spr.Analyze": repErr} {
+			switch {
+			case m.Model == verify.ModelRouted && err != nil:
+				t.Errorf("%s: %s rejected a routed mapping: %v", name, fn, err)
+			case m.Model == verify.ModelCrossbar && (err == nil || !strings.Contains(err.Error(), "crossbar")):
+				t.Errorf("%s: %s must refuse the crossbar model by name, got %v", name, fn, err)
 			}
 		}
 	}
@@ -242,7 +286,7 @@ func TestMetamorphicTightening(t *testing.T) {
 		if g.II < un.II {
 			improved++
 		}
-		if err := VerifyCrossbar(d, a, g.Mapping, allowed, 0); err != nil {
+		if err := Verify(d, a, g.Mapping, allowed); err != nil {
 			t.Errorf("corpus %d guided: %v", i, err)
 		}
 	}

@@ -7,8 +7,6 @@ import (
 	"panorama/internal/dfg"
 	"panorama/internal/dfgen"
 	"panorama/internal/sim"
-	"panorama/internal/spr"
-	"panorama/internal/ultrafast"
 	"panorama/internal/verify"
 )
 
@@ -17,39 +15,22 @@ import (
 // the generator draws plus one wrap.
 const SimIters = 5
 
-// VerifyRouted checks a successful SPR* mapping with the legality
-// oracle and then replays it cycle-accurately against the reference
-// interpretation of the DFG.
-func VerifyRouted(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping, allowed [][]int) error {
-	if err := verify.Check(d, a, m.Verifiable(), allowed); err != nil {
+// Verify checks a successful mapping from any mapper with the legality
+// oracle and, when it is routed, replays it cycle-accurately against
+// the reference interpretation of the DFG. The crossbar model has no
+// explicit routes to replay; the oracle's independent bandwidth
+// re-derivation is its whole check.
+func Verify(d *dfg.Graph, a *arch.CGRA, m *verify.Mapping, allowed [][]int) error {
+	if err := verify.Check(d, a, m, allowed); err != nil {
 		return fmt.Errorf("oracle: %w", err)
+	}
+	if m.Model != verify.ModelRouted {
+		return nil
 	}
 	if err := sim.Verify(d, a, m, SimIters); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	return nil
-}
-
-// VerifyCrossbar checks a successful UltraFast* mapping with the
-// legality oracle. The crossbar model has no explicit routes, so there
-// is no cycle-accurate replay; the oracle's bandwidth re-derivation is
-// the independent check.
-func VerifyCrossbar(d *dfg.Graph, a *arch.CGRA, m *ultrafast.Mapping, allowed [][]int, crossbarCap int) error {
-	if err := verify.Check(d, a, m.Verifiable(crossbarCap), allowed); err != nil {
-		return fmt.Errorf("oracle: %w", err)
-	}
-	return nil
-}
-
-// RoutedFromOracle converts a ModelRouted oracle mapping back into the
-// SPR* form so pipeline results (core.LowerResult.Mapping) can be
-// replayed through the simulator. Returns nil for nil or non-routed
-// mappings.
-func RoutedFromOracle(m *verify.Mapping) *spr.Mapping {
-	if m == nil || m.Model != verify.ModelRouted {
-		return nil
-	}
-	return &spr.Mapping{II: m.II, PlacePE: m.PlacePE, PlaceT: m.PlaceT, Routes: m.Routes}
 }
 
 // CorpusParams derives the generation parameters for differential

@@ -42,7 +42,7 @@ func TestDifferentialSAT(t *testing.T) {
 				if res.MII > res.II {
 					t.Errorf("corpus %d: MII %d > II %d", i, res.MII, res.II)
 				}
-				if err := VerifyRouted(d, a, RoutedFromOracle(res.Mapping), nil); err != nil {
+				if err := Verify(d, a, res.Mapping, nil); err != nil {
 					t.Errorf("corpus %d: %v", i, err)
 				}
 				sres, err := spr.Map(d, a, spr.Options{Seed: seed})
@@ -105,10 +105,8 @@ func TestDifferentialPortfolio(t *testing.T) {
 		if !reflect.DeepEqual(res.Mapping, sres.Mapping) {
 			t.Errorf("corpus %d: race result differs from solo %s at II %d", idx, res.Winner, res.II)
 		}
-		if m := RoutedFromOracle(res.Mapping); m != nil {
-			if err := VerifyRouted(d, a, m, nil); err != nil {
-				t.Errorf("corpus %d: %v", idx, err)
-			}
+		if err := Verify(d, a, res.Mapping, nil); err != nil {
+			t.Errorf("corpus %d: %v", idx, err)
 		}
 	}
 }

@@ -60,6 +60,7 @@ func (r *Result) Value(v VarID) int { return r.Assign[v] }
 type solver struct {
 	m        *Model
 	lo, hi   []int
+	trail    []int // lo then hi of every open node, root first; reused, so a solve allocates per depth reached, not per node
 	best     int
 	bestAsg  []int
 	feasible bool
@@ -182,17 +183,18 @@ func (s *solver) dfs() {
 		return
 	}
 
-	saveLo := append([]int(nil), s.lo...)
-	saveHi := append([]int(nil), s.hi...)
+	n, base := len(s.lo), len(s.trail)
+	s.trail = append(append(s.trail, s.lo...), s.hi...)
 	for _, val := range s.valueOrder(branch) {
 		s.lo[branch], s.hi[branch] = val, val
-		s.dfs()
-		copy(s.lo, saveLo)
-		copy(s.hi, saveHi)
+		s.dfs() // may grow s.trail, so the saved bounds are re-sliced, not held
+		copy(s.lo, s.trail[base:base+n])
+		copy(s.hi, s.trail[base+n:base+2*n])
 		if s.stopped || s.nodes >= s.maxNodes {
-			return
+			break
 		}
 	}
+	s.trail = s.trail[:base]
 }
 
 // propagate enforces bound consistency over all constraints until a

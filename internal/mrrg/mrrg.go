@@ -40,6 +40,7 @@ const (
 	KindWPort
 )
 
+// String names the node kind as Describe prints it.
 func (k Kind) String() string {
 	switch k {
 	case KindFU:
@@ -237,6 +238,15 @@ func (g *Graph) WPortNode(pe, t int) int { return g.blockBase(pe, mod(t, g.II)) 
 // LinkNode returns the node id of wire li at t mod II.
 func (g *Graph) LinkNode(li, t int) int { return g.linkBase + li*g.II + mod(t, g.II) }
 
+// LinkOf inverts LinkNode: the wire index of a KindLink node, or -1 for
+// any other node.
+func (g *Graph) LinkOf(node int) int {
+	if node < g.linkBase {
+		return -1
+	}
+	return (node - g.linkBase) / g.II
+}
+
 // NumLinks returns the number of directed wires (including bypasses).
 func (g *Graph) NumLinks() int { return len(g.links) }
 
@@ -320,8 +330,8 @@ func (g *Graph) Describe(id int) string {
 	case KindReg:
 		return fmt.Sprintf("reg%d(pe%d,t%d)", g.RegOf[id], g.PEOf[id], t)
 	case KindLink:
-		li := (id - g.linkBase) / g.II
-		return fmt.Sprintf("link(pe%d->pe%d,t%d)", g.links[li].from, g.links[li].to, t)
+		from, to := g.LinkEnds(g.LinkOf(id))
+		return fmt.Sprintf("link(pe%d->pe%d,t%d)", from, to, t)
 	default:
 		return fmt.Sprintf("%s(pe%d,t%d)", g.Kinds[id], g.PEOf[id], t)
 	}

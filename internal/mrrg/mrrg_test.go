@@ -74,6 +74,31 @@ func TestNodeAccessorsConsistent(t *testing.T) {
 	}
 }
 
+// TestLinkOfInvertsLinkNode checks the O(1) reverse lookup on the
+// smallest and the largest preset: every (wire, slot) round-trips, and
+// no uniform-block node claims a wire.
+func TestLinkOfInvertsLinkNode(t *testing.T) {
+	for _, a := range []*arch.CGRA{arch.Preset4x4(), arch.Preset16x16()} {
+		const ii = 3
+		g, err := New(a, ii)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li := 0; li < g.NumLinks(); li++ {
+			for tt := 0; tt < ii; tt++ {
+				if got := g.LinkOf(g.LinkNode(li, tt)); got != li {
+					t.Fatalf("%s: LinkOf(LinkNode(%d,%d)) = %d", a.Name, li, tt, got)
+				}
+			}
+		}
+		for id := 0; id < g.NumNodes; id++ {
+			if g.Kinds[id] != KindLink && g.LinkOf(id) != -1 {
+				t.Fatalf("%s: LinkOf(%s) = %d, want -1", a.Name, g.Describe(id), g.LinkOf(id))
+			}
+		}
+	}
+}
+
 func TestTimeWrapsModII(t *testing.T) {
 	g, err := New(arch.Preset4x4(), 3)
 	if err != nil {

@@ -43,7 +43,7 @@ func FuzzSATEncode(f *testing.F) {
 		if res.MII > res.II {
 			t.Fatalf("MII %d > II %d", res.MII, res.II)
 		}
-		if err := difftest.VerifyRouted(g, a, difftest.RoutedFromOracle(res.Mapping), nil); err != nil {
+		if err := difftest.Verify(g, a, res.Mapping, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -98,15 +98,6 @@ type Result struct {
 	Attempts []Attempt
 }
 
-// QoM returns the paper's Quality of Mapping metric MII/II (1.0 is
-// optimal); 0 when the mapping failed.
-func (r *Result) QoM() float64 {
-	if !r.Success || r.II == 0 {
-		return 0
-	}
-	return float64(r.MII) / float64(r.II)
-}
-
 // Stats sums the solver effort over all attempts.
 func (r *Result) Stats() sat.Stats {
 	var total sat.Stats
@@ -151,8 +142,8 @@ func MapCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options) (*Res
 	res := &Result{MII: mii}
 	startII := mii
 	if opts.AllowedClusters != nil {
-		cb := clusterMII(d, a, opts.AllowedClusters)
-		if cb >= infeasibleMII {
+		cb := a.ClusterMII(d, opts.AllowedClusters)
+		if cb >= arch.InfeasibleMII {
 			res.Attempts = append(res.Attempts, Attempt{II: startII, Status: "infeasible"})
 			mAttempts.With("infeasible").Inc()
 			mMaps.With("fail").Inc()
@@ -310,52 +301,4 @@ func attemptII(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options, ii
 			enc.diversifyPhases(solver, at.Refines)
 		}
 	}
-}
-
-// infeasibleMII is the sentinel clusterMII returns when a restriction
-// is structurally unmappable (e.g. a memory op pinned to a cluster
-// with no memory-capable PE).
-const infeasibleMII = 1 << 20
-
-// clusterMII returns the tightest per-cluster resource lower bound on
-// II implied by a cluster restriction: every node pinned to a single
-// cluster needs an FU slot there (memory ops a memory-capable one).
-// Nodes allowed several clusters are charged to none (conservative).
-// It mirrors the SPR* bound so the II escalation of the two mappers
-// starts from the same floor.
-func clusterMII(d *dfg.Graph, a *arch.CGRA, allowed [][]int) int {
-	load := make([]int, a.NumClusters())
-	memLoad := make([]int, a.NumClusters())
-	for v, cids := range allowed {
-		if len(cids) != 1 {
-			continue
-		}
-		load[cids[0]]++
-		if d.Nodes[v].Op.IsMem() {
-			memLoad[cids[0]]++
-		}
-	}
-	bound := 1
-	for cid := 0; cid < a.NumClusters(); cid++ {
-		pes := len(a.PEsInCluster(cid))
-		mems := 0
-		for _, pe := range a.PEsInCluster(cid) {
-			if a.PEs[pe].MemCapable {
-				mems++
-			}
-		}
-		if pes > 0 {
-			if b := (load[cid] + pes - 1) / pes; b > bound {
-				bound = b
-			}
-		}
-		if mems > 0 {
-			if b := (memLoad[cid] + mems - 1) / mems; b > bound {
-				bound = b
-			}
-		} else if memLoad[cid] > 0 {
-			return infeasibleMII
-		}
-	}
-	return bound
 }

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"panorama/internal/arch"
 	"panorama/internal/core"
+	"panorama/internal/kernels"
 )
 
 func entry(fp string, ii int) Entry {
@@ -92,6 +94,48 @@ func TestCacheDiskPersistence(t *testing.T) {
 	}
 	if !e.Summary.Success || e.Summary.II != 3 {
 		t.Fatalf("loaded entry corrupted: %+v", e.Summary)
+	}
+}
+
+// TestBareSPRRunCachesItsStageTimes pins what `panorama -mapper spr
+// -cache-dir D` stores under the fingerprint panoramad serves from the
+// same directory: a baseline run through the lowering registry, whose
+// summary carries the lower stage's wall time and provenance record.
+// (The CLI once wrapped a direct spr.MapCtx call in a synthetic result
+// and cached zeros, so the next run reported "original run took 0ms".)
+func TestBareSPRRunCachesItsStageTimes(t *testing.T) {
+	g, a := kernels.FIR(0.1), arch.Preset4x4()
+	lower, err := core.NewLowerByName("spr", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.MapBaselineCtx(context.Background(), g, a, lower)
+	if err != nil || !res.Lower.Success {
+		t.Fatalf("baseline spr run: success=%v err=%v", res != nil && res.Lower.Success, err)
+	}
+	dir := t.TempDir()
+	c, err := NewCache(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := Key(g, a, "spr", 1, core.Budgets{})
+	if err := c.Put(Entry{Fingerprint: fp, Summary: res.Summarize()}); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := NewCache(8, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := c2.Get(fp)
+	if !ok {
+		t.Fatal("entry not loaded from disk")
+	}
+	sum := e.Summary
+	if sum.LowerMS <= 0 || sum.TotalMS < sum.LowerMS {
+		t.Errorf("stage times lost: lowerMS=%v totalMS=%v", sum.LowerMS, sum.TotalMS)
+	}
+	if len(sum.Stages) != 1 || sum.Stages[0].Stage != "lower" || sum.Stages[0].Wall <= 0 {
+		t.Errorf("want one timed lower stage record, got %+v", sum.Stages)
 	}
 }
 

@@ -15,7 +15,9 @@
 //     instance in one cycle) abort the run.
 //
 // Agreement of the two traces validates the whole compiler stack on
-// real data, not just the structural checks in spr.Validate.
+// real data, not just the structural checks of the legality oracle
+// (verify.Check). The package takes the oracle's mapping type and links
+// no mapper, so it checks SPR*, SAT* and pipeline results alike.
 package sim
 
 import (
@@ -184,12 +186,11 @@ func Reference(d *dfg.Graph, iters int) (*Trace, error) {
 	tr := &Trace{Iterations: iters, Stores: make(map[int][]Value)}
 	n := d.NumNodes()
 	vals := make([][]Value, iters) // [iter][node]
-	inEdges := inEdgeIndex(d)
 
 	for i := 0; i < iters; i++ {
 		vals[i] = make([]Value, n)
 		for _, v := range d.TopoOrder() {
-			operands := gatherOperands(d, inEdges[v], vals, i)
+			operands := gatherOperands(d, d.InEdges(v), vals, i)
 			vals[i][v] = eval(d.Nodes[v].Op, v, i, operands)
 			if d.Nodes[v].Op == dfg.OpStore {
 				tr.Stores[v] = append(tr.Stores[v], vals[i][v])
@@ -214,13 +215,4 @@ func gatherOperands(d *dfg.Graph, edges []int, vals [][]Value, i int) []Value {
 		}
 	}
 	return operands
-}
-
-// inEdgeIndex returns, per node, its incoming edge indices ascending.
-func inEdgeIndex(d *dfg.Graph) [][]int {
-	idx := make([][]int, d.NumNodes())
-	for i, e := range d.Edges {
-		idx[e.To] = append(idx[e.To], i)
-	}
-	return idx
 }

@@ -6,7 +6,7 @@ import (
 	"panorama/internal/arch"
 	"panorama/internal/dfg"
 	"panorama/internal/mrrg"
-	"panorama/internal/spr"
+	"panorama/internal/verify"
 )
 
 // resourceKey identifies one resource instance in one absolute cycle.
@@ -27,8 +27,9 @@ func (e *occupancyError) Error() string {
 		e.desc, e.cycle, e.first, e.second)
 }
 
-// Execute replays a compiled mapping cycle-accurately for the given
-// number of iterations and returns the observed store trace.
+// Execute replays a routed mapping cycle-accurately for the given
+// number of iterations and returns the observed store trace. A
+// crossbar-model mapping carries no routes to replay and is refused.
 //
 // Every DFG value of every iteration is pushed along its compiled
 // route: it appears in the producer's result register when the FU
@@ -36,12 +37,15 @@ func (e *occupancyError) Error() string {
 // consumer's FU node in exactly the consumer's issue cycle. Along the
 // way each (resource, cycle) it occupies is recorded; a second distinct
 // value in the same place is a hardware conflict and fails the run.
-func Execute(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping, iters int) (*Trace, error) {
+func Execute(d *dfg.Graph, a *arch.CGRA, m *verify.Mapping, iters int) (*Trace, error) {
 	if err := d.Freeze(); err != nil {
 		return nil, err
 	}
 	if m == nil {
 		return nil, fmt.Errorf("sim: nil mapping")
+	}
+	if m.Model != verify.ModelRouted {
+		return nil, fmt.Errorf("sim: a %s-model mapping has no routes to replay", m.Model)
 	}
 	if iters <= 0 {
 		return nil, fmt.Errorf("sim: non-positive iteration count %d", iters)
@@ -54,7 +58,6 @@ func Execute(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping, iters int) (*Trace, err
 	tr := &Trace{Iterations: iters, Stores: make(map[int][]Value)}
 	n := d.NumNodes()
 	vals := make([][]Value, iters)
-	inEdges := inEdgeIndex(d)
 
 	occupancy := make(map[resourceKey][]Value)
 	// delivered[edge][iter] is the operand value that physically arrived
@@ -106,14 +109,13 @@ func Execute(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping, iters int) (*Trace, err
 		return t, nil
 	}
 
-	outEdges := outEdgeIndex(d)
 	order := d.TopoOrder()
 	for i := 0; i < iters; i++ {
 		vals[i] = make([]Value, n)
 		for _, v := range order {
 			// Gather operands from what the fabric delivered.
-			operands := make([]Value, 0, len(inEdges[v]))
-			for _, ei := range inEdges[v] {
+			operands := make([]Value, 0, d.InDeg(v))
+			for _, ei := range d.InEdges(v) {
 				e := d.Edges[ei]
 				if i-e.Dist < 0 {
 					operands = append(operands, 0)
@@ -133,7 +135,7 @@ func Execute(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping, iters int) (*Trace, err
 			}
 			// Ship the result to every consumer along its route.
 			avail := issue + d.Nodes[v].Op.Latency()
-			for _, ei := range outEdges[v] {
+			for _, ei := range d.OutEdges(v) {
 				e := d.Edges[ei]
 				targetIter := i + e.Dist
 				if targetIter >= iters {
@@ -156,19 +158,10 @@ func Execute(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping, iters int) (*Trace, err
 	return tr, nil
 }
 
-// outEdgeIndex returns, per node, its outgoing edge indices ascending.
-func outEdgeIndex(d *dfg.Graph) [][]int {
-	idx := make([][]int, d.NumNodes())
-	for i, e := range d.Edges {
-		idx[e.From] = append(idx[e.From], i)
-	}
-	return idx
-}
-
 // Verify maps nothing itself: it runs both engines for iters iterations
 // and returns the first trace discrepancy, route timing violation, or
 // resource conflict.
-func Verify(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping, iters int) error {
+func Verify(d *dfg.Graph, a *arch.CGRA, m *verify.Mapping, iters int) error {
 	ref, err := Reference(d, iters)
 	if err != nil {
 		return err

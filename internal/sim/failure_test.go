@@ -7,7 +7,7 @@ import (
 	"panorama/internal/arch"
 	"panorama/internal/dfg"
 	"panorama/internal/mrrg"
-	"panorama/internal/spr"
+	"panorama/internal/verify"
 )
 
 func findLink(t *testing.T, g *mrrg.Graph, from, to int) int {
@@ -35,7 +35,7 @@ func path(nodes ...int) []int32 {
 // conflict-free; with true, B's value is shipped to pe0 immediately
 // and parked in pe0's register 0 — the same capacity-1 register
 // holding A's value in the same cycles.
-func conflictFixture(t *testing.T, throughRegister bool) (*dfg.Graph, *arch.CGRA, *spr.Mapping) {
+func conflictFixture(t *testing.T, throughRegister bool) (*dfg.Graph, *arch.CGRA, *verify.Mapping) {
 	t.Helper()
 	a := arch.Preset4x4()
 	d := dfg.New("conflict")
@@ -54,7 +54,7 @@ func conflictFixture(t *testing.T, throughRegister bool) (*dfg.Graph, *arch.CGRA
 	}
 	l01 := findLink(t, g, 0, 1)
 	l40 := findLink(t, g, 4, 0)
-	m := &spr.Mapping{
+	m := &verify.Mapping{
 		II:      ii,
 		PlacePE: []int{0, 4, 1, 0},
 		PlaceT:  []int{0, 0, 3, 3},
@@ -111,7 +111,7 @@ func TestExecuteDetectsLateArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	l01 := findLink(t, g, 0, 1)
-	m := &spr.Mapping{II: ii, PlacePE: []int{0, 1}, PlaceT: []int{0, 1},
+	m := &verify.Mapping{II: ii, PlacePE: []int{0, 1}, PlaceT: []int{0, 1},
 		Routes: [][]int32{path(g.ResNode(0, 1), g.LinkNode(l01, 1), g.FUNode(1, 1))}}
 	if err := Verify(d, a, m, 3); err != nil {
 		t.Fatalf("base fixture diverges: %v", err)
@@ -148,7 +148,7 @@ func TestExecuteRejectsMissingMRRGEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// pe0 and pe2 are not adjacent: the direct hop does not exist.
-	m := &spr.Mapping{II: ii, PlacePE: []int{0, 2}, PlaceT: []int{0, 1},
+	m := &verify.Mapping{II: ii, PlacePE: []int{0, 2}, PlaceT: []int{0, 1},
 		Routes: [][]int32{path(g.ResNode(0, 1), g.FUNode(2, 1))}}
 	_, err = Execute(d, a, m, 2)
 	if err == nil || !strings.Contains(err.Error(), "missing MRRG edge") {

@@ -82,7 +82,7 @@ func (st *state) affectedSignals(v int) []*signal {
 		seen[si] = true
 		sigs = append(sigs, st.signals[si])
 	}
-	for _, ei := range st.edgesIn(v) {
+	for _, ei := range st.d.InEdges(v) {
 		p := st.d.Edges[ei].From
 		if si := st.sigOf[p]; si >= 0 && !seen[si] {
 			seen[si] = true

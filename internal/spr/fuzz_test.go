@@ -48,7 +48,7 @@ func FuzzMapSPR(f *testing.F) {
 		if res.MII > res.II {
 			t.Fatalf("MII %d > II %d", res.MII, res.II)
 		}
-		if err := difftest.VerifyRouted(g, a, res.Mapping, nil); err != nil {
+		if err := difftest.Verify(g, a, res.Mapping, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -126,47 +126,6 @@ func TestOccKeyBounds(t *testing.T) {
 	mustPanic("negative node", func() { occKey(-1, 0) })
 }
 
-func TestClusterMIIBounds(t *testing.T) {
-	a := arch.Preset8x8() // 4 PEs per cluster, 2 memory PEs per cluster
-	g := dfg.New("t")
-	for i := 0; i < 9; i++ {
-		g.AddNode(dfg.OpAdd, "")
-	}
-	g.MustFreeze()
-	// 9 ALU ops pinned to cluster 0 (4 PEs): bound = ceil(9/4) = 3.
-	allowed := make([][]int, 9)
-	for i := range allowed {
-		allowed[i] = []int{0}
-	}
-	if got := clusterMII(g, a, allowed); got != 3 {
-		t.Fatalf("clusterMII = %d, want 3", got)
-	}
-	// Multi-cluster nodes are charged to none.
-	for i := range allowed {
-		allowed[i] = []int{0, 1}
-	}
-	if got := clusterMII(g, a, allowed); got != 1 {
-		t.Fatalf("clusterMII multi = %d, want 1", got)
-	}
-}
-
-func TestClusterMIIMemPressure(t *testing.T) {
-	a := arch.Preset8x8()
-	g := dfg.New("t")
-	for i := 0; i < 5; i++ {
-		g.AddNode(dfg.OpLoad, "")
-	}
-	g.MustFreeze()
-	allowed := make([][]int, 5)
-	for i := range allowed {
-		allowed[i] = []int{0}
-	}
-	// 5 loads on 2 memory PEs: ceil(5/2) = 3.
-	if got := clusterMII(g, a, allowed); got != 3 {
-		t.Fatalf("clusterMII = %d, want 3", got)
-	}
-}
-
 func TestWalkElapsedMatchesValidate(t *testing.T) {
 	// Build a tiny mapping and check walkElapsed agrees with the MRRG
 	// Adv flags along every route.

@@ -73,14 +73,6 @@ func (o *Options) defaults(numNodes int) {
 	}
 }
 
-// Mapping is a complete placement and routing of a DFG at one II.
-type Mapping struct {
-	II      int
-	PlacePE []int     // DFG node -> PE id
-	PlaceT  []int     // DFG node -> absolute schedule cycle
-	Routes  [][]int32 // DFG edge index -> MRRG node path (source OUT .. consumer FU)
-}
-
 // AttemptStats records one II attempt.
 type AttemptStats struct {
 	II           int
@@ -101,19 +93,10 @@ type AttemptStats struct {
 // Result is the outcome of Map.
 type Result struct {
 	Success  bool
-	MII      int // max(ResMII, RecMII) lower bound
-	II       int // achieved II (valid when Success)
-	Mapping  *Mapping
+	MII      int             // max(ResMII, RecMII) lower bound
+	II       int             // achieved II (valid when Success)
+	Mapping  *verify.Mapping // ModelRouted placement and routes (nil unless Success)
 	Attempts []AttemptStats
-}
-
-// QoM returns the paper's Quality of Mapping metric MII/II (1.0 is
-// optimal); 0 when the mapping failed.
-func (r *Result) QoM() float64 {
-	if !r.Success || r.II == 0 {
-		return 0
-	}
-	return float64(r.MII) / float64(r.II)
 }
 
 // Map runs Algorithm 2: for each II from MII upward, build the MRRG,
@@ -152,7 +135,7 @@ func MapCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options) (*Res
 	// still reported against the global MII, like the paper.
 	startII := mii
 	if opts.AllowedClusters != nil {
-		if c := clusterMII(d, a, opts.AllowedClusters); c > startII {
+		if c := a.ClusterMII(d, opts.AllowedClusters); c > startII {
 			startII = c
 		}
 	}
@@ -181,7 +164,7 @@ func MapCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options) (*Res
 			if st != nil && st.badness() == 0 {
 				m := st.extractMapping()
 				_, vspan := obs.StartSpan(ctx, "spr.validate")
-				err := Validate(d, a, m, opts.AllowedClusters)
+				err := verify.Check(d, a, m, opts.AllowedClusters)
 				vspan.End()
 				if err != nil {
 					return nil, fmt.Errorf("spr: internal error, invalid mapping at II=%d: %w", ii, err)
@@ -281,76 +264,6 @@ func attemptII(ctx context.Context, d *dfg.Graph, a *arch.CGRA, ii, restart int,
 	}
 	att.FinalOveruse = st.badness()
 	return att, st, nil
-}
-
-// clusterMII returns the tightest per-cluster resource lower bound on
-// II implied by a cluster restriction: every node pinned to a single
-// cluster needs an FU slot there (memory ops a memory-capable one).
-// Nodes allowed several clusters are charged to none (conservative).
-func clusterMII(d *dfg.Graph, a *arch.CGRA, allowed [][]int) int {
-	load := make([]int, a.NumClusters())
-	memLoad := make([]int, a.NumClusters())
-	for v, cids := range allowed {
-		if len(cids) != 1 {
-			continue
-		}
-		load[cids[0]]++
-		if d.Nodes[v].Op.IsMem() {
-			memLoad[cids[0]]++
-		}
-	}
-	bound := 1
-	for cid := 0; cid < a.NumClusters(); cid++ {
-		pes := len(a.PEsInCluster(cid))
-		mems := 0
-		for _, pe := range a.PEsInCluster(cid) {
-			if a.PEs[pe].MemCapable {
-				mems++
-			}
-		}
-		if pes > 0 {
-			if b := (load[cid] + pes - 1) / pes; b > bound {
-				bound = b
-			}
-		}
-		if mems > 0 {
-			if b := (memLoad[cid] + mems - 1) / mems; b > bound {
-				bound = b
-			}
-		} else if memLoad[cid] > 0 {
-			// No memory PE in the allowed cluster: unmappable here; the
-			// caller's relaxation path deals with it.
-			return 1 << 20
-		}
-	}
-	return bound
-}
-
-// Validate checks that a mapping is structurally and temporally valid:
-// one op per FU slot, memory ops on memory PEs, cluster restrictions
-// respected, every route a real MRRG path with the exact elapsed time
-// the schedule demands, and no resource used beyond its capacity.
-//
-// It is a thin wrapper over the mapper-independent legality oracle
-// (internal/verify), so the specification of what "valid" means lives
-// in one place shared with UltraFast* and the differential harness.
-func Validate(d *dfg.Graph, a *arch.CGRA, m *Mapping, allowedClusters [][]int) error {
-	return verify.Check(d, a, m.Verifiable(), allowedClusters)
-}
-
-// Verifiable converts the mapping into the oracle's mapper-independent
-// form (nil stays nil, which the oracle rejects).
-func (m *Mapping) Verifiable() *verify.Mapping {
-	if m == nil {
-		return nil
-	}
-	return &verify.Mapping{
-		Model:   verify.ModelRouted,
-		II:      m.II,
-		PlacePE: m.PlacePE,
-		PlaceT:  m.PlaceT,
-		Routes:  m.Routes,
-	}
 }
 
 func maxInt(a, b int) int {

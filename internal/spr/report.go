@@ -7,6 +7,7 @@ import (
 	"panorama/internal/arch"
 	"panorama/internal/dfg"
 	"panorama/internal/mrrg"
+	"panorama/internal/verify"
 )
 
 // Report summarises the physical quality of a mapping: how far values
@@ -27,10 +28,14 @@ type Report struct {
 	RegUtil  float64
 }
 
-// Analyze computes a Report for a valid mapping.
-func Analyze(d *dfg.Graph, a *arch.CGRA, m *Mapping) (*Report, error) {
-	if err := Validate(d, a, m, nil); err != nil {
+// Analyze computes a Report for a valid routed mapping, whichever
+// mapper produced it.
+func Analyze(d *dfg.Graph, a *arch.CGRA, m *verify.Mapping) (*Report, error) {
+	if err := verify.Check(d, a, m, nil); err != nil {
 		return nil, fmt.Errorf("spr: analyze: %w", err)
+	}
+	if m.Model != verify.ModelRouted {
+		return nil, fmt.Errorf("spr: analyze: a %s-model mapping has no routes to measure", m.Model)
 	}
 	g, err := mrrg.New(a, m.II)
 	if err != nil {
@@ -54,7 +59,7 @@ func Analyze(d *dfg.Graph, a *arch.CGRA, m *Mapping) (*Report, error) {
 			}
 			switch g.Kinds[to] {
 			case mrrg.KindLink:
-				fromPE, toPE := linkEndsOfNode(g, to)
+				fromPE, toPE := g.LinkEnds(g.LinkOf(int(to)))
 				if fromPE != toPE {
 					hops++
 				} else if adv {
@@ -96,16 +101,6 @@ func Analyze(d *dfg.Graph, a *arch.CGRA, m *Mapping) (*Report, error) {
 		r.RegUtil = float64(len(usedReg)) / float64(regs)
 	}
 	return r, nil
-}
-
-// linkEndsOfNode recovers the endpoints of a KindLink node.
-func linkEndsOfNode(g *mrrg.Graph, node int32) (int, int) {
-	for li := 0; li < g.NumLinks(); li++ {
-		if g.LinkNode(li, int(g.TimeOf[node])) == int(node) {
-			return g.LinkEnds(li)
-		}
-	}
-	return -1, -1
 }
 
 // String renders the report for CLI output.

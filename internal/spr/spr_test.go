@@ -5,6 +5,7 @@ import (
 
 	"panorama/internal/arch"
 	"panorama/internal/dfg"
+	"panorama/internal/verify"
 )
 
 // chainDFG builds a linear chain of n adds.
@@ -63,7 +64,7 @@ func mapOrFail(t *testing.T, d *dfg.Graph, a *arch.CGRA, opts Options) *Result {
 	}
 	// Map validates internally before returning success; re-validate to
 	// guard against extractMapping bugs.
-	if err := Validate(d, a, res.Mapping, opts.AllowedClusters); err != nil {
+	if err := verify.Check(d, a, res.Mapping, opts.AllowedClusters); err != nil {
 		t.Fatalf("invalid mapping: %v", err)
 	}
 	return res
@@ -90,8 +91,8 @@ func TestMapDiamondWithRecurrence(t *testing.T) {
 
 func TestMapFanout(t *testing.T) {
 	res := mapOrFail(t, fanoutDFG(6), arch.Preset4x4(), Options{Seed: 3})
-	if res.QoM() <= 0 || res.QoM() > 1 {
-		t.Fatalf("QoM = %v out of range", res.QoM())
+	if q := arch.QoM(res.MII, res.II); q <= 0 || q > 1 {
+		t.Fatalf("QoM = %v out of range", q)
 	}
 }
 
@@ -190,13 +191,6 @@ func TestUnmappableReportsFailure(t *testing.T) {
 	}
 }
 
-func TestQoMZeroOnFailure(t *testing.T) {
-	r := &Result{Success: false}
-	if r.QoM() != 0 {
-		t.Fatal("QoM of failed result must be 0")
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	d := diamondDFG()
 	a := arch.Preset4x4()
@@ -206,20 +200,20 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	bad := *res.Mapping
 	bad.PlacePE = append([]int(nil), res.Mapping.PlacePE...)
 	bad.PlacePE[0] = (bad.PlacePE[0] + 5) % a.NumPEs()
-	if err := Validate(d, a, &bad, nil); err == nil {
-		t.Fatal("Validate accepted corrupted placement")
+	if err := verify.Check(d, a, &bad, nil); err == nil {
+		t.Fatal("verify.Check accepted corrupted placement")
 	}
 
 	// Corrupt a route: drop its last hop.
 	bad2 := *res.Mapping
 	bad2.Routes = append([][]int32(nil), res.Mapping.Routes...)
 	bad2.Routes[0] = bad2.Routes[0][:len(bad2.Routes[0])-1]
-	if err := Validate(d, a, &bad2, nil); err == nil {
-		t.Fatal("Validate accepted truncated route")
+	if err := verify.Check(d, a, &bad2, nil); err == nil {
+		t.Fatal("verify.Check accepted truncated route")
 	}
 
-	if err := Validate(d, a, nil, nil); err == nil {
-		t.Fatal("Validate accepted nil mapping")
+	if err := verify.Check(d, a, nil, nil); err == nil {
+		t.Fatal("verify.Check accepted nil mapping")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"panorama/internal/arch"
 	"panorama/internal/dfg"
 	"panorama/internal/mrrg"
+	"panorama/internal/verify"
 )
 
 // cancelled reports whether the attempt's context has fired; inner
@@ -99,9 +100,7 @@ type state struct {
 	opsOnPE  []int
 	candPEs  [][]int // per DFG node: candidate PEs
 
-	inIdx  [][]int // DFG node -> incoming edge indices
-	outIdx [][]int // DFG node -> outgoing edge indices
-	alap   []int   // DFG node -> as-late-as-possible level
+	alap []int // DFG node -> as-late-as-possible level
 
 	signals      []*signal
 	sigOf        []int // DFG node -> signal index (-1 when it has no consumers)
@@ -280,7 +279,7 @@ func (st *state) placementOrder() []int {
 // empty.
 func (st *state) timeWindow(v int) (est, lst int, ok bool) {
 	est, lst = 0, 1<<30
-	for _, ei := range st.edgesIn(v) {
+	for _, ei := range st.d.InEdges(v) {
 		e := st.d.Edges[ei]
 		p := e.From
 		if st.placeT[p] < 0 || p == v {
@@ -294,7 +293,7 @@ func (st *state) timeWindow(v int) (est, lst int, ok bool) {
 			lst = ub
 		}
 	}
-	for _, ei := range st.edgesOut(v) {
+	for _, ei := range st.d.OutEdges(v) {
 		e := st.d.Edges[ei]
 		w := e.To
 		if st.placeT[w] < 0 || w == v {
@@ -314,32 +313,6 @@ func (st *state) timeWindow(v int) (est, lst int, ok bool) {
 		est = 0
 	}
 	return est, lst, est <= lst
-}
-
-// edgesIn / edgesOut enumerate edge indices incident to v (all
-// distances). Computed lazily once.
-func (st *state) edgesIn(v int) []int {
-	if st.inIdx == nil {
-		st.buildEdgeIndex()
-	}
-	return st.inIdx[v]
-}
-
-func (st *state) edgesOut(v int) []int {
-	if st.outIdx == nil {
-		st.buildEdgeIndex()
-	}
-	return st.outIdx[v]
-}
-
-func (st *state) buildEdgeIndex() {
-	n := st.d.NumNodes()
-	st.inIdx = make([][]int, n)
-	st.outIdx = make([][]int, n)
-	for i, e := range st.d.Edges {
-		st.outIdx[e.From] = append(st.outIdx[e.From], i)
-		st.inIdx[e.To] = append(st.inIdx[e.To], i)
-	}
 }
 
 // initialPlacement assigns every node a (PE, cycle) with the least-cost
@@ -464,7 +437,7 @@ func (st *state) placementCost(v, pe, t int) (float64, bool) {
 	if st.a.PEs[pe].MemCapable && !st.d.Nodes[v].Op.IsMem() {
 		cost += 1.2
 	}
-	for _, ei := range st.edgesIn(v) {
+	for _, ei := range st.d.InEdges(v) {
 		e := st.d.Edges[ei]
 		p := e.From
 		if st.placeT[p] < 0 || p == v {
@@ -478,7 +451,7 @@ func (st *state) placementCost(v, pe, t int) (float64, bool) {
 		}
 		cost += float64(d) + 0.3*float64(delta-minD)
 	}
-	for _, ei := range st.edgesOut(v) {
+	for _, ei := range st.d.OutEdges(v) {
 		e := st.d.Edges[ei]
 		w := e.To
 		if st.placeT[w] < 0 || w == v {
@@ -493,7 +466,7 @@ func (st *state) placementCost(v, pe, t int) (float64, bool) {
 		cost += float64(d) + 0.3*float64(delta-minD)
 	}
 	// Self-recurrence (v -> v with dist>0): delta depends only on t.
-	for _, ei := range st.edgesOut(v) {
+	for _, ei := range st.d.OutEdges(v) {
 		e := st.d.Edges[ei]
 		if e.To != v {
 			continue
@@ -530,7 +503,7 @@ func (st *state) unplace(v int) {
 // producesValue reports whether v writes a result into its PE's result
 // register (i.e. it has at least one consumer).
 func (st *state) producesValue(v int) bool {
-	return len(st.edgesOut(v)) > 0
+	return len(st.d.OutEdges(v)) > 0
 }
 
 // buildSignals groups DFG edges by their producing node and computes
@@ -543,7 +516,7 @@ func (st *state) buildSignals() {
 	}
 	st.signals = nil
 	for v := 0; v < n; v++ {
-		outs := st.edgesOut(v)
+		outs := st.d.OutEdges(v)
 		if len(outs) == 0 {
 			continue
 		}
@@ -576,8 +549,9 @@ func (st *state) refreshDeltas() {
 }
 
 // extractMapping snapshots the current placement and routes.
-func (st *state) extractMapping() *Mapping {
-	m := &Mapping{
+func (st *state) extractMapping() *verify.Mapping {
+	m := &verify.Mapping{
+		Model:   verify.ModelRouted,
 		II:      st.ii,
 		PlacePE: append([]int(nil), st.placePE...),
 		PlaceT:  append([]int(nil), st.placeT...),

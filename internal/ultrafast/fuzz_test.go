@@ -33,7 +33,7 @@ func FuzzMapUltraFast(f *testing.F) {
 		if res.MII > res.II {
 			t.Fatalf("MII %d > II %d", res.MII, res.II)
 		}
-		if err := difftest.VerifyCrossbar(g, a, res.Mapping, nil, 0); err != nil {
+		if err := difftest.Verify(g, a, res.Mapping, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

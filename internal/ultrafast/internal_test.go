@@ -5,6 +5,7 @@ import (
 
 	"panorama/internal/arch"
 	"panorama/internal/dfg"
+	"panorama/internal/verify"
 )
 
 func TestClaimPathWalksManhattan(t *testing.T) {
@@ -51,19 +52,19 @@ func TestValidateRejectsBadTimings(t *testing.T) {
 	g.AddEdge(x, y)
 	g.MustFreeze()
 	a := arch.Preset4x4()
-	m := &Mapping{II: 1, PlacePE: []int{0, 1}, PlaceT: []int{1, 0}} // consumer before producer
-	if err := Validate(g, a, m, nil); err == nil {
+	m := &verify.Mapping{Model: verify.ModelCrossbar, II: 1, PlacePE: []int{0, 1}, PlaceT: []int{1, 0}} // consumer before producer
+	if err := verify.Check(g, a, m, nil); err == nil {
 		t.Fatal("accepted time travel")
 	}
-	m2 := &Mapping{II: 1, PlacePE: []int{0, 1}, PlaceT: []int{0, 1}}
-	if err := Validate(g, a, m2, nil); err != nil {
+	m2 := &verify.Mapping{Model: verify.ModelCrossbar, II: 1, PlacePE: []int{0, 1}, PlaceT: []int{0, 1}}
+	if err := verify.Check(g, a, m2, nil); err != nil {
 		t.Fatalf("rejected valid mapping: %v", err)
 	}
-	m3 := &Mapping{II: 1, PlacePE: []int{0, 0}, PlaceT: []int{0, 2}} // same FU slot (mod 1)
-	if err := Validate(g, a, m3, nil); err == nil {
+	m3 := &verify.Mapping{Model: verify.ModelCrossbar, II: 1, PlacePE: []int{0, 0}, PlaceT: []int{0, 2}} // same FU slot (mod 1)
+	if err := verify.Check(g, a, m3, nil); err == nil {
 		t.Fatal("accepted FU slot collision")
 	}
-	if err := Validate(g, a, nil, nil); err == nil {
+	if err := verify.Check(g, a, nil, nil); err == nil {
 		t.Fatal("accepted nil mapping")
 	}
 }

@@ -44,29 +44,16 @@ type Options struct {
 // UltraFast's greedy placement needs more headroom than SPR*.
 const DefaultIISlack = 40
 
-// Mapping is the 2-D placement result (no explicit routes: the
-// single-cycle multi-hop assumption reduces routing to the bandwidth
-// accounting checked during placement).
-type Mapping struct {
-	II      int
-	PlacePE []int
-	PlaceT  []int
-}
-
 // Result is the outcome of Map.
 type Result struct {
 	Success bool
 	MII     int
 	II      int
-	Mapping *Mapping
-}
-
-// QoM returns MII/II (0 when failed).
-func (r *Result) QoM() float64 {
-	if !r.Success || r.II == 0 {
-		return 0
-	}
-	return float64(r.MII) / float64(r.II)
+	// Mapping is the 2-D placement (nil unless Success), stamped
+	// ModelCrossbar with the capacity it was placed under. It carries no
+	// routes: the single-cycle multi-hop assumption reduces routing to
+	// the bandwidth accounting checked during placement.
+	Mapping *verify.Mapping
 }
 
 // Map greedily modulo-schedules the DFG, escalating II until the
@@ -86,7 +73,7 @@ func MapCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options) (*Res
 			len(opts.AllowedClusters), d.NumNodes())
 	}
 	if opts.CrossbarCap <= 0 {
-		opts.CrossbarCap = 4
+		opts.CrossbarCap = verify.DefaultCrossbarCap
 	}
 	mii := a.MII(d)
 	maxII := opts.MaxII
@@ -110,7 +97,7 @@ func MapCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options) (*Res
 			// Self-check against the shared legality oracle, exactly as
 			// SPR* does: a mapper bug must surface here, not in a caller.
 			_, vspan := obs.StartSpan(ctx, "ultrafast.validate")
-			err := ValidateCap(d, a, m, opts.AllowedClusters, opts.CrossbarCap)
+			err := verify.Check(d, a, m, opts.AllowedClusters)
 			vspan.End()
 			if err != nil {
 				return nil, fmt.Errorf("ultrafast: internal error, invalid mapping at II=%d: %w", ii, err)
@@ -135,14 +122,12 @@ type ufState struct {
 	fuBusy  []bool // (pe*ii + slot)
 	xbarUse []int  // (pe*ii + slot) forwarding slots spent
 	cands   [][]int
-	inIdx   [][]int
-	outIdx  [][]int
 }
 
 // attempt runs one greedy first-fit pass at a fixed II. It also
 // reports how many nodes were placed before success or failure, the
 // mapper's effort unit.
-func attempt(d *dfg.Graph, a *arch.CGRA, ii int, opts *Options) (*Mapping, int, bool) {
+func attempt(d *dfg.Graph, a *arch.CGRA, ii int, opts *Options) (*verify.Mapping, int, bool) {
 	st := &ufState{d: d, a: a, ii: ii, opts: opts}
 	n := d.NumNodes()
 	st.placePE = make([]int, n)
@@ -154,7 +139,6 @@ func attempt(d *dfg.Graph, a *arch.CGRA, ii int, opts *Options) (*Mapping, int, 
 	st.fuBusy = make([]bool, a.NumPEs()*ii)
 	st.xbarUse = make([]int, a.NumPEs()*ii)
 	st.buildCands()
-	st.buildEdgeIndex()
 
 	placed := 0
 	for _, v := range d.TopoOrder() {
@@ -163,7 +147,8 @@ func attempt(d *dfg.Graph, a *arch.CGRA, ii int, opts *Options) (*Mapping, int, 
 		}
 		placed++
 	}
-	return &Mapping{II: ii, PlacePE: append([]int(nil), st.placePE...), PlaceT: append([]int(nil), st.placeT...)}, placed, true
+	return &verify.Mapping{Model: verify.ModelCrossbar, II: ii, PlacePE: st.placePE, PlaceT: st.placeT,
+		CrossbarCap: opts.CrossbarCap}, placed, true
 }
 
 func (st *ufState) buildCands() {
@@ -193,23 +178,13 @@ func (st *ufState) buildCands() {
 	}
 }
 
-func (st *ufState) buildEdgeIndex() {
-	n := st.d.NumNodes()
-	st.inIdx = make([][]int, n)
-	st.outIdx = make([][]int, n)
-	for i, e := range st.d.Edges {
-		st.outIdx[e.From] = append(st.outIdx[e.From], i)
-		st.inIdx[e.To] = append(st.inIdx[e.To], i)
-	}
-}
-
 // placeGreedy schedules v at the earliest cycle with the first PE (in
 // index order) whose FU slot is free and whose operand transfers fit
 // the crossbar budget.
 func (st *ufState) placeGreedy(v int) bool {
 	est := 0
 	ubound := 1 << 30
-	for _, ei := range st.inIdx[v] {
+	for _, ei := range st.d.InEdges(v) {
 		e := st.d.Edges[ei]
 		p := e.From
 		if st.placeT[p] < 0 {
@@ -219,7 +194,7 @@ func (st *ufState) placeGreedy(v int) bool {
 			est = t
 		}
 	}
-	for _, ei := range st.outIdx[v] {
+	for _, ei := range st.d.OutEdges(v) {
 		e := st.d.Edges[ei]
 		w := e.To
 		if w == v {
@@ -278,7 +253,7 @@ func (st *ufState) tryClaimTransfers(v, pe, t int) bool {
 		}
 	}
 	// Operands arriving at v.
-	for _, ei := range st.inIdx[v] {
+	for _, ei := range st.d.InEdges(v) {
 		e := st.d.Edges[ei]
 		p := e.From
 		if st.placeT[p] < 0 || p == v {
@@ -290,7 +265,7 @@ func (st *ufState) tryClaimTransfers(v, pe, t int) bool {
 		}
 	}
 	// Values v must deliver to already-placed consumers (back edges).
-	for _, ei := range st.outIdx[v] {
+	for _, ei := range st.d.OutEdges(v) {
 		e := st.d.Edges[ei]
 		w := e.To
 		if st.placeT[w] < 0 || w == v {
@@ -335,36 +310,4 @@ func (st *ufState) claimPath(src, dst, slot int, claim func(pe, slot int) bool) 
 		}
 	}
 	return true
-}
-
-// Validate checks a mapping against the model's constraints —
-// placement legality, FU-slot exclusivity, dependence timing, and
-// per-cycle crossbar forwarding bandwidth — at the default crossbar
-// capacity. It is a thin wrapper over the mapper-independent legality
-// oracle (internal/verify), so the specification lives in one place
-// shared with SPR* and the differential harness.
-func Validate(d *dfg.Graph, a *arch.CGRA, m *Mapping, allowedClusters [][]int) error {
-	return ValidateCap(d, a, m, allowedClusters, 0)
-}
-
-// ValidateCap is Validate with an explicit per-PE per-cycle crossbar
-// forwarding capacity (0 means verify.DefaultCrossbarCap).
-func ValidateCap(d *dfg.Graph, a *arch.CGRA, m *Mapping, allowedClusters [][]int, crossbarCap int) error {
-	return verify.Check(d, a, m.Verifiable(crossbarCap), allowedClusters)
-}
-
-// Verifiable converts the mapping into the oracle's mapper-independent
-// form (nil stays nil, which the oracle rejects). crossbarCap 0 means
-// the model default.
-func (m *Mapping) Verifiable(crossbarCap int) *verify.Mapping {
-	if m == nil {
-		return nil
-	}
-	return &verify.Mapping{
-		Model:       verify.ModelCrossbar,
-		II:          m.II,
-		PlacePE:     m.PlacePE,
-		PlaceT:      m.PlaceT,
-		CrossbarCap: crossbarCap,
-	}
 }

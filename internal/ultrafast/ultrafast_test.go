@@ -6,6 +6,7 @@ import (
 	"panorama/internal/arch"
 	"panorama/internal/dfg"
 	"panorama/internal/kernels"
+	"panorama/internal/verify"
 )
 
 func chainDFG(n int) *dfg.Graph {
@@ -30,7 +31,7 @@ func TestMapChain(t *testing.T) {
 	if !res.Success {
 		t.Fatal("failed to map a 10-node chain")
 	}
-	if err := Validate(d, a, res.Mapping, nil); err != nil {
+	if err := verify.Check(d, a, res.Mapping, nil); err != nil {
 		t.Fatalf("invalid mapping: %v", err)
 	}
 }
@@ -42,11 +43,8 @@ func TestQoMRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q := res.QoM(); q <= 0 || q > 1 {
+	if q := arch.QoM(res.MII, res.II); q <= 0 || q > 1 {
 		t.Fatalf("QoM = %v", q)
-	}
-	if (&Result{}).QoM() != 0 {
-		t.Fatal("failed result must have QoM 0")
 	}
 }
 
@@ -63,7 +61,7 @@ func TestMemRestriction(t *testing.T) {
 	if err != nil || !res.Success {
 		t.Fatalf("map failed: %v %v", err, res)
 	}
-	if err := Validate(g, a, res.Mapping, nil); err != nil {
+	if err := verify.Check(g, a, res.Mapping, nil); err != nil {
 		t.Fatal(err)
 	}
 	for v, nd := range g.Nodes {
@@ -89,7 +87,7 @@ func TestClusterRestriction(t *testing.T) {
 			t.Fatalf("node %d escaped cluster restriction", v)
 		}
 	}
-	if err := Validate(d, a, res.Mapping, allowed); err != nil {
+	if err := verify.Check(d, a, res.Mapping, allowed); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,7 +110,7 @@ func TestBackEdgeTiming(t *testing.T) {
 	if err != nil || !res.Success {
 		t.Fatalf("map failed: %v", err)
 	}
-	if err := Validate(g, a, res.Mapping, nil); err != nil {
+	if err := verify.Check(g, a, res.Mapping, nil); err != nil {
 		t.Fatal(err)
 	}
 	if res.MII < 2 {
@@ -139,7 +137,7 @@ func TestGreedyPackingInflatesII(t *testing.T) {
 	if res.II <= res.MII {
 		t.Fatalf("II=%d MII=%d: expected greedy placement to lose quality", res.II, res.MII)
 	}
-	if err := Validate(d, a, res.Mapping, nil); err != nil {
+	if err := verify.Check(d, a, res.Mapping, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,11 +1,14 @@
 // Package verify is the mapper-independent legality oracle: one
 // specification of what makes a CGRA mapping valid, shared by every
-// mapper in the repository and by the differential test harness.
+// mapper in the repository and by the differential test harness — and
+// the repository's one mapping type. Every mapper builds and returns a
+// *Mapping directly, and the simulator, the configuration generator
+// and the renderers take it as is.
 //
-// The two lower-level mappers model the hardware differently, so the
+// The lower-level mappers model the hardware differently, so the
 // oracle checks two models behind one entry point:
 //
-//   - ModelRouted (SPR*): the mapping carries explicit MRRG routes.
+//   - ModelRouted (SPR*, SAT*): the mapping carries explicit MRRG routes.
 //     Every route must be a real path through the modulo routing
 //     resource graph whose elapsed cycles equal exactly what the
 //     modulo schedule demands, and no routing resource may carry more
@@ -26,6 +29,6 @@
 // it shares no code with the mappers' internal bookkeeping — so a
 // mapper bug and an oracle bug must coincide for an illegal mapping to
 // slip through. internal/difftest hammers this agreement with random
-// DFGs, and the mappers' own Validate functions are thin wrappers over
+// DFGs, and every mapper self-checks each mapping it emits by calling
 // Check, so the legality specification lives in exactly one place.
 package verify

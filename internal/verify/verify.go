@@ -37,8 +37,9 @@ func (m Model) String() string {
 // mesh output ports of a HyCUBE PE).
 const DefaultCrossbarCap = 4
 
-// Mapping is the mapper-independent form of a complete mapping. SPR*
-// and UltraFast* results both convert losslessly into it.
+// Mapping is a complete mapping of a DFG at one II: the one form every
+// mapper returns and everything downstream (Check, sim, config, viz)
+// consumes.
 type Mapping struct {
 	Model   Model
 	II      int
@@ -49,8 +50,9 @@ type Mapping struct {
 	// consumer FU). ModelRouted only.
 	Routes [][]int32
 
-	// CrossbarCap is the per-PE per-cycle forwarding capacity.
-	// ModelCrossbar only; 0 means DefaultCrossbarCap.
+	// CrossbarCap is the per-PE per-cycle forwarding capacity the
+	// mapping was placed under. ModelCrossbar only; 0 means
+	// DefaultCrossbarCap.
 	CrossbarCap int
 }
 

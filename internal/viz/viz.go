@@ -12,7 +12,7 @@ import (
 	"panorama/internal/arch"
 	"panorama/internal/clustermap"
 	"panorama/internal/dfg"
-	"panorama/internal/spr"
+	"panorama/internal/verify"
 )
 
 // ClusterGrid renders a cluster mapping as an R x C grid, one cell per
@@ -59,10 +59,14 @@ func nodeLabel(v int) string {
 	return fmt.Sprintf("%c%d", letter, v/26)
 }
 
-// TimeExtended renders a lower-level mapping as one grid per modulo
-// time slot, each cell holding the DFG node executed on that PE in that
-// slot (or "." when idle) — the paper's Figure 3 view.
-func TimeExtended(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping) string {
+// TimeExtended renders a routed mapping as one grid per modulo time
+// slot, each cell holding the DFG node executed on that PE in that slot
+// (or "." when idle) — the paper's Figure 3 view of the MRRG model, so
+// a crossbar-model mapping is refused like everywhere downstream.
+func TimeExtended(d *dfg.Graph, a *arch.CGRA, m *verify.Mapping) (string, error) {
+	if m.Model != verify.ModelRouted {
+		return "", fmt.Errorf("viz: a %s-model mapping has no routed schedule to draw", m.Model)
+	}
 	var b strings.Builder
 	width := 1
 	for id := range d.Nodes {
@@ -96,7 +100,7 @@ func TimeExtended(d *dfg.Graph, a *arch.CGRA, m *spr.Mapping) string {
 		}
 		b.WriteString("\n")
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // PartitionSummary lists each DFG cluster with its size and the ops it

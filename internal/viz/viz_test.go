@@ -61,7 +61,10 @@ func TestTimeExtendedShowsAllNodes(t *testing.T) {
 	if err != nil || !res.Success {
 		t.Fatalf("map failed: %v", err)
 	}
-	out := TimeExtended(g, a, res.Mapping)
+	out, err := TimeExtended(g, a, res.Mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(out, "t=0") {
 		t.Fatalf("missing slot header:\n%s", out)
 	}
