@@ -4,19 +4,20 @@ GO ?= go
 # nightly CI job raises it (see .github/workflows/ci.yml).
 FUZZTIME ?= 10s
 
-.PHONY: check layering build test vet race bench bench-check bench-snapshot check-fault check-service check-journal check-diff check-obs check-overhead check-sat check-load check-cluster docs fuzz
+.PHONY: check layering build test vet race bench bench-check bench-snapshot check-fault check-service check-journal check-diff check-obs check-overhead check-bits check-sat check-load check-cluster docs fuzz
 
 # The repository's verification gate: formatting + godoc contract, vet,
 # build everything, then the full test suite with the race detector
-# (the parallel pipeline and harness paths all run under it), plus the
-# observability overhead guards, which must run without it. Every
+# (the parallel pipeline and harness paths all run under it), plus,
+# without it, the observability overhead guards (they compare wall
+# times) and the full-scale eigensolver oracle (minutes under it). Every
 # `-race` line of the check-* targets below is a subset of `race` —
 # the fault-injection matrix, the service-layer contracts, the
 # crash-safety suite, the SAT mapper + portfolio contracts, the
 # load/soak SLO suite and the fleet/cluster contracts all run there,
 # once — so the targets stay as named slices for local use instead of
 # running again here.
-check: docs layering vet build race check-overhead
+check: docs layering vet build race check-overhead check-bits
 
 # The layering guard: everything downstream of a mapping (simulator,
 # configuration generator, renderer) and the oracle that judges it must
@@ -36,7 +37,8 @@ docs:
 	$(GO) run ./cmd/doccheck ./internal/core ./internal/dfg ./internal/verify \
 		./internal/service ./internal/failure ./internal/obs ./internal/journal \
 		./internal/sat ./internal/satmap ./internal/loadtest ./internal/cluster \
-		./internal/arch ./internal/spr ./internal/ultrafast ./internal/sim ./internal/config ./internal/mrrg
+		./internal/arch ./internal/spr ./internal/ultrafast ./internal/sim ./internal/config ./internal/mrrg \
+		./internal/ilp ./internal/kmeans ./internal/linalg ./internal/spectral ./internal/clustermap ./internal/pool
 
 # The observability contracts: span-tree well-formedness under 16
 # concurrent requests, /metricsz exposition-format validity and the
@@ -49,6 +51,12 @@ check-obs: check-overhead
 # without the race detector — the one check `race` does not subsume.
 check-overhead:
 	$(GO) test -run 'TestNoopOverhead|TestTraceOverheadBounded|TestStageSpansSumToWallTime' ./internal/core/
+
+# The eigensolver's bit-for-bit oracle on the benchmark's full-scale
+# Laplacians (n = 448..480): a quarter of a minute as built here, over
+# four under the race detector, where the test stops at quick scale.
+check-bits:
+	$(GO) test -run 'TestSymmetricEigenMatchesReferenceBitForBit' ./internal/linalg/
 
 # The property-based differential harness: both lower-level mappers and
 # the full pipeline over the seeded random-DFG corpus, every successful

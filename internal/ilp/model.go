@@ -6,6 +6,14 @@
 // the linear constraints and an optimistic objective bound. The CDG
 // instances Panorama produces are small (tens of variables with tiny
 // domains), for which this is exact and fast.
+//
+// Propagation is event-driven: per-variable watch lists name the
+// constraints that read each bound, a node queues only the readers of
+// the bound its branch moved, and examining a constraint queues the
+// readers of what it tightens. The propagators are monotone, so every
+// node ends at the fixpoint (or wipe-out) a sweep of all constraints
+// would reach and the search tree is that sweep's; the sweep survives
+// as the oracle of the package's tests, which hold Result.Nodes equal.
 package ilp
 
 import "fmt"

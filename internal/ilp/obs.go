@@ -17,13 +17,15 @@ var (
 
 	mNodes = obs.NewCounter("panorama_ilp_nodes_total",
 		"Branch-and-bound nodes explored across all ILP solves (the solver's analogue of simplex pivots).")
+	mPropagations = obs.NewCounter("panorama_ilp_propagations_total",
+		"Constraints examined by bound propagation across all ILP solves (the work below a node; cf. panorama_sat_propagations_total).")
 	mIncumbents = obs.NewCounter("panorama_ilp_incumbent_solves_total",
 		"ILP solves that produced at least one feasible incumbent.")
 )
 
 // record publishes one solve's effort to the process metrics and, when
 // the context carries a span, accumulates it there (rows = constraint
-// count, cols = variable count, nodes, incumbents, per-status counts).
+// count, cols = variable count, nodes, propagations, incumbents, per-status counts).
 func record(ctx context.Context, m *Model, res *Result) {
 	switch res.Status {
 	case Optimal:
@@ -34,6 +36,7 @@ func record(ctx context.Context, m *Model, res *Result) {
 		mSolveLimit.Inc()
 	}
 	mNodes.Add(int64(res.Nodes))
+	mPropagations.Add(int64(res.Propagations))
 	if res.Feasible {
 		mIncumbents.Inc()
 	}
@@ -43,6 +46,7 @@ func record(ctx context.Context, m *Model, res *Result) {
 	}
 	sp.Add("ilp.solves", 1)
 	sp.Add("ilp.nodes", int64(res.Nodes))
+	sp.Add("ilp.propagations", int64(res.Propagations))
 	sp.Add("ilp.vars", int64(len(m.vars)))
 	sp.Add("ilp.constraints", int64(len(m.cons)))
 	if res.Feasible {

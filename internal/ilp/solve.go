@@ -24,6 +24,8 @@ const (
 	Limit
 )
 
+// String returns the status in lower case: "optimal", "infeasible" or
+// "limit", the label values of panorama_ilp_solves_total.
 func (s Status) String() string {
 	switch s {
 	case Optimal:
@@ -47,11 +49,12 @@ type Options struct {
 
 // Result is the outcome of a solve.
 type Result struct {
-	Status    Status
-	Feasible  bool  // an incumbent assignment exists
-	Objective int   // objective of the incumbent (valid when Feasible)
-	Assign    []int // variable values of the incumbent (valid when Feasible)
-	Nodes     int   // nodes explored
+	Status       Status
+	Feasible     bool  // an incumbent assignment exists
+	Objective    int   // objective of the incumbent (valid when Feasible)
+	Assign       []int // variable values of the incumbent (valid when Feasible)
+	Nodes        int   // nodes explored
+	Propagations int   // constraints examined by bound propagation, the work below a node
 }
 
 // Value returns the incumbent value of v.
@@ -66,6 +69,14 @@ type solver struct {
 	feasible bool
 	nodes    int
 	maxNodes int
+
+	// watchLo[v] lists the constraints whose minimum reads lo[v] (v has a
+	// positive coefficient there), watchHi[v] those reading hi[v]; queue
+	// is the FIFO of constraints to examine, queued flags its members.
+	watchLo, watchHi [][]int32
+	queue            []int32
+	queued           []bool
+	props            int // constraints examined
 
 	ctx      context.Context
 	deadline time.Time
@@ -117,10 +128,11 @@ func (m *Model) SolveCtx(ctx context.Context, opts Options) *Result {
 	for i, v := range m.vars {
 		s.lo[i], s.hi[i] = v.lo, v.hi
 	}
+	s.watch()
 	s.checkBudgets() // a pre-expired budget must not start the search
-	s.dfs()
+	s.dfs(-1)
 
-	res := &Result{Nodes: s.nodes}
+	res := &Result{Nodes: s.nodes, Propagations: s.props}
 	if s.feasible {
 		res.Feasible = true
 		res.Objective = s.best + m.objC
@@ -149,8 +161,37 @@ func (s *solver) checkBudgets() {
 	}
 }
 
-// dfs explores the current node: propagate, bound, branch.
-func (s *solver) dfs() {
+// watch builds the per-variable watch lists, once per solve.
+func (s *solver) watch() {
+	s.watchLo = make([][]int32, len(s.lo))
+	s.watchHi = make([][]int32, len(s.lo))
+	s.queued = make([]bool, len(s.m.cons))
+	for ci, c := range s.m.cons {
+		for _, t := range c.terms {
+			if t.Coef > 0 {
+				s.watchLo[t.Var] = append(s.watchLo[t.Var], int32(ci))
+			} else if t.Coef < 0 {
+				s.watchHi[t.Var] = append(s.watchHi[t.Var], int32(ci))
+			}
+		}
+	}
+}
+
+// enqueue marks the constraints cs for re-examination.
+func (s *solver) enqueue(cs []int32) {
+	for _, ci := range cs {
+		if !s.queued[ci] {
+			s.queued[ci] = true
+			s.queue = append(s.queue, ci)
+		}
+	}
+}
+
+// dfs explores the current node: propagate, bound, branch. branched is
+// the variable the parent just fixed (-1 at the root, which examines
+// every constraint): the parent left all constraints at their fixpoint,
+// so only the readers of a bound the fixing moved have anything to say.
+func (s *solver) dfs(branched int) {
 	if s.stopped || s.nodes >= s.maxNodes {
 		return
 	}
@@ -158,6 +199,20 @@ func (s *solver) dfs() {
 	if s.nodes%deadlineCheckInterval == 0 {
 		if s.checkBudgets(); s.stopped {
 			return
+		}
+	}
+	if branched < 0 {
+		for ci := range s.m.cons {
+			s.queue, s.queued[ci] = append(s.queue, int32(ci)), true
+		}
+	} else {
+		n := len(s.lo)
+		was := s.trail[len(s.trail)-2*n:] // the parent's lo, then its hi
+		if s.lo[branched] > was[branched] {
+			s.enqueue(s.watchLo[branched])
+		}
+		if s.hi[branched] < was[n+branched] {
+			s.enqueue(s.watchHi[branched])
 		}
 	}
 	if !s.propagate() {
@@ -187,7 +242,7 @@ func (s *solver) dfs() {
 	s.trail = append(append(s.trail, s.lo...), s.hi...)
 	for _, val := range s.valueOrder(branch) {
 		s.lo[branch], s.hi[branch] = val, val
-		s.dfs() // may grow s.trail, so the saved bounds are re-sliced, not held
+		s.dfs(branch) // may grow s.trail, so the saved bounds are re-sliced, not held
 		copy(s.lo, s.trail[base:base+n])
 		copy(s.hi, s.trail[base+n:base+2*n])
 		if s.stopped || s.nodes >= s.maxNodes {
@@ -197,50 +252,64 @@ func (s *solver) dfs() {
 	s.trail = s.trail[:base]
 }
 
-// propagate enforces bound consistency over all constraints until a
-// fixpoint (bounded passes); returns false on wipeout.
+// propagate examines queued constraints, and those they disturb, until
+// the queue is empty; it returns false on a wipe-out. minSum is
+// recomputed at every examination, so backtracking restores lo and hi
+// and nothing else. Monotone propagators make the fixpoint, and whether
+// a wipe-out precedes it, independent of examination order. No pass cap
+// is needed: each tightening moves an integer bound of a finite domain
+// by at least one, so the queue drains.
 func (s *solver) propagate() bool {
-	for pass := 0; pass < 16; pass++ {
-		changed := false
-		for ci := range s.m.cons {
-			c := &s.m.cons[ci]
-			minSum := 0
-			for _, t := range c.terms {
-				minSum += minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
-			}
-			if minSum > c.rhs {
-				return false
-			}
-			for _, t := range c.terms {
-				if t.Coef == 0 {
-					continue
-				}
-				own := minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
-				residual := c.rhs - (minSum - own)
-				// t.Coef * x <= residual
-				if t.Coef > 0 {
-					ub := floorDiv(residual, t.Coef)
-					if ub < s.hi[t.Var] {
-						s.hi[t.Var] = ub
-						if s.lo[t.Var] > ub {
-							return false
-						}
-						changed = true
-					}
-				} else {
-					lb := ceilDiv(residual, t.Coef)
-					if lb > s.lo[t.Var] {
-						s.lo[t.Var] = lb
-						if lb > s.hi[t.Var] {
-							return false
-						}
-						changed = true
-					}
-				}
-			}
+	ok := true
+	for head := 0; ok && head < len(s.queue); head++ {
+		ci := s.queue[head]
+		s.queued[ci] = false
+		s.props++
+		ok = s.examine(&s.m.cons[ci])
+	}
+	if !ok {
+		clear(s.queued) // the constraints still waiting are abandoned with the node
+	}
+	s.queue = s.queue[:0]
+	return ok
+}
+
+// examine tightens the bounds of c's variables against its right-hand
+// side and queues the constraints reading a bound it moved; it returns
+// false when c cannot hold or a domain empties.
+func (s *solver) examine(c *constraint) bool {
+	minSum := 0
+	for _, t := range c.terms {
+		minSum += minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
+	}
+	if minSum > c.rhs {
+		return false
+	}
+	for _, t := range c.terms {
+		if t.Coef == 0 {
+			continue
 		}
-		if !changed {
-			return true
+		own := minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
+		residual := c.rhs - (minSum - own)
+		// t.Coef * x <= residual
+		if t.Coef > 0 {
+			ub := floorDiv(residual, t.Coef)
+			if ub < s.hi[t.Var] {
+				s.hi[t.Var] = ub
+				if s.lo[t.Var] > ub {
+					return false
+				}
+				s.enqueue(s.watchHi[t.Var])
+			}
+		} else {
+			lb := ceilDiv(residual, t.Coef)
+			if lb > s.lo[t.Var] {
+				s.lo[t.Var] = lb
+				if lb > s.hi[t.Var] {
+					return false
+				}
+				s.enqueue(s.watchLo[t.Var])
+			}
 		}
 	}
 	return true

@@ -58,7 +58,7 @@ func Cluster(points [][]float64, k int, opts Options) (*Result, error) {
 	var best *Result
 	for r := 0; r < opts.Restarts; r++ {
 		rng := rand.New(rand.NewSource(opts.Seed + int64(r)*7919))
-		res := run(points, k, opts.MaxIter, rng)
+		res := lloyd(points, seedPlusPlus(points, k, rng), opts.MaxIter, rng)
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
 		}
@@ -66,8 +66,9 @@ func Cluster(points [][]float64, k int, opts Options) (*Result, error) {
 	return best, nil
 }
 
-func run(points [][]float64, k, maxIter int, rng *rand.Rand) *Result {
-	centers := seedPlusPlus(points, k, rng)
+// lloyd iterates assignment and centroid update from the given centers
+// (which it owns) until no point changes cluster.
+func lloyd(points, centers [][]float64, maxIter int, rng *rand.Rand) *Result {
 	n := len(points)
 	assign := make([]int, n)
 	for i := range assign {
@@ -98,7 +99,10 @@ func run(points [][]float64, k, maxIter int, rng *rand.Rand) *Result {
 
 // seedPlusPlus picks k initial centers with the k-means++ scheme:
 // first uniformly, the rest proportionally to squared distance from the
-// nearest chosen center.
+// nearest chosen center. d2 keeps that running minimum, so each round
+// measures the points against the newest center only; a minimum does
+// not depend on the order it is taken in, so the picks are the ones a
+// recomputation over all chosen centers would make.
 func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 	n := len(points)
 	centers := make([][]float64, 0, k)
@@ -107,13 +111,10 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 
 	d2 := make([]float64, n)
 	for len(centers) < k {
-		total := 0.0
+		newest, total := centers[len(centers)-1], 0.0
 		for i, p := range points {
-			d2[i] = sqDist(p, centers[0])
-			for _, c := range centers[1:] {
-				if d := sqDist(p, c); d < d2[i] {
-					d2[i] = d
-				}
+			if d := sqDist(p, newest); len(centers) == 1 || d < d2[i] {
+				d2[i] = d
 			}
 			total += d2[i]
 		}

@@ -30,7 +30,7 @@ func SymmetricEigen(m *Matrix) (*EigenResult, error) {
 	}
 	n := m.Rows
 	a := m.Clone()
-	v := Identity(n)
+	vt := Identity(n) // the accumulated rotations, transposed: eigenvector i is row i
 
 	const maxSweeps = 64
 	tol := 1e-11 * (1 + offDiagNorm(a))
@@ -52,7 +52,7 @@ func SymmetricEigen(m *Matrix) (*EigenResult, error) {
 				t := sign(theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
 				c := 1 / math.Sqrt(t*t+1)
 				s := t * c
-				rotate(a, v, p, q, c, s)
+				rotate(a, vt, p, q, c, s)
 			}
 		}
 	}
@@ -72,34 +72,39 @@ func SymmetricEigen(m *Matrix) (*EigenResult, error) {
 	sort.Slice(order, func(i, j int) bool { return diag[order[i]] < diag[order[j]] })
 	for rank, idx := range order {
 		res.Values[rank] = diag[idx]
-		for r := 0; r < n; r++ {
-			res.Vectors.Set(r, rank, v.At(r, idx))
+		for r, x := range vt.Data[idx*n : (idx+1)*n] {
+			res.Vectors.Set(r, rank, x)
 		}
 	}
 	return res, nil
 }
 
 // rotate applies the Jacobi rotation G(p,q,theta) to a (two-sided) and
-// accumulates it into v (one-sided).
-func rotate(a, v *Matrix, p, q int, c, s float64) {
+// accumulates it into vt (one-sided, on the transpose, so both updated
+// vectors are rows). Entries are computed by the expressions, and in
+// the order, of the textbook At/Set loops; only the addressing differs.
+// Later rotations read the last bits of these entries and degenerate
+// eigenspaces amplify them into other eigenvectors, so nothing here may
+// be fused, reordered or halved by symmetry.
+func rotate(a, vt *Matrix, p, q int, c, s float64) {
 	n := a.Rows
-	for i := 0; i < n; i++ {
-		aip := a.At(i, p)
-		aiq := a.At(i, q)
-		a.Set(i, p, c*aip-s*aiq)
-		a.Set(i, q, s*aip+c*aiq)
+	d := a.Data
+	for ip, iq := p, q; ip < len(d); ip, iq = ip+n, iq+n {
+		aip, aiq := d[ip], d[iq]
+		d[ip] = c*aip - s*aiq
+		d[iq] = s*aip + c*aiq
 	}
-	for j := 0; j < n; j++ {
-		apj := a.At(p, j)
-		aqj := a.At(q, j)
-		a.Set(p, j, c*apj-s*aqj)
-		a.Set(q, j, s*apj+c*aqj)
-	}
-	for i := 0; i < n; i++ {
-		vip := v.At(i, p)
-		viq := v.At(i, q)
-		v.Set(i, p, c*vip-s*viq)
-		v.Set(i, q, s*vip+c*viq)
+	rotateRows(d[p*n:(p+1)*n], d[q*n:(q+1)*n], c, s)
+	rotateRows(vt.Data[p*n:(p+1)*n], vt.Data[q*n:(q+1)*n], c, s)
+}
+
+// rotateRows replaces (x, y) by (c*x - s*y, s*x + c*y) elementwise.
+func rotateRows(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for j, xj := range x {
+		yj := y[j]
+		x[j] = c*xj - s*yj
+		y[j] = s*xj + c*yj
 	}
 }
 
