@@ -4,19 +4,20 @@ GO ?= go
 # nightly CI job raises it (see .github/workflows/ci.yml).
 FUZZTIME ?= 10s
 
-.PHONY: check layering build test vet race bench bench-check bench-snapshot check-fault check-service check-journal check-diff check-obs check-overhead check-bits check-sat check-load check-cluster docs fuzz
+.PHONY: check layering build test vet race check-fault check-service check-journal check-diff check-obs check-overhead check-bits check-sat check-load check-cluster docs fuzz
 
 # The repository's verification gate: formatting + godoc contract, vet,
 # build everything, then the full test suite with the race detector
-# (the parallel pipeline and harness paths all run under it), plus,
-# without it, the observability overhead guards (they compare wall
-# times) and the full-scale eigensolver oracle (minutes under it). Every
-# `-race` line of the check-* targets below is a subset of `race` —
-# the fault-injection matrix, the service-layer contracts, the
-# crash-safety suite, the SAT mapper + portfolio contracts, the
-# load/soak SLO suite and the fleet/cluster contracts all run there,
-# once — so the targets stay as named slices for local use instead of
-# running again here.
+# (the parallel pipeline and harness paths all run under it, and so
+# does the mapping identity gate, TestIdentityGolden in
+# internal/bench), plus, without it, the observability overhead guards
+# (they compare wall times) and the full-scale eigensolver oracle
+# (minutes under it). Every `-race` line of the check-* targets below
+# is a subset of `race` — the fault-injection matrix, the service-layer
+# contracts, the crash-safety suite, the SAT mapper + portfolio
+# contracts, the load/soak SLO suite and the fleet/cluster contracts
+# all run there, once — so the targets stay as named slices for local
+# use instead of running again here.
 check: docs layering vet build race check-overhead check-bits
 
 # The layering guard: everything downstream of a mapping (simulator,
@@ -146,20 +147,3 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-bench:
-	$(GO) test -bench=. -benchmem
-
-# One point of the committed performance trajectory: map the twelve
-# paper kernels with cmd/benchmap and diff against the committed
-# baseline with cmd/benchdiff. The machine-independent gates (effort
-# counters within 5%, byte-identical mappings) always run; the wall
-# gate stays off because the baseline was recorded on another machine.
-bench-check:
-	$(GO) run ./cmd/benchmap -out BENCH_ci.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -new BENCH_ci.json
-
-# Re-record the committed baseline (run on an idle machine, then
-# commit BENCH_baseline.json together with the change that moved it).
-bench-snapshot:
-	$(GO) run ./cmd/benchmap -out BENCH_baseline.json

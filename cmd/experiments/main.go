@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"panorama/internal/bench"
@@ -25,16 +24,15 @@ import (
 
 func main() {
 	var (
-		full      = flag.Bool("full", false, "paper-scale configuration (16x16, full kernels; slow)")
-		table     = flag.String("table", "", "regenerate one table: 1a, 1b or race (portfolio mapper race)")
-		figure    = flag.String("figure", "", "regenerate one figure: 5, 7, 8 or 9")
-		ablation  = flag.Bool("ablations", false, "run the ablation suite")
-		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("j", 0, "worker pool size for the harness (0 = one per CPU, 1 = serial)")
-		timeout   = flag.Duration("timeout", 0, "wall-clock budget per configuration, e.g. 2m (0 = unbounded); a run that exceeds it keeps its table row, marked (timeout)")
-		cacheDir  = flag.String("cache-dir", "", "persistent result cache shared with panorama/panoramad; configurations repeated across figures or invocations map once")
-		traceOut  = flag.String("trace-out", "", "write the whole harness's span tree as JSON to this file (one subtree per section)")
-		effortOut = flag.String("effort-out", "", "also write the per-section effort appendices to this file (CI artifact)")
+		full     = flag.Bool("full", false, "paper-scale configuration (16x16, full kernels; slow)")
+		table    = flag.String("table", "", "regenerate one table: 1a, 1b or race (portfolio mapper race)")
+		figure   = flag.String("figure", "", "regenerate one figure: 5, 7, 8 or 9")
+		ablation = flag.Bool("ablations", false, "run the ablation suite")
+		seed     = flag.Int64("seed", 1, "random seed")
+		workers  = flag.Int("j", 0, "worker pool size for the harness (0 = one per CPU, 1 = serial)")
+		timeout  = flag.Duration("timeout", 0, "wall-clock budget per configuration, e.g. 2m (0 = unbounded); a run that exceeds it keeps its table row, marked (timeout)")
+		cacheDir = flag.String("cache-dir", "", "persistent result cache shared with panorama/panoramad; configurations repeated across figures or invocations map once")
+		traceOut = flag.String("trace-out", "", "write the whole harness's span tree as JSON to this file (one subtree per section)")
 	)
 	flag.Parse()
 
@@ -65,14 +63,6 @@ func main() {
 		tr = obs.NewTrace("experiments")
 		defer writeTrace(tr, *traceOut)
 	}
-	var effortLog strings.Builder
-	if *effortOut != "" {
-		defer func() {
-			if err := os.WriteFile(*effortOut, []byte(effortLog.String()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: effort-out: %v\n", err)
-			}
-		}()
-	}
 
 	section := func(name string, f func() error) {
 		fmt.Printf("==== %s (%s config) ====\n", name, cfg.Name)
@@ -89,10 +79,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		if appendix := bench.RenderEffort(before, bench.EffortSnapshot()); appendix != "" {
-			fmt.Print(appendix)
-			fmt.Fprintf(&effortLog, "==== %s (%s config) ====\n%s\n", name, cfg.Name, appendix)
-		}
+		fmt.Print(bench.RenderEffort(before, bench.EffortSnapshot()))
 		fmt.Printf("[%s took %v]\n\n", name, time.Since(t0).Round(time.Millisecond))
 	}
 

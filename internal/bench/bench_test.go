@@ -258,6 +258,23 @@ func TestAblationMatchingCut(t *testing.T) {
 	}
 }
 
+func TestAblationTop3(t *testing.T) {
+	rows, err := AblationTop3(tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	// The candidate is chosen by cluster-map cost, not by the QoM it
+	// leads to, so the two columns are not ordered; both must map.
+	for _, r := range rows {
+		if r.WithValue <= 0 || r.WithValue > 1 || r.AblatedValue <= 0 || r.AblatedValue > 1 {
+			t.Errorf("%s: QoM top-3 %.3f, top-1 %.3f, want both in (0,1]", r.Kernel, r.WithValue, r.AblatedValue)
+		}
+	}
+}
+
 func TestSmallDFGRespectsLimit(t *testing.T) {
 	cfg := Quick()
 	g, err := cfg.buildKernel("conv2d")

@@ -1,6 +1,6 @@
 // Package bench is the experiment harness that regenerates every table
-// and figure of the paper's evaluation section. It is shared by the
-// cmd/experiments binary and the repository's bench_test.go.
+// and figure of the paper's evaluation section for the cmd/experiments
+// binary.
 //
 // Two standard configurations exist: Quick (default) maps kernels
 // scaled to ~25% onto the 8x8 preset so the whole suite runs in

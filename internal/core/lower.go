@@ -35,11 +35,11 @@ func (s SATLower) Map(ctx context.Context, d *dfg.Graph, a *arch.CGRA, allowed [
 	return lowered(res.Success, res.MII, res.II, res.Mapping), nil
 }
 
-// LowerSpec describes a lower-level mapper in the registry: its wire
+// LowerSpec describes a lower-level mapper in the table: its wire
 // name, the next rung of the service's degradation ladder, and a
 // factory binding the deterministic seed.
 type LowerSpec struct {
-	// Name is the mapper's registry key ("spr", "ultrafast", "sat",
+	// Name is the mapper's key ("spr", "ultrafast", "sat",
 	// "portfolio"); the service also accepts it with a "pan-" prefix
 	// for the guided pipeline.
 	Name string
@@ -51,48 +51,43 @@ type LowerSpec struct {
 	New func(seed int64) Lower
 }
 
-var (
-	lowerMu    sync.RWMutex
-	lowerOrder []string
-	lowerSpecs = map[string]LowerSpec{}
-)
-
-// RegisterLower adds a mapper to the registry. It panics on a
-// duplicate or malformed spec (registration happens at init time, so
-// a bad spec is a programming error).
-func RegisterLower(spec LowerSpec) {
-	if spec.Name == "" || spec.New == nil {
-		panic("core: RegisterLower needs a name and a factory")
-	}
-	lowerMu.Lock()
-	defer lowerMu.Unlock()
-	if _, dup := lowerSpecs[spec.Name]; dup {
-		panic("core: duplicate lower mapper " + spec.Name)
-	}
-	lowerSpecs[spec.Name] = spec
-	lowerOrder = append(lowerOrder, spec.Name)
+// lowerSpecs is the mapper table, in ladder order: portfolio → spr →
+// ultrafast, with sat degrading into spr (a SAT budget failure usually
+// means the instance wants a heuristic, not a bigger budget).
+var lowerSpecs = []LowerSpec{
+	{Name: "spr", Degrade: "ultrafast", New: func(seed int64) Lower {
+		return SPRLower{Options: spr.Options{Seed: seed}}
+	}},
+	{Name: "ultrafast", Degrade: "", New: func(int64) Lower {
+		return UltraFastLower{Options: ultrafast.Options{}}
+	}},
+	{Name: "sat", Degrade: "spr", New: func(seed int64) Lower {
+		return SATLower{Options: satmap.Options{Seed: seed}}
+	}},
+	{Name: "portfolio", Degrade: "spr", New: NewPortfolioLower},
 }
 
-// LowerNames returns the registered mapper names in registration
-// order (the builtins first, in ladder order).
+// LowerNames returns the mapper names in table order.
 func LowerNames() []string {
-	lowerMu.RLock()
-	defer lowerMu.RUnlock()
-	out := make([]string, len(lowerOrder))
-	copy(out, lowerOrder)
+	out := make([]string, len(lowerSpecs))
+	for i, spec := range lowerSpecs {
+		out[i] = spec.Name
+	}
 	return out
 }
 
-// LowerSpecOf looks up a registered mapper by name.
+// LowerSpecOf looks up a mapper by name.
 func LowerSpecOf(name string) (LowerSpec, bool) {
-	lowerMu.RLock()
-	defer lowerMu.RUnlock()
-	spec, ok := lowerSpecs[name]
-	return spec, ok
+	for _, spec := range lowerSpecs {
+		if spec.Name == name {
+			return spec, true
+		}
+	}
+	return LowerSpec{}, false
 }
 
-// NewLowerByName constructs a registered mapper; the error lists the
-// valid names for caller-facing diagnostics.
+// NewLowerByName constructs a mapper from the table; the error lists
+// the valid names for caller-facing diagnostics.
 func NewLowerByName(name string, seed int64) (Lower, error) {
 	spec, ok := LowerSpecOf(name)
 	if !ok {
@@ -104,27 +99,8 @@ func NewLowerByName(name string, seed int64) (Lower, error) {
 // DegradeOf returns the next rung of the degradation ladder below
 // name, or "" when there is none (unknown names included).
 func DegradeOf(name string) string {
-	spec, ok := LowerSpecOf(name)
-	if !ok {
-		return ""
-	}
+	spec, _ := LowerSpecOf(name)
 	return spec.Degrade
-}
-
-func init() {
-	// The builtin ladder: portfolio → spr → ultrafast, with sat
-	// degrading into spr (a SAT budget failure usually means the
-	// instance wants a heuristic, not a bigger budget).
-	RegisterLower(LowerSpec{Name: "spr", Degrade: "ultrafast", New: func(seed int64) Lower {
-		return SPRLower{Options: spr.Options{Seed: seed}}
-	}})
-	RegisterLower(LowerSpec{Name: "ultrafast", Degrade: "", New: func(int64) Lower {
-		return UltraFastLower{Options: ultrafast.Options{}}
-	}})
-	RegisterLower(LowerSpec{Name: "sat", Degrade: "spr", New: func(seed int64) Lower {
-		return SATLower{Options: satmap.Options{Seed: seed}}
-	}})
-	RegisterLower(LowerSpec{Name: "portfolio", Degrade: "spr", New: NewPortfolioLower})
 }
 
 // Portfolio racing metrics; see OBSERVABILITY.md.

@@ -10,7 +10,7 @@ import (
 )
 
 // ReportSchemaVersion is bumped whenever the load-report format
-// changes incompatibly (mirrors the BENCH_*.json convention).
+// changes incompatibly.
 const ReportSchemaVersion = 1
 
 // ClassReport is the latency digest for one operation class
@@ -25,11 +25,10 @@ type ClassReport struct {
 	Hist   HistSnapshot `json:"hist"`
 }
 
-// Report is the load run's JSON snapshot: environment provenance in
-// the BENCH_*.json style, throughput, per-class latency digests and
-// the error taxonomy. Reports from concurrent generator processes
-// merge exactly (histogram addition), with the percentiles recomputed
-// from the merged buckets.
+// Report is the load run's JSON snapshot: environment provenance,
+// throughput, per-class latency digests and the error taxonomy.
+// Reports from concurrent generator processes merge exactly (histogram
+// addition), with the percentiles recomputed from the merged buckets.
 type Report struct {
 	SchemaVersion int    `json:"schemaVersion"`
 	CreatedAt     string `json:"createdAt"`
