@@ -11,8 +11,12 @@ FUZZTIME ?= 10s
 # (the parallel pipeline and harness paths all run under it, and so
 # does the mapping identity gate, TestIdentityGolden in
 # internal/bench), plus, without it, the observability overhead guards
-# (they compare wall times) and the full-scale eigensolver oracle
-# (minutes under it). Every `-race` line of the check-* targets below
+# (they compare wall times), the allocation-count guards (the detector's
+# instrumentation allocates: TestResolveAllocs in internal/service,
+# TestTransferProbeDoesNotAllocate and
+# TestMapAllocationsDoNotScaleWithAttempts in internal/ultrafast — all
+# three also run in plain `go test ./...`) and the full-scale
+# eigensolver oracle (minutes under it). Every `-race` line of the check-* targets below
 # is a subset of `race` — the fault-injection matrix, the service-layer
 # contracts, the crash-safety suite, the SAT mapper + portfolio
 # contracts, the load/soak SLO suite and the fleet/cluster contracts
@@ -48,10 +52,12 @@ docs:
 check-obs: check-overhead
 	$(GO) test -race ./internal/obs/ ./internal/obs/obstest/
 
-# The no-op and tracing overhead guards compare wall times, so they run
-# without the race detector — the one check `race` does not subsume.
+# The no-op and tracing overhead guards compare wall times and the
+# allocation guards count mallocs, so they run without the race
+# detector — the checks `race` does not subsume.
 check-overhead:
 	$(GO) test -run 'TestNoopOverhead|TestTraceOverheadBounded|TestStageSpansSumToWallTime' ./internal/core/
+	$(GO) test -run 'TestResolveAllocs|TestTransferProbeDoesNotAllocate|TestMapAllocationsDoNotScaleWithAttempts' ./internal/service/ ./internal/ultrafast/
 
 # The eigensolver's bit-for-bit oracle on the benchmark's full-scale
 # Laplacians (n = 448..480): a quarter of a minute as built here, over
@@ -102,8 +108,11 @@ check-fault:
 
 # The service contracts: exactly-once coalescing under racing clients,
 # deterministic admission control, graceful-shutdown drain, typed
-# failure→status-code mapping, cache persistence, and the end-to-end
-# cache-hit latency bound — all under the race detector.
+# failure→status-code mapping, cache persistence, the end-to-end
+# cache-hit latency bound, and the shared-inputs contract
+# (TestConcurrentJobsShareInputs: twenty concurrent jobs on every mapper
+# family over one graph and one CGRA, each compared with an unshared
+# run) — all under the race detector.
 check-service:
 	$(GO) test -race ./internal/service/ ./internal/dfg/
 	$(GO) test -race -run 'TestMapSummaryUsesCache|TestCompareCachedMatchesFresh' ./internal/bench/

@@ -44,7 +44,11 @@ type Config struct {
 }
 
 // CGRA is an instantiated architecture. Construct with New or a preset;
-// the struct is immutable after construction.
+// the struct is immutable after construction and safe for concurrent
+// use — the service hands one *CGRA per preset to every job. Nothing may
+// write to PEs, Links or a slice an accessor returned (Neighbors,
+// PEsInCluster, MemPEs): a caller that sorts or extends one copies it
+// first.
 type CGRA struct {
 	Config
 	PEs   []PE

@@ -100,12 +100,19 @@ type Edge struct {
 // accessors (Succs, TopoOrder, ...) build internal caches on first use;
 // mutating the graph afterwards invalidates them, so callers should
 // finish construction before analysis (Freeze makes this explicit).
+//
+// A frozen graph is immutable and safe for concurrent use: the service
+// hands one *Graph to every job that names the same kernel and scale,
+// and the mappers read it from several goroutines at once. Nothing may
+// write to Nodes, Edges or a slice an accessor returned after Freeze —
+// a caller that needs to reorder or extend one copies it first.
 type Graph struct {
 	Name  string `json:"name"`
 	Nodes []Node `json:"nodes"`
 	Edges []Edge `json:"edges"`
 
 	frozen bool
+	fp     string  // Fingerprint(), computed by Freeze
 	succs  [][]int // successor node ids over all edges
 	preds  [][]int // predecessor node ids over all edges
 	outIdx [][]int // outgoing edge indices over all edges, ascending
@@ -142,8 +149,10 @@ func (g *Graph) NumNodes() int { return len(g.Nodes) }
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
-// Freeze validates the graph and builds the analysis caches. It is
-// idempotent; analysis accessors call it implicitly.
+// Freeze validates the graph, builds the analysis caches and computes
+// the fingerprint. It is idempotent; analysis accessors call it
+// implicitly. Freeze itself is not safe for concurrent use: freeze a
+// graph before sharing it.
 func (g *Graph) Freeze() error {
 	if g.frozen {
 		return nil
@@ -162,6 +171,7 @@ func (g *Graph) Freeze() error {
 		g.outIdx[e.From] = append(g.outIdx[e.From], i)
 		g.inIdx[e.To] = append(g.inIdx[e.To], i)
 	}
+	g.fp = g.fingerprint()
 	g.frozen = true
 	return nil
 }

@@ -22,7 +22,18 @@ import (
 // The fingerprint survives the JSON codec: encode → decode yields an
 // identical fingerprint (nodes and edges round-trip positionally, and
 // edge order does not matter anyway).
+//
+// Freeze computes it once and a frozen graph returns that value, so
+// fingerprinting a shared graph per request, per retry-ladder step or
+// per batch item costs nothing; an unfrozen graph is hashed on the call.
 func (g *Graph) Fingerprint() string {
+	if g.frozen {
+		return g.fp
+	}
+	return g.fingerprint()
+}
+
+func (g *Graph) fingerprint() string {
 	h := sha256.New()
 	var buf [8]byte
 	writeInt := func(v int) {

@@ -98,3 +98,27 @@ func TestFingerprintFrozenInvariant(t *testing.T) {
 		t.Fatalf("Freeze changed the fingerprint: %s -> %s", want, got)
 	}
 }
+
+// Freeze memoises the fingerprint: the frozen graph returns the value
+// the unfrozen one computed, and returns it without hashing again (the
+// service reads it per request, per retry-ladder step and per batch
+// item off graphs it shares between jobs).
+func TestFingerprintMemoisedByFreeze(t *testing.T) {
+	g := fpTestGraph()
+	want := g.Fingerprint()
+	if g.fp != "" {
+		t.Fatal("an unfrozen graph memoised its fingerprint; it may still be mutated")
+	}
+	g.AddNode(OpAdd, "late")
+	if g.Fingerprint() == want {
+		t.Fatal("fingerprint did not follow a mutation before Freeze")
+	}
+	g = fpTestGraph()
+	g.MustFreeze()
+	if got := g.Fingerprint(); got != want {
+		t.Fatalf("frozen fingerprint %s, unfrozen %s", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = g.Fingerprint() }); n != 0 {
+		t.Fatalf("Fingerprint on a frozen graph allocates %.0f times; it should return the memo", n)
+	}
+}

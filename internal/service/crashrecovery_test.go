@@ -312,6 +312,7 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 	jdir := filepath.Join(base, "journal")
 	cdir := filepath.Join(base, "cache")
 	release := make(chan struct{})
+	started := make(chan struct{}, 3) // one send per job: never blocks a worker
 	srv1, err := New(Options{
 		Workers:       1,
 		QueueSize:     4,
@@ -320,6 +321,7 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 		CacheDir:      cdir,
 		RetryBase:     -1,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
+			started <- struct{}{}
 			select {
 			case <-release:
 				return crashSummary(job), nil
@@ -344,7 +346,14 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 		}
 		jobs = append(jobs, outs[0].Job)
 	}
-	waitFor(t, func() bool { return int(srv1.running.Load()) == 1 }, "the first job to start")
+	// The first job must be inside its executor before the drain begins:
+	// a worker that has only dequeued it (running == 1) still checks the
+	// draining flag and would hand it back too.
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first job never started")
+	}
 	close(release)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -11,6 +11,7 @@ import (
 	"panorama/internal/cluster"
 	"panorama/internal/core"
 	"panorama/internal/failure"
+	"panorama/internal/obs"
 )
 
 // StatusClientClosedRequest is the nginx-convention status for a job
@@ -174,14 +175,23 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v an
 }
 
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
+	t0 := time.Now()
+	s.serveMap(w, r).Observe(time.Since(t0).Seconds())
+}
+
+// serveMap answers POST /v1/map and returns the panorama_request_seconds
+// child of how the request was satisfied: from the cache, by attaching
+// to an in-flight job, by a job of its own, or not at all (malformed,
+// misdirected, or refused by admission).
+func (s *Server) serveMap(w http.ResponseWriter, r *http.Request) *obs.Histogram {
 	var req Request
 	if !decodeJSONBody(w, r, s.opts.MaxBodyBytes, &req) {
-		return
+		return s.met.reqRejected
 	}
 	res, err := s.resolve(&req)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": resolveErrorInfo(err)})
-		return
+		return s.met.reqRejected
 	}
 	if from := r.Header.Get(cluster.HeaderForwardedFrom); from != "" {
 		// Single-hop guard: a forwarded request is never forwarded
@@ -192,7 +202,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			s.met.forwardMisdirected.Inc()
 			httpError(w, http.StatusMisdirectedRequest, "misdirected",
 				fmt.Errorf("peer %s forwarded fingerprint %s, but this peer does not own it", from, res.fingerprint))
-			return
+			return s.met.reqRejected
 		}
 		res.origin = from
 		s.met.originJobs.Inc()
@@ -200,7 +210,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	outs, err := s.admit([]*resolved{res})
 	if err != nil {
 		s.writeAdmissionError(w, err)
-		return
+		return s.met.reqRejected
 	}
 	out := outs[0]
 
@@ -213,9 +223,13 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			Cache:       "hit",
 			Result:      &out.Entry.Summary,
 		})
-		return
+		return s.met.reqHit
 	}
 
+	disp := s.met.reqExecuted
+	if out.Coalesced {
+		disp = s.met.reqCoalesced
+	}
 	if res.wait {
 		select {
 		case <-out.Job.Done():
@@ -224,11 +238,12 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			// remains pollable.
 		}
 		s.writeJob(w, out.Job, out.disposition())
-		return
+		return disp
 	}
 	v := out.Job.View()
 	v.Cache = out.disposition()
 	writeJSON(w, http.StatusAccepted, v)
+	return disp
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

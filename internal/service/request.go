@@ -9,7 +9,6 @@ import (
 	"panorama/internal/arch"
 	"panorama/internal/core"
 	"panorama/internal/dfg"
-	"panorama/internal/kernels"
 )
 
 // Request is the POST /v1/map wire format. Exactly one of Kernel or
@@ -73,6 +72,8 @@ func (e *UnknownMapperError) Error() string {
 
 // resolved is a fully-validated request: graph and architecture
 // instantiated, mapper checked, budgets decided, fingerprint computed.
+// graph and arch may be shared with other requests (see inputs) and are
+// read-only.
 type resolved struct {
 	graph       *dfg.Graph
 	arch        *arch.CGRA
@@ -89,7 +90,11 @@ type resolved struct {
 // returned error is a client error (http 400) unless it wraps an
 // internal failure.
 func (s *Server) resolve(req *Request) (*resolved, error) {
-	var g *dfg.Graph
+	var (
+		g   *dfg.Graph
+		a   *arch.CGRA
+		err error
+	)
 	switch {
 	case len(req.DFG) > 0 && req.Kernel != "":
 		return nil, fmt.Errorf("request has both kernel and dfg; pick one")
@@ -98,41 +103,27 @@ func (s *Server) resolve(req *Request) (*resolved, error) {
 		if err := json.Unmarshal(req.DFG, g); err != nil {
 			return nil, fmt.Errorf("parsing dfg: %w", err)
 		}
-	case req.Kernel != "":
-		spec, err := kernels.ByName(req.Kernel)
-		if err != nil {
+		if err := g.Freeze(); err != nil {
 			return nil, err
 		}
-		scale := req.Scale
-		if scale <= 0 {
-			scale = 1.0
+	case req.Kernel != "":
+		if g, err = s.inputs.kernelGraph(req.Kernel, req.Scale); err != nil {
+			return nil, err
 		}
-		g = spec.Build(scale)
 	default:
 		return nil, fmt.Errorf("request needs a kernel name or an inline dfg")
 	}
-	if err := g.Freeze(); err != nil {
-		return nil, err
-	}
 
-	var a *arch.CGRA
 	switch {
 	case len(req.ArchDesc) > 0:
-		var err error
 		a, err = arch.ReadJSON(bytes.NewReader(req.ArchDesc))
-		if err != nil {
-			return nil, err
-		}
+	case req.Arch == "":
+		a, err = s.inputs.preset("8x8")
 	default:
-		name := req.Arch
-		if name == "" {
-			name = "8x8"
-		}
-		var err error
-		a, err = archPreset(name)
-		if err != nil {
-			return nil, err
-		}
+		a, err = s.inputs.preset(req.Arch)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	mapper := req.Mapper
@@ -162,7 +153,8 @@ func (s *Server) resolve(req *Request) (*resolved, error) {
 
 // withMapper clones the resolved request onto a different mapper,
 // recomputing the fingerprint (a different mapper is a different
-// computation).
+// computation; the graph's own fingerprint is memoised, so this is one
+// small hash).
 func (r *resolved) withMapper(m string) *resolved {
 	c := *r
 	c.mapper = m
@@ -186,17 +178,3 @@ func bareMapper(name string) string {
 // guided reports whether name selects the full Panorama pipeline
 // rather than a bare baseline run.
 func guided(name string) bool { return bareMapper(name) != name }
-
-func archPreset(name string) (*arch.CGRA, error) {
-	switch name {
-	case "4x4":
-		return arch.Preset4x4(), nil
-	case "8x8":
-		return arch.Preset8x8(), nil
-	case "9x9":
-		return arch.Preset9x9(), nil
-	case "16x16":
-		return arch.Preset16x16(), nil
-	}
-	return nil, fmt.Errorf("unknown architecture %q (want 4x4, 8x8, 9x9, 16x16)", name)
-}

@@ -295,6 +295,7 @@ func (j *Job) Summary() (core.Summary, bool) {
 type Server struct {
 	opts    Options
 	cache   *Cache
+	inputs  *inputs          // shared presets and kernel graphs
 	reg     *obs.Registry    // this server's metric families (see WriteMetrics)
 	met     *metrics         // the instruments registered on reg
 	journal *journal.Journal // nil without Options.JournalDir
@@ -402,6 +403,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:       opts,
 		cache:      cache,
+		inputs:     newInputs(),
 		journal:    jn,
 		jobs:       make(map[string]*Job),
 		flight:     make(map[string]*Job),
@@ -880,6 +882,17 @@ func (s *Server) unregister(job *Job) {
 // runPipeline is the default RunFunc: the real Panorama stack, mapper
 // selected by name exactly as in the CLIs.
 func (s *Server) runPipeline(ctx context.Context, job *Job) (core.Summary, error) {
+	res, err := s.mapJob(ctx, job)
+	if res == nil {
+		return core.Summary{}, err
+	}
+	return res.Summarize(), err
+}
+
+// mapJob runs the job's current mapper over its (possibly shared,
+// read-only) graph and architecture and returns the full result,
+// mapping included.
+func (s *Server) mapJob(ctx context.Context, job *Job) (*core.Result, error) {
 	tr := job.startTrace(job.currentMapper())
 	ctx = obs.WithSpan(ctx, tr.Root())
 	defer tr.Root().End()
@@ -897,25 +910,18 @@ func (s *Server) runPipeline(ctx context.Context, job *Job) (core.Summary, error
 	name := job.currentMapper()
 	lower, err := core.NewLowerByName(bareMapper(name), job.Seed)
 	if err != nil {
-		return core.Summary{}, err
+		return nil, err
 	}
-	var res *core.Result
 	if guided(name) {
-		res, err = core.MapPanoramaCtx(ctx, req.graph, req.arch, lower, cfg)
-	} else {
-		// Baselines take no Config; apply the total budget here.
-		bctx := ctx
-		if job.Budgets.Total > 0 {
-			var cancel context.CancelFunc
-			bctx, cancel = context.WithTimeout(ctx, job.Budgets.Total)
-			defer cancel()
-		}
-		res, err = core.MapBaselineCtx(bctx, req.graph, req.arch, lower)
+		return core.MapPanoramaCtx(ctx, req.graph, req.arch, lower, cfg)
 	}
-	if res == nil {
-		return core.Summary{}, err
+	// Baselines take no Config; apply the total budget here.
+	if job.Budgets.Total > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, job.Budgets.Total)
+		defer cancel()
 	}
-	return res.Summarize(), err
+	return core.MapBaselineCtx(ctx, req.graph, req.arch, lower)
 }
 
 // Shutdown stops accepting work, lets queued and in-flight jobs drain,

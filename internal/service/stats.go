@@ -63,12 +63,24 @@ type metrics struct {
 	webhookFailed  *obs.Counter // events given up after the retry ladder
 	webhookDropped *obs.Counter // events dropped (full queue, bad payload)
 
+	// End-to-end POST /v1/map latency by how the request was satisfied
+	// (a wait=true request includes the wait).
+	reqHit       *obs.Histogram
+	reqCoalesced *obs.Histogram
+	reqExecuted  *obs.Histogram
+	reqRejected  *obs.Histogram
+
 	// Cumulative per-stage wall time of executed jobs, from
 	// Result.Provenance.
 	clustering *obs.SecondsCounter
 	clustermap *obs.SecondsCounter
 	lower      *obs.SecondsCounter
 }
+
+// requestBuckets are the panorama_request_seconds bounds: a cache hit is
+// tens of microseconds, an executed job up to its budget, so the default
+// obs.TimeBuckets (1 ms and up) would put every hit in one bucket.
+var requestBuckets = []float64{.00005, .0001, .00025, .0005, .001, .005, .025, .1, .5, 2.5, 10, 60, 300}
 
 // newMetrics registers every service family on s.reg — the one place a
 // family's name, help string and instrument meet. The gauges sample s
@@ -79,6 +91,7 @@ func newMetrics(s *Server) *metrics {
 	reg := s.reg
 	batchItems := reg.NewCounterVec("panorama_batch_items_total", "Batch items by admission disposition.", "disposition")
 	failed := reg.NewCounterVec("panorama_service_failed_total", "Executions that returned an error, by failure class.", "class")
+	request := reg.NewHistogramVec("panorama_request_seconds", "POST /v1/map latency from decode to response, by disposition (a wait=true request includes the wait).", requestBuckets, "disposition")
 	stage := reg.NewSecondsCounterVec("panorama_service_stage_seconds_total", "Cumulative per-stage wall time of executed jobs.", "stage")
 	m := &metrics{
 		batchItemsCoalesced: batchItems.With("coalesced"),
@@ -93,6 +106,10 @@ func newMetrics(s *Server) *metrics {
 		gossipFilled:        reg.NewCounter("panorama_cluster_gossip_fill_total", "Cache entries pulled from peers by the gossip loop."),
 		forwardMisdirected:  reg.NewCounter("panorama_cluster_misdirected_total", "Forwarded requests this peer rejected with 421 (ring disagreement)."),
 		originJobs:          reg.NewCounter("panorama_cluster_origin_jobs_total", "Jobs accepted on behalf of a forwarding peer."),
+		reqCoalesced:        request.With("coalesced"),
+		reqExecuted:         request.With("executed"),
+		reqHit:              request.With("hit"),
+		reqRejected:         request.With("rejected"),
 		hits:                reg.NewCounter("panorama_service_cache_hits_total", "Submissions served straight from the result cache."),
 		misses:              reg.NewCounter("panorama_service_cache_misses_total", "Submissions that required a computation."),
 		coalesced:           reg.NewCounter("panorama_service_coalesced_total", "Submissions attached to an identical in-flight job."),

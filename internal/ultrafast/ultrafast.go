@@ -81,6 +81,7 @@ func MapCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options) (*Res
 		maxII = mii + DefaultIISlack
 	}
 	res := &Result{MII: mii}
+	st := newState(d, a, &opts)
 	for ii := mii; ii <= maxII; ii++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -88,12 +89,16 @@ func MapCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options) (*Res
 		mAttempts.Inc()
 		_, span := obs.StartSpan(ctx, "ultrafast.attempt")
 		span.Set("ii", ii)
-		m, placed, ok := attempt(d, a, ii, &opts)
+		placed, ok := st.attempt(ii)
 		mPlacements.Add(int64(placed))
 		span.Add("placements", int64(placed))
 		span.Set("ok", ok)
 		span.End()
 		if ok {
+			// st is dropped here, so the mapping takes its placement arrays
+			// and owns them.
+			m := &verify.Mapping{Model: verify.ModelCrossbar, II: ii, PlacePE: st.placePE, PlaceT: st.placeT,
+				CrossbarCap: opts.CrossbarCap}
 			// Self-check against the shared legality oracle, exactly as
 			// SPR* does: a mapper bug must surface here, not in a caller.
 			_, vspan := obs.StartSpan(ctx, "ultrafast.validate")
@@ -111,68 +116,94 @@ func MapCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options) (*Res
 	return res, nil
 }
 
+// ufState is the working set of one MapCtx call. What depends only on
+// the graph, the fabric and the guidance (order, cands) is built once;
+// the per-II arrays are reused across attempts, and the probe's
+// rollback list is scratch, so an II escalation and a (PE, cycle) probe
+// allocate nothing.
 type ufState struct {
 	d    *dfg.Graph
 	a    *arch.CGRA
 	ii   int
 	opts *Options
 
+	order []int   // placement order: topological over Dist==0 edges
+	cands [][]int // legal PEs per node, index order; unguided nodes share one slice
+
 	placePE []int
 	placeT  []int
 	fuBusy  []bool // (pe*ii + slot)
 	xbarUse []int  // (pe*ii + slot) forwarding slots spent
-	cands   [][]int
+
+	claimed []int // xbarUse indices the probe in progress has claimed
 }
 
-// attempt runs one greedy first-fit pass at a fixed II. It also
-// reports how many nodes were placed before success or failure, the
-// mapper's effort unit.
-func attempt(d *dfg.Graph, a *arch.CGRA, ii int, opts *Options) (*verify.Mapping, int, bool) {
-	st := &ufState{d: d, a: a, ii: ii, opts: opts}
+func newState(d *dfg.Graph, a *arch.CGRA, opts *Options) *ufState {
 	n := d.NumNodes()
-	st.placePE = make([]int, n)
-	st.placeT = make([]int, n)
+	st := &ufState{d: d, a: a, opts: opts, order: d.TopoOrder(),
+		placePE: make([]int, n), placeT: make([]int, n)}
+	st.buildCands()
+	return st
+}
+
+// attempt runs one greedy first-fit pass at a fixed II, leaving the
+// placement in placePE/placeT. It also reports how many nodes were
+// placed before success or failure, the mapper's effort unit.
+func (st *ufState) attempt(ii int) (placed int, ok bool) {
+	st.ii = ii
 	for i := range st.placePE {
 		st.placePE[i] = -1
 		st.placeT[i] = -1
 	}
-	st.fuBusy = make([]bool, a.NumPEs()*ii)
-	st.xbarUse = make([]int, a.NumPEs()*ii)
-	st.buildCands()
-
-	placed := 0
-	for _, v := range d.TopoOrder() {
+	st.fuBusy = zeroed(st.fuBusy, st.a.NumPEs()*ii)
+	st.xbarUse = zeroed(st.xbarUse, st.a.NumPEs()*ii)
+	for _, v := range st.order {
 		if !st.placeGreedy(v) {
-			return nil, placed, false
+			return placed, false
 		}
 		placed++
 	}
-	return &verify.Mapping{Model: verify.ModelCrossbar, II: ii, PlacePE: st.placePE, PlaceT: st.placeT,
-		CrossbarCap: opts.CrossbarCap}, placed, true
+	return placed, true
 }
 
+// zeroed returns s resized to n zero elements. The first call sizes it
+// exactly (most runs succeed at their first II); one that outgrows it
+// at least doubles it, so a long escalation reallocates O(log) times.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+cap(s))
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// buildCands lists each node's legal PEs in the order the greedy pass
+// tries them. The lists are read-only: every unguided node points at
+// the same all-PE slice, or at the fabric's own MemPEs.
 func (st *ufState) buildCands() {
 	n := st.d.NumNodes()
 	st.cands = make([][]int, n)
+	all := make([]int, st.a.NumPEs())
+	for pe := range all {
+		all[pe] = pe
+	}
 	for v := 0; v < n; v++ {
-		var pes []int
-		if st.opts.AllowedClusters != nil && st.opts.AllowedClusters[v] != nil {
-			for _, cid := range st.opts.AllowedClusters[v] {
-				pes = append(pes, st.a.PEsInCluster(cid)...)
+		mem := st.d.Nodes[v].Op.IsMem()
+		if st.opts.AllowedClusters == nil || st.opts.AllowedClusters[v] == nil {
+			st.cands[v] = all
+			if mem {
+				st.cands[v] = st.a.MemPEs()
 			}
-		} else {
-			for pe := 0; pe < st.a.NumPEs(); pe++ {
-				pes = append(pes, pe)
-			}
+			continue
 		}
-		if st.d.Nodes[v].Op.IsMem() {
-			var mem []int
-			for _, pe := range pes {
-				if st.a.PEs[pe].MemCapable {
-					mem = append(mem, pe)
+		var pes []int
+		for _, cid := range st.opts.AllowedClusters[v] {
+			for _, pe := range st.a.PEsInCluster(cid) {
+				if !mem || st.a.PEs[pe].MemCapable {
+					pes = append(pes, pe)
 				}
 			}
-			pes = mem
 		}
 		st.cands[v] = pes
 	}
@@ -236,22 +267,7 @@ func (st *ufState) placeGreedy(v int) bool {
 // operand of v arriving at (pe, t) and for back-edge deliveries from v
 // to already-placed consumers. All-or-nothing.
 func (st *ufState) tryClaimTransfers(v, pe, t int) bool {
-	type use struct{ idx int }
-	var claimed []use
-	claim := func(p, slot int) bool {
-		idx := p*st.ii + slot
-		if st.xbarUse[idx] >= st.opts.CrossbarCap {
-			return false
-		}
-		st.xbarUse[idx]++
-		claimed = append(claimed, use{idx})
-		return true
-	}
-	rollback := func() {
-		for _, u := range claimed {
-			st.xbarUse[u.idx]--
-		}
-	}
+	st.claimed = st.claimed[:0]
 	// Operands arriving at v.
 	for _, ei := range st.d.InEdges(v) {
 		e := st.d.Edges[ei]
@@ -259,8 +275,8 @@ func (st *ufState) tryClaimTransfers(v, pe, t int) bool {
 		if st.placeT[p] < 0 || p == v {
 			continue
 		}
-		if !st.claimPath(st.placePE[p], pe, t%st.ii, claim) {
-			rollback()
+		if !st.claimPath(st.placePE[p], pe, t%st.ii) {
+			st.rollback()
 			return false
 		}
 	}
@@ -271,18 +287,38 @@ func (st *ufState) tryClaimTransfers(v, pe, t int) bool {
 		if st.placeT[w] < 0 || w == v {
 			continue
 		}
-		if !st.claimPath(pe, st.placePE[w], st.placeT[w]%st.ii, claim) {
-			rollback()
+		if !st.claimPath(pe, st.placePE[w], st.placeT[w]%st.ii) {
+			st.rollback()
 			return false
 		}
 	}
 	return true
 }
 
+// claim spends one forwarding slot of PE p in the given cycle, noting
+// it on the rollback list; false when p's crossbar is full.
+func (st *ufState) claim(p, slot int) bool {
+	idx := p*st.ii + slot
+	if st.xbarUse[idx] >= st.opts.CrossbarCap {
+		return false
+	}
+	st.xbarUse[idx]++
+	st.claimed = append(st.claimed, idx)
+	return true
+}
+
+// rollback returns every slot the probe in progress claimed.
+func (st *ufState) rollback() {
+	for _, idx := range st.claimed {
+		st.xbarUse[idx]--
+	}
+	st.claimed = st.claimed[:0]
+}
+
 // claimPath spends one forwarding slot in every PE along the H-then-V
 // Manhattan path from src to dst (excluding dst) in the given cycle.
 // Same-PE delivery is free (local register read).
-func (st *ufState) claimPath(src, dst, slot int, claim func(pe, slot int) bool) bool {
+func (st *ufState) claimPath(src, dst, slot int) bool {
 	if src == dst {
 		return true
 	}
@@ -290,7 +326,7 @@ func (st *ufState) claimPath(src, dst, slot int, claim func(pe, slot int) bool) 
 	dr, dc := st.a.PEs[dst].Row, st.a.PEs[dst].Col
 	r, c := sr, sc
 	for c != dc {
-		if !claim(st.a.PEAt(r, c), slot) {
+		if !st.claim(st.a.PEAt(r, c), slot) {
 			return false
 		}
 		if dc > c {
@@ -300,7 +336,7 @@ func (st *ufState) claimPath(src, dst, slot int, claim func(pe, slot int) bool) 
 		}
 	}
 	for r != dr {
-		if !claim(st.a.PEAt(r, c), slot) {
+		if !st.claim(st.a.PEAt(r, c), slot) {
 			return false
 		}
 		if dr > r {
