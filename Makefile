@@ -26,11 +26,15 @@ check: docs layering vet build race check-overhead check-bits
 
 # The layering guard: everything downstream of a mapping (simulator,
 # configuration generator, renderer) and the oracle that judges it must
-# stay independent of the mappers they check and of the pipeline.
+# stay independent of the mappers they check and of the pipeline; and
+# the shared binary framing (internal/wire) stays a stdlib-only leaf
+# every codec can import.
 layering:
 	@bad=$$($(GO) list -deps ./internal/sim ./internal/config ./internal/viz ./internal/verify | \
 		grep -E 'internal/(spr|ultrafast|satmap|core)$$'); \
 	if [ -n "$$bad" ]; then echo "layering: a mapping consumer links" $$bad; exit 1; fi
+	@bad=$$($(GO) list -deps ./internal/wire | grep 'panorama/internal/' | grep -v 'internal/wire$$'); \
+	if [ -n "$$bad" ]; then echo "layering: internal/wire is a stdlib-only leaf but links" $$bad; exit 1; fi
 
 # The documentation contract: everything gofmt-clean, and every
 # exported symbol in the audited packages carries a doc comment
@@ -43,7 +47,8 @@ docs:
 		./internal/service ./internal/failure ./internal/obs ./internal/journal \
 		./internal/sat ./internal/satmap ./internal/loadtest ./internal/cluster \
 		./internal/arch ./internal/spr ./internal/ultrafast ./internal/sim ./internal/config ./internal/mrrg \
-		./internal/ilp ./internal/kmeans ./internal/linalg ./internal/spectral ./internal/clustermap ./internal/pool
+		./internal/ilp ./internal/kmeans ./internal/linalg ./internal/spectral ./internal/clustermap ./internal/pool \
+		./internal/wire
 
 # The observability contracts: span-tree well-formedness under 16
 # concurrent requests, /metricsz exposition-format validity and the
@@ -96,6 +101,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime $(FUZZTIME) ./internal/dfg/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/dfg/
 	$(GO) test -run '^$$' -fuzz FuzzServiceRequest -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzWireDecoders -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal/
 
 # The fault matrix: every failure site (eigensolve, k-means, ILP,

@@ -50,7 +50,7 @@ func run() int {
 		scale      = flag.Float64("scale", 0.25, "kernel scale factor (1.0 = paper size)")
 		archName   = flag.String("arch", "8x8", "target CGRA: 4x4, 8x8, 9x9, 16x16")
 		archFile   = flag.String("arch-file", "", "JSON architecture description (overrides -arch)")
-		mapper     = flag.String("mapper", "pan-spr", "mapper: any registered lowerer (spr, ultrafast, sat, portfolio), bare for a baseline run or pan- prefixed for the guided pipeline")
+		mapper     = flag.String("mapper", "pan-spr", "mapper, one of "+strings.Join(core.MapperNames(), ", ")+": a bare name is a baseline run, pan- the guided pipeline around the same lowerer")
 		seed       = flag.Int64("seed", 1, "random seed")
 		workers    = flag.Int("j", 0, "pipeline worker pool size (0 = one per CPU, 1 = serial); pan mappers only")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the whole mapping, e.g. 30s (0 = unbounded); on expiry the best partial result and the exhausted stage are reported")
@@ -113,11 +113,6 @@ func run() int {
 	fmt.Printf("target %s, MII %d\n\n", a, a.MII(g))
 
 	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 	if tr != nil {
 		ctx = obs.WithSpan(ctx, tr.Root())
 	}
@@ -139,18 +134,11 @@ func run() int {
 		}
 	}
 
-	// Every mapper comes from the core lowering registry: "pan-<name>"
-	// runs the guided pipeline, a bare name the unguided baseline.
+	// Every name in core.MapperNames: "pan-<name>" runs the guided
+	// pipeline, a bare name the unguided baseline, both under -timeout.
 	start := time.Now()
-	bare, pan := strings.CutPrefix(*mapper, "pan-")
-	var res *core.Result
-	lower, err := core.NewLowerByName(bare, *seed)
-	if err == nil && pan {
-		res, err = core.MapPanoramaCtx(ctx, g, a, lower,
-			core.Config{Seed: *seed, RelaxOnFailure: true, Workers: *workers})
-	} else if err == nil {
-		res, err = core.MapBaselineCtx(ctx, g, a, lower)
-	}
+	res, err := core.MapByName(ctx, g, a, *mapper, core.Config{Seed: *seed, RelaxOnFailure: true,
+		Workers: *workers, Budgets: core.Budgets{Total: *timeout}})
 	if err != nil {
 		if res != nil {
 			reportPartial(res, err, time.Since(start))
@@ -317,17 +305,7 @@ func pickArch(name, file string) (*arch.CGRA, error) {
 		defer f.Close()
 		return arch.ReadJSON(f)
 	}
-	switch name {
-	case "4x4":
-		return arch.Preset4x4(), nil
-	case "8x8":
-		return arch.Preset8x8(), nil
-	case "9x9":
-		return arch.Preset9x9(), nil
-	case "16x16":
-		return arch.Preset16x16(), nil
-	}
-	return nil, fmt.Errorf("unknown architecture %q (want 4x4, 8x8, 9x9, 16x16)", name)
+	return arch.Preset(name)
 }
 
 // fail prints the error and returns the generic failure exit code.

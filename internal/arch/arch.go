@@ -321,6 +321,56 @@ func (g *CGRA) ClusterMII(d *dfg.Graph, allowed [][]int) int {
 	return bound
 }
 
+// IIRange is the interval of initiation intervals a lower mapper tries
+// (Algorithm 2's outer loop): Start..End inclusive, empty when
+// Start > End. MII is the global bound QoM is reported against.
+type IIRange struct {
+	MII, Start, End int
+}
+
+// hopelessSlack is how far past MII a cluster restriction's own bound
+// may lie before the restriction is called unsatisfiable. It also
+// covers the InfeasibleMII sentinel ClusterMII returns.
+const hopelessSlack = 64
+
+// RestrictionError reports a cluster restriction that does not have
+// one entry per DFG node.
+type RestrictionError struct {
+	Entries, Nodes int
+}
+
+// Error names both lengths.
+func (e *RestrictionError) Error() string {
+	return fmt.Sprintf("arch: cluster restriction has %d entries for %d nodes", e.Entries, e.Nodes)
+}
+
+// IIRange is the one II-escalation policy of every lower mapper. The
+// search starts at max(MII, ClusterMII(allowed)): under cluster
+// guidance the per-cluster bound can exceed the global one, and
+// starting there skips provably infeasible IIs. It ends at maxII, or,
+// when maxII is unset (<= 0), at max(MII+slack, Start+2). The range is
+// empty — the caller reports failure so its own caller can relax the
+// restriction — when the restriction is hopeless (Start > MII+64, e.g.
+// memory ops pinned to a memory-less cluster) or when maxII < Start. A
+// non-nil allowed must have one entry per node.
+func (g *CGRA) IIRange(d *dfg.Graph, allowed [][]int, maxII, slack int) (IIRange, error) {
+	if allowed != nil && len(allowed) != d.NumNodes() {
+		return IIRange{}, &RestrictionError{Entries: len(allowed), Nodes: d.NumNodes()}
+	}
+	mii := g.MII(d)
+	r := IIRange{MII: mii, Start: mii, End: maxII}
+	if allowed != nil {
+		r.Start = max(mii, g.ClusterMII(d, allowed))
+	}
+	switch {
+	case r.Start > mii+hopelessSlack:
+		r.End = r.Start - 1
+	case maxII <= 0:
+		r.End = max(mii+slack, r.Start+2)
+	}
+	return r, nil
+}
+
 // QoM returns the paper's Quality of Mapping metric MII/II (1.0 is
 // optimal); 0 when there is no mapping (ii is 0).
 func QoM(mii, ii int) float64 {

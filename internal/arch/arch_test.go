@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -293,5 +294,83 @@ func TestQoM(t *testing.T) {
 	// A failed run carries II 0 and must score 0, not divide by it.
 	if got := QoM(3, 0); got != 0 {
 		t.Fatalf("QoM(3,0) = %v, want 0", got)
+	}
+}
+
+// TestIIRange pins the one II-escalation policy every lower mapper
+// shares.
+func TestIIRange(t *testing.T) {
+	a := Preset8x8() // 64 PEs, 4 per cluster, 2 of them memory-capable
+	graph := func(n int, op dfg.Op) *dfg.Graph {
+		g := dfg.New("t")
+		for i := 0; i < n; i++ {
+			g.AddNode(op, "")
+		}
+		g.MustFreeze()
+		return g
+	}
+	pinned := func(n int) [][]int {
+		allowed := make([][]int, n)
+		for i := range allowed {
+			allowed[i] = []int{0}
+		}
+		return allowed
+	}
+	// A fabric whose cluster 0 lost its memory ports: a load pinned
+	// there makes ClusterMII return the InfeasibleMII sentinel.
+	memless := Preset8x8()
+	for _, pe := range memless.PEsInCluster(0) {
+		memless.PEs[pe].MemCapable = false
+	}
+
+	for _, tc := range []struct {
+		name         string
+		a            *CGRA
+		g            *dfg.Graph
+		allowed      [][]int
+		maxII, slack int
+		want         IIRange
+	}{
+		{"unguided", a, graph(9, dfg.OpAdd), nil, 0, 8, IIRange{MII: 1, Start: 1, End: 9}},
+		{"unguided under a cap", a, graph(9, dfg.OpAdd), nil, 3, 8, IIRange{MII: 1, Start: 1, End: 3}},
+		// 9 ALU ops on the 4 PEs of cluster 0: the bound is ceil(9/4).
+		{"guided bound above MII", a, graph(9, dfg.OpAdd), pinned(9), 0, 8, IIRange{MII: 1, Start: 3, End: 9}},
+		// 41 ops: bound 11, and MII+slack = 3 lies below Start+2.
+		{"unset maxII reaches two past the bound", a, graph(41, dfg.OpAdd), pinned(41), 0, 2, IIRange{MII: 1, Start: 11, End: 13}},
+		{"maxII below the start is empty", a, graph(9, dfg.OpAdd), pinned(9), 2, 8, IIRange{MII: 1, Start: 3, End: 2}},
+		// 280 ops: MII ceil(280/64) = 5, cluster bound 70 > 5+64.
+		{"bound above MII+64 is empty", a, graph(280, dfg.OpAdd), pinned(280), 0, 8, IIRange{MII: 5, Start: 70, End: 69}},
+		{"just inside MII+64 is not", a, graph(276, dfg.OpAdd), pinned(276), 0, 8, IIRange{MII: 5, Start: 69, End: 71}},
+		{"the InfeasibleMII sentinel is empty", memless, graph(1, dfg.OpLoad), pinned(1), 0, 8,
+			IIRange{MII: 1, Start: InfeasibleMII, End: InfeasibleMII - 1}},
+	} {
+		got, err := tc.a.IIRange(tc.g, tc.allowed, tc.maxII, tc.slack)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: IIRange = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+
+	for _, n := range []int{8, 10} {
+		_, err := a.IIRange(graph(9, dfg.OpAdd), make([][]int, n), 0, 8)
+		var re *RestrictionError
+		if !errors.As(err, &re) || re.Entries != n || re.Nodes != 9 {
+			t.Errorf("%d entries for 9 nodes: err = %v, want a RestrictionError", n, err)
+		}
+	}
+}
+
+func TestPresetByName(t *testing.T) {
+	for name, want := range map[string]*CGRA{"4x4": Preset4x4(), "8x8": Preset8x8(), "9x9": Preset9x9(), "16x16": Preset16x16()} {
+		got, err := Preset(name)
+		if err != nil || got.String() != want.String() {
+			t.Errorf("Preset(%q) = %v, %v, want %v", name, got, err, want)
+		}
+	}
+	_, err := Preset("3x3")
+	if err == nil || err.Error() != `unknown architecture "3x3" (want 4x4, 8x8, 9x9, 16x16)` {
+		t.Fatalf("Preset(3x3): %v", err)
 	}
 }

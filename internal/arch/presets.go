@@ -1,5 +1,10 @@
 package arch
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Preset4x4 returns the small 4x4 CGRA used for the Table 1b SPR*
 // datapoint: a single cluster of 4x4 PEs.
 func Preset4x4() *CGRA {
@@ -62,4 +67,30 @@ func Preset16x16() *CGRA {
 		panic(err)
 	}
 	return g
+}
+
+// presets is the one table of preset names, in the order the error
+// text of Preset lists them.
+var presets = []struct {
+	name  string
+	build func() *CGRA
+}{
+	{"4x4", Preset4x4},
+	{"8x8", Preset8x8},
+	{"9x9", Preset9x9},
+	{"16x16", Preset16x16},
+}
+
+// Preset builds the preset architecture called name ("4x4", "8x8",
+// "9x9", "16x16" — the CLI's -arch and the service's Request.Arch
+// values); the error lists the names.
+func Preset(name string) (*CGRA, error) {
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		if p.name == name {
+			return p.build(), nil
+		}
+		names[i] = p.name
+	}
+	return nil, fmt.Errorf("unknown architecture %q (want %s)", name, strings.Join(names, ", "))
 }

@@ -25,7 +25,7 @@ import (
 func (c Config) mapSummary(ctx context.Context, g *dfg.Graph, a *arch.CGRA, lower core.Lower, pan bool) (core.Summary, error) {
 	mapper := lower.Name()
 	if pan {
-		mapper = "pan-" + mapper
+		mapper = core.PanPrefix + mapper
 	}
 	ctx, sp := obs.StartSpan(ctx, "config")
 	sp.Set("kernel", g.Name)

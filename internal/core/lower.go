@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -40,8 +41,8 @@ func (s SATLower) Map(ctx context.Context, d *dfg.Graph, a *arch.CGRA, allowed [
 // factory binding the deterministic seed.
 type LowerSpec struct {
 	// Name is the mapper's key ("spr", "ultrafast", "sat",
-	// "portfolio"); the service also accepts it with a "pan-" prefix
-	// for the guided pipeline.
+	// "portfolio"); MapByName also accepts it with PanPrefix for the
+	// guided pipeline.
 	Name string
 	// Degrade names the mapper the retry ladder falls back to after a
 	// budget failure; "" means this is the last rung.
@@ -97,10 +98,83 @@ func NewLowerByName(name string, seed int64) (Lower, error) {
 }
 
 // DegradeOf returns the next rung of the degradation ladder below
-// name, or "" when there is none (unknown names included).
+// name, or "" when there is none (unknown names included). A guided
+// "pan-" name degrades to the guided form of its target: the pipeline
+// shape is preserved, only the lowerer gets cheaper.
 func DegradeOf(name string) string {
-	spec, _ := LowerSpecOf(name)
+	spec, guided, _ := lookupMapper(name)
+	if guided && spec.Degrade != "" {
+		return PanPrefix + spec.Degrade
+	}
 	return spec.Degrade
+}
+
+// PanPrefix marks the guided Panorama pipeline in a mapper name:
+// "pan-spr" runs the full clustering → cluster-mapping → lowering
+// stack with SPR* at the bottom, bare "spr" runs the same lowerer as
+// an unguided baseline.
+const PanPrefix = "pan-"
+
+// MapperNames lists the names MapByName accepts — the CLI's -mapper
+// values and the service's Request.Mapper values: every mapper of the
+// table in its bare (baseline) and PanPrefix (guided) form, in table
+// order, so a new mapper shows up everywhere without further edits.
+func MapperNames() []string {
+	out := make([]string, 0, 2*len(lowerSpecs))
+	for _, spec := range lowerSpecs {
+		out = append(out, spec.Name, PanPrefix+spec.Name)
+	}
+	return out
+}
+
+// UnknownMapperError reports a mapper name outside MapperNames; Valid
+// carries the accepted names for caller-facing diagnostics.
+type UnknownMapperError struct {
+	Name  string
+	Valid []string
+}
+
+// Error formats the rejected name and the accepted alternatives.
+func (e *UnknownMapperError) Error() string {
+	return fmt.Sprintf("unknown mapper %q (want one of %v)", e.Name, e.Valid)
+}
+
+// lookupMapper is the one split of a mapper name: its table entry and
+// whether it selects the guided pipeline, or an *UnknownMapperError.
+func lookupMapper(name string) (spec LowerSpec, guided bool, err error) {
+	bare, guided := strings.CutPrefix(name, PanPrefix)
+	spec, ok := LowerSpecOf(bare)
+	if !ok {
+		return spec, guided, &UnknownMapperError{Name: name, Valid: MapperNames()}
+	}
+	return spec, guided, nil
+}
+
+// CheckMapper returns nil for a name in MapperNames and an
+// *UnknownMapperError for any other.
+func CheckMapper(name string) error {
+	_, _, err := lookupMapper(name)
+	return err
+}
+
+// MapByName is the one name → run entry: it builds the named mapper
+// from the table (seeded with cfg.Seed) and runs the guided pipeline
+// around it for a PanPrefix name, the unguided baseline for a bare
+// one. A baseline run takes nothing of cfg but the seed and
+// Budgets.Total, which is applied here so callers never wrap the
+// context themselves.
+func MapByName(ctx context.Context, d *dfg.Graph, a *arch.CGRA, mapper string, cfg Config) (*Result, error) {
+	spec, guided, err := lookupMapper(mapper)
+	if err != nil {
+		return nil, err
+	}
+	lower := spec.New(cfg.Seed)
+	if guided {
+		return MapPanoramaCtx(ctx, d, a, lower, cfg)
+	}
+	ctx, cancel := stageCtx(ctx, cfg.Budgets.Total)
+	defer cancel()
+	return MapBaselineCtx(ctx, d, a, lower)
 }
 
 // Portfolio racing metrics; see OBSERVABILITY.md.

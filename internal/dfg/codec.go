@@ -3,6 +3,8 @@ package dfg
 import (
 	"encoding/binary"
 	"fmt"
+
+	"panorama/internal/wire"
 )
 
 // Binary codec for graphs: a compact varint wire format used by the
@@ -37,8 +39,7 @@ func (g *Graph) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0, 8+len(g.Name)+2*len(g.Nodes)+4*len(g.Edges))
 	buf = append(buf, binMagic...)
 	buf = append(buf, binVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(g.Name)))
-	buf = append(buf, g.Name...)
+	buf = wire.AppendString(buf, g.Name)
 
 	buf = binary.AppendUvarint(buf, uint64(len(g.Nodes)))
 	prevOp := int64(0)
@@ -58,8 +59,7 @@ func (g *Graph) MarshalBinary() ([]byte, error) {
 		}
 		buf = binary.AppendUvarint(buf, uint64(i-prevIdx))
 		prevIdx = i
-		buf = binary.AppendUvarint(buf, uint64(len(nd.Name)))
-		buf = append(buf, nd.Name...)
+		buf = wire.AppendString(buf, nd.Name)
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(g.Edges)))
@@ -73,101 +73,23 @@ func (g *Graph) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// binReader walks a binary-codec payload, remembering the first
-// error; every read after a failure returns zero values.
-type binReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *binReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("dfg: binary codec: "+format, args...)
-	}
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("truncated or oversized uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("truncated or oversized varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) bytes(n uint64) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.data)-r.off) {
-		r.fail("length %d exceeds remaining %d bytes", n, len(r.data)-r.off)
-		return nil
-	}
-	b := r.data[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-// count reads a uvarint element count and bounds it by the bytes that
-// remain: every element of the section costs at least min bytes on the
-// wire, so a count that could not possibly fit is rejected before any
-// allocation (fuzzed inputs routinely claim 2^60 nodes).
-func (r *binReader) count(what string, min int) int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(len(r.data)-r.off)/uint64(min) {
-		r.fail("%s count %d cannot fit in %d remaining bytes", what, v, len(r.data)-r.off)
-		return 0
-	}
-	return int(v)
-}
-
 // UnmarshalBinary decodes a graph previously written by MarshalBinary
 // and validates it. Arbitrary (including adversarial) input is safe:
 // all counts are bounded by the payload size before allocation and the
 // decoded structure passes the full Validate contract.
 func (g *Graph) UnmarshalBinary(data []byte) error {
-	if len(data) < len(binMagic)+1 || string(data[:len(binMagic)]) != binMagic {
-		return fmt.Errorf("dfg: binary codec: bad magic")
-	}
-	if v := data[len(binMagic)]; v != binVersion {
-		return fmt.Errorf("dfg: binary codec: unsupported version %d", v)
-	}
-	r := &binReader{data: data, off: len(binMagic) + 1}
+	r := wire.NewReader("dfg: binary codec", data)
+	r.Header(binMagic, binVersion)
+	name := r.String()
 
-	name := string(r.bytes(r.uvarint()))
-
-	numNodes := r.count("node", 1)
+	numNodes := r.Count("node", 1)
 	var nodes []Node
 	if numNodes > 0 {
 		nodes = make([]Node, 0, numNodes)
 	}
 	prevOp := int64(0)
 	for i := 0; i < numNodes; i++ {
-		op := prevOp + r.varint()
-		if r.err != nil {
-			return r.err
-		}
+		op := prevOp + r.Varint() // a failed read repeats prevOp; Done reports it
 		if op < 0 || op > int64(OpPhi) {
 			return fmt.Errorf("dfg: binary codec: node %d opcode %d out of range", i, op)
 		}
@@ -175,13 +97,13 @@ func (g *Graph) UnmarshalBinary(data []byte) error {
 		nodes = append(nodes, Node{ID: i, Op: Op(op)})
 	}
 
-	numNamed := r.count("named node", 2)
+	numNamed := r.Count("named node", 2)
 	prevIdx := uint64(0)
 	for i := 0; i < numNamed; i++ {
-		idx := prevIdx + r.uvarint()
-		nm := string(r.bytes(r.uvarint()))
-		if r.err != nil {
-			return r.err
+		idx := prevIdx + r.Uvarint()
+		nm := r.String()
+		if r.Err() != nil {
+			return r.Err()
 		}
 		if idx >= uint64(numNodes) || (i > 0 && idx == prevIdx) {
 			return fmt.Errorf("dfg: binary codec: named-node index %d out of order (n=%d)", idx, numNodes)
@@ -190,19 +112,16 @@ func (g *Graph) UnmarshalBinary(data []byte) error {
 		nodes[idx].Name = nm
 	}
 
-	numEdges := r.count("edge", 3)
+	numEdges := r.Count("edge", 3)
 	var edges []Edge
 	if numEdges > 0 {
 		edges = make([]Edge, 0, numEdges)
 	}
 	prevFrom := int64(0)
 	for i := 0; i < numEdges; i++ {
-		from := prevFrom + r.varint()
-		to := from + r.varint()
-		dist := r.uvarint()
-		if r.err != nil {
-			return r.err
-		}
+		from := prevFrom + r.Varint()
+		to := from + r.Varint()
+		dist := r.Uvarint()
 		const maxField = 1 << 31 // Validate range-checks against n, but int64->int must not wrap
 		if from < -maxField || from > maxField || to < -maxField || to > maxField || dist > maxField {
 			return fmt.Errorf("dfg: binary codec: edge %d fields out of range", i)
@@ -210,11 +129,8 @@ func (g *Graph) UnmarshalBinary(data []byte) error {
 		prevFrom = from
 		edges = append(edges, Edge{From: int(from), To: int(to), Dist: int(dist)})
 	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(data) {
-		return fmt.Errorf("dfg: binary codec: %d trailing bytes", len(data)-r.off)
+	if err := r.Done(); err != nil {
+		return err
 	}
 	*g = Graph{Name: name, Nodes: nodes, Edges: edges}
 	return g.Validate()

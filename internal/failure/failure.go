@@ -81,19 +81,20 @@ func StageOf(err error) string {
 // unchanged. Other errors are returned as-is (they are domain errors
 // the caller may still errors.As into).
 func Classify(err error) error {
-	switch {
-	case err == nil:
+	if err == nil {
 		return nil
-	case errors.Is(err, ErrBudget), errors.Is(err, ErrInfeasible),
-		errors.Is(err, ErrCancelled), errors.Is(err, ErrLowerFailed):
-		return err
-	case errors.Is(err, context.DeadlineExceeded):
-		return fmt.Errorf("%w: %w", ErrBudget, err)
-	case errors.Is(err, context.Canceled):
-		return fmt.Errorf("%w: %w", ErrCancelled, err)
-	default:
-		return err
 	}
+	for _, c := range classes {
+		if errors.Is(err, c.sentinel) {
+			return err
+		}
+	}
+	for _, c := range classes {
+		if c.raw != nil && errors.Is(err, c.raw) {
+			return fmt.Errorf("%w: %w", c.sentinel, err)
+		}
+	}
+	return err
 }
 
 // IsBudget reports whether err is a budget expiry (directly, via a
@@ -116,6 +117,62 @@ func IsInfeasible(err error) bool {
 // failure.
 func IsPeerDown(err error) bool {
 	return errors.Is(err, ErrPeerDown)
+}
+
+// Failure classes: the taxonomy's one spelling outside the process —
+// the class of an HTTP error body, the journal's failure note, the
+// label a peer's error travels under. ClassOf and FromClass are the
+// only mapping between them and the errors above.
+const (
+	ClassBudget      = "budget"
+	ClassCancelled   = "cancelled"
+	ClassInfeasible  = "infeasible"
+	ClassLowerFailed = "lower-failed"
+	ClassPanic       = "panic"    // a PanicError
+	ClassInternal    = "internal" // everything else, ErrPeerDown included
+)
+
+// classes pairs each sentinel-backed class with its sentinel and the
+// raw context error Classify folds into it, in ClassOf's precedence.
+var classes = []struct {
+	class    string
+	sentinel error
+	raw      error
+}{
+	{ClassBudget, ErrBudget, context.DeadlineExceeded},
+	{ClassCancelled, ErrCancelled, context.Canceled},
+	{ClassInfeasible, ErrInfeasible, nil},
+	{ClassLowerFailed, ErrLowerFailed, nil},
+}
+
+// ClassOf buckets a non-nil error by the taxonomy.
+func ClassOf(err error) string {
+	for _, c := range classes {
+		if errors.Is(err, c.sentinel) || (c.raw != nil && errors.Is(err, c.raw)) {
+			return c.class
+		}
+	}
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		return ClassPanic
+	}
+	return ClassInternal
+}
+
+// FromClass rebuilds an error of the given class around msg, so that
+// ClassOf(FromClass(c, msg)) == c: how a failure crosses a process
+// boundary without losing its type. An unknown class is an internal
+// error.
+func FromClass(class, msg string) error {
+	for _, c := range classes {
+		if c.class == class {
+			return fmt.Errorf("%w: %s", c.sentinel, msg)
+		}
+	}
+	if class == ClassPanic {
+		return NewPanic(-1, msg, nil)
+	}
+	return errors.New(msg)
 }
 
 // PanicError is a panic recovered at a pipeline or worker-pool

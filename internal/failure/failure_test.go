@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -86,4 +87,52 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestClassRoundTrip: a failure survives a process boundary — every
+// class rebuilds into an error of the same class.
+func TestClassRoundTrip(t *testing.T) {
+	for _, c := range []string{ClassBudget, ClassCancelled, ClassInfeasible, ClassLowerFailed, ClassPanic, ClassInternal} {
+		err := FromClass(c, "m")
+		if got := ClassOf(err); got != c {
+			t.Errorf("ClassOf(FromClass(%q)) = %q", c, got)
+		}
+		if !strings.Contains(err.Error(), "m") {
+			t.Errorf("FromClass(%q) dropped the message: %v", c, err)
+		}
+	}
+	if !IsBudget(FromClass(ClassBudget, "m")) || !IsInfeasible(FromClass(ClassInfeasible, "m")) {
+		t.Fatal("a rebuilt error must carry its class's sentinel")
+	}
+	if got := ClassOf(FromClass("no-such-class", "m")); got != ClassInternal {
+		t.Fatalf("unknown class rebuilt as %q, want internal", got)
+	}
+}
+
+// TestClassOf holds ClassOf to the bucketing the service layer used to
+// spell out itself (its failureClass), on the errors its HTTP tests
+// build and on the raw context errors a worker can return.
+func TestClassOf(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{Stage("clustermap", ErrInfeasible), ClassInfeasible},
+		{Stage("lower", ErrBudget), ClassBudget},
+		{Stage("pipeline", ErrCancelled), ClassCancelled},
+		{fmt.Errorf("boom: %w", ErrLowerFailed), ClassLowerFailed},
+		{Stage("clustermap", fmt.Errorf("no mapping: %w", ErrInfeasible)), ClassInfeasible},
+		{context.DeadlineExceeded, ClassBudget},
+		{fmt.Errorf("w: %w", context.Canceled), ClassCancelled},
+		// Budget wins over cancellation, as IsBudget was checked first.
+		{fmt.Errorf("%w: %w", ErrCancelled, context.DeadlineExceeded), ClassBudget},
+		{NewPanic(3, "v", nil), ClassPanic},
+		{fmt.Errorf("task: %w", NewPanic(-1, "v", nil)), ClassPanic},
+		{ErrPeerDown, ClassInternal},
+		{errors.New("plain"), ClassInternal},
+	} {
+		if got := ClassOf(tc.err); got != tc.want {
+			t.Errorf("ClassOf(%v) = %q, want %q", tc.err, got, tc.want)
+		}
+	}
 }

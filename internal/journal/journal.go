@@ -43,6 +43,7 @@ import (
 
 	"panorama/internal/faultinject"
 	"panorama/internal/obs"
+	"panorama/internal/wire"
 )
 
 const (
@@ -514,22 +515,17 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 func encodeRecord(r Record) []byte {
 	payload := make([]byte, 0, 16+len(r.JobID)+len(r.Key)+len(r.Note)+len(r.Blob))
 	payload = append(payload, byte(r.Kind))
-	payload = appendBytes(payload, []byte(r.JobID))
-	payload = appendBytes(payload, []byte(r.Key))
+	payload = wire.AppendString(payload, r.JobID)
+	payload = wire.AppendString(payload, r.Key)
 	payload = binary.AppendUvarint(payload, uint64(r.Attempt))
-	payload = appendBytes(payload, []byte(r.Note))
-	payload = appendBytes(payload, r.Blob)
+	payload = wire.AppendString(payload, r.Note)
+	payload = wire.AppendBytes(payload, r.Blob)
 
 	buf := make([]byte, 0, len(payload)+9)
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
 	return buf
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
 }
 
 // parseSegment decodes a segment's intact record prefix. It returns
@@ -572,56 +568,18 @@ func parseSegment(data []byte) (recs []Record, good int) {
 // length against the remaining bytes so hand-corrupted (or fuzzed)
 // files can never over-allocate.
 func decodePayload(p []byte) (Record, bool) {
-	if len(p) < 1 {
-		return Record{}, false
-	}
-	r := Record{Kind: Kind(p[0])}
-	if !r.Kind.valid() {
-		return Record{}, false
-	}
-	d := &payloadReader{data: p, off: 1}
-	r.JobID = string(d.bytes())
-	r.Key = string(d.bytes())
-	r.Attempt = int(d.uvarint())
-	r.Note = string(d.bytes())
-	r.Blob = d.bytes()
-	if d.bad || d.off != len(p) || r.JobID == "" {
+	d := wire.NewReader("journal: record", p)
+	r := Record{Kind: Kind(d.Byte())}
+	r.JobID = d.String()
+	r.Key = d.String()
+	r.Attempt = int(d.Uvarint())
+	r.Note = d.String()
+	r.Blob = d.Bytes()
+	if d.Done() != nil || !r.Kind.valid() || r.JobID == "" {
 		return Record{}, false
 	}
 	if len(r.Blob) == 0 {
 		r.Blob = nil
 	}
 	return r, true
-}
-
-// payloadReader is a bounds-checked cursor over a record payload:
-// first malformed field poisons the rest.
-type payloadReader struct {
-	data []byte
-	off  int
-	bad  bool
-}
-
-func (d *payloadReader) uvarint() uint64 {
-	if d.bad {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		d.bad = true
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *payloadReader) bytes() []byte {
-	n := d.uvarint()
-	if d.bad || n > uint64(len(d.data)-d.off) {
-		d.bad = true
-		return nil
-	}
-	b := d.data[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b
 }

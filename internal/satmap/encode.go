@@ -62,19 +62,11 @@ type encoder struct {
 // between layout phases: on large fabrics the layout itself costs
 // milliseconds, and a cancelled portfolio race must not pay for it.
 func newEncoder(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options, ii int) (*encoder, string, error) {
-	slack := opts.WindowSlack
-	if slack == 0 {
-		slack = DefaultWindowSlack
-	}
-	window := ii + slack
-	if window < 1 {
-		window = 1
-	}
 	e := &encoder{
 		d:      d,
 		a:      a,
 		ii:     ii,
-		window: window,
+		window: ii + windowSlack,
 		asap:   d.ASAP(),
 		seed:   opts.Seed,
 	}

@@ -15,10 +15,10 @@
 // II. Every produced mapping is self-checked against verify.Check
 // before being returned.
 //
-// II iterates from max(MII, cluster-restriction bound) upward with a
-// per-II conflict budget; budget exhaustion or an oversized encoding
-// fails the mapper cleanly (Success == false) so the pipeline's degrade
-// ladder can take over.
+// II iterates over arch.IIRange (from max(MII, cluster-restriction
+// bound) upward) with a per-II conflict budget; budget exhaustion or an
+// oversized encoding fails the mapper cleanly (Success == false) so the
+// pipeline's degrade ladder can take over.
 package satmap
 
 import (
@@ -42,7 +42,6 @@ const DefaultIISlack = 8
 const (
 	DefaultMaxConflictsPerII = 20000
 	DefaultMaxRefines        = 256
-	DefaultWindowSlack       = 4
 	DefaultMaxClauses        = 1 << 21 // ~2M clauses per encoding
 )
 
@@ -50,10 +49,14 @@ const (
 // re-randomisations (see encoder.diversifyPhases).
 const diversifyEvery = 8
 
+// windowSlack widens each node's mobility window to II+windowSlack
+// cycles.
+const windowSlack = 4
+
 // Options configures the SAT mapper.
 type Options struct {
 	// MaxII caps the II escalation (inclusive). 0 means
-	// MII + DefaultIISlack.
+	// DefaultIISlack past MII (see arch.IIRange).
 	MaxII int
 	// AllowedClusters restricts each DFG node to the given CGRA
 	// cluster ids (Panorama guidance). nil, or a nil entry, means
@@ -69,9 +72,6 @@ type Options struct {
 	// MaxRefines bounds the routing-refinement (blocking-clause)
 	// rounds per II. 0 means the default.
 	MaxRefines int
-	// WindowSlack widens each node's mobility window to II+WindowSlack
-	// cycles. 0 means the default.
-	WindowSlack int
 	// MaxClauses aborts an attempt whose encoding would exceed this
 	// clause estimate, so oversized instances fail fast instead of
 	// exhausting memory. 0 means the default.
@@ -138,30 +138,13 @@ func MapCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options) (*Res
 	if err := d.Freeze(); err != nil {
 		return nil, err
 	}
-	mii := a.MII(d)
-	res := &Result{MII: mii}
-	startII := mii
-	if opts.AllowedClusters != nil {
-		cb := a.ClusterMII(d, opts.AllowedClusters)
-		if cb >= arch.InfeasibleMII {
-			res.Attempts = append(res.Attempts, Attempt{II: startII, Status: "infeasible"})
-			mAttempts.With("infeasible").Inc()
-			mMaps.With("fail").Inc()
-			return res, nil
-		}
-		if cb > startII {
-			startII = cb
-		}
+	r, err := a.IIRange(d, opts.AllowedClusters, opts.MaxII, DefaultIISlack)
+	if err != nil {
+		return nil, fmt.Errorf("satmap: %w", err)
 	}
-	maxII := opts.MaxII
-	if maxII == 0 {
-		maxII = mii + DefaultIISlack
-	}
-	if maxII < startII {
-		maxII = startII
-	}
+	res := &Result{MII: r.MII}
 
-	for ii := startII; ii <= maxII; ii++ {
+	for ii := r.Start; ii <= r.End; ii++ {
 		if err := ctx.Err(); err != nil {
 			mMaps.With("error").Inc()
 			return res, err

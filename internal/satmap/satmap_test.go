@@ -2,6 +2,7 @@ package satmap
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"panorama/internal/arch"
@@ -140,6 +141,39 @@ func TestInfeasibleGuidance(t *testing.T) {
 	}
 	if res.Success {
 		t.Fatal("expected infeasible")
+	}
+}
+
+// A restriction one entry short or long must be rejected before the
+// encoder indexes it by node (arch.IIRange, as in the other mappers).
+func TestAllowedClustersLengthChecked(t *testing.T) {
+	d := chain(t)
+	for _, n := range []int{d.NumNodes() - 1, d.NumNodes() + 1} {
+		allowed := make([][]int, n)
+		for i := range allowed {
+			allowed[i] = []int{0}
+		}
+		_, err := Map(d, arch.Preset4x4(), Options{AllowedClusters: allowed})
+		var re *arch.RestrictionError
+		if !errors.As(err, &re) {
+			t.Fatalf("%d entries for %d nodes: err = %v, want an arch.RestrictionError", n, d.NumNodes(), err)
+		}
+	}
+}
+
+// MaxII below the start of the range runs no attempt, as in SPR*.
+func TestMaxIIBelowStartRunsNothing(t *testing.T) {
+	g := dfg.New("heavy")
+	for i := 0; i < 9; i++ {
+		g.AddNode(dfg.OpLoad, "")
+	}
+	g.MustFreeze()
+	res, err := Map(g, arch.Preset4x4(), Options{MaxII: 1}) // 4 mem PEs: MII 3
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Success || len(res.Attempts) != 0 {
+		t.Fatalf("MaxII 1 below MII %d: %+v", res.MII, res)
 	}
 }
 

@@ -238,7 +238,7 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				e.probeFP = res.fingerprint
-				e.degrFP = res.withMapper(DegradeMapper(res.mapper)).fingerprint
+				e.degrFP = res.withMapper(core.DegradeOf(res.mapper)).fingerprint
 				tc.setup(t, e)
 
 				body := tc.body

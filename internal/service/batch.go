@@ -132,6 +132,9 @@ func (s *Server) Batch(id string) (*Batch, bool) {
 	return b, ok
 }
 
+// maxBatchItems bounds the items in one POST /v1/batch request.
+const maxBatchItems = 64
+
 // handleBatch is POST /v1/batch: decode, resolve every item against
 // the top-level defaults, run one admission decision, and answer with
 // the per-item outcomes (200 when nothing is left running, 202
@@ -147,9 +150,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad-request", fmt.Errorf("batch has no items"))
 		return
 	}
-	if max := s.opts.MaxBatchItems; len(breq.Items) > max {
+	if len(breq.Items) > maxBatchItems {
 		httpError(w, http.StatusBadRequest, "oversized-batch",
-			fmt.Errorf("batch has %d items, limit %d", len(breq.Items), max))
+			fmt.Errorf("batch has %d items, limit %d", len(breq.Items), maxBatchItems))
 		return
 	}
 

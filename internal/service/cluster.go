@@ -182,30 +182,13 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 		if view.Result != nil {
 			sum = *view.Result
 		}
-		return sum, remoteError(view.Error), true
+		// Rebuilt from its class, so the origin's retry ladder, journal
+		// note and HTTP status see the failure the owner saw.
+		return sum, failure.FromClass(view.Error.Class, "remote: "+view.Error.Message), true
 	default:
 		// 202 (our wait was cut short), 429, or any other anomaly:
 		// nothing usable came back; run locally.
 		return unhandled(fmt.Sprintf("status-%d", status))
-	}
-}
-
-// remoteError rebuilds a typed error from an owner's wire ErrorInfo so
-// the origin's retry ladder, journal note and HTTP status see the same
-// failure class the owner saw.
-func remoteError(info *ErrorInfo) error {
-	msg := info.Message
-	switch info.Class {
-	case "budget":
-		return fmt.Errorf("%w: remote: %s", failure.ErrBudget, msg)
-	case "cancelled":
-		return fmt.Errorf("%w: remote: %s", failure.ErrCancelled, msg)
-	case "infeasible":
-		return fmt.Errorf("%w: remote: %s", failure.ErrInfeasible, msg)
-	case "lower-failed":
-		return fmt.Errorf("%w: remote: %s", failure.ErrLowerFailed, msg)
-	default:
-		return fmt.Errorf("remote %s: %s", info.Class, msg)
 	}
 }
 

@@ -2,11 +2,10 @@ package service
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math"
 	"time"
 
 	"panorama/internal/core"
+	"panorama/internal/wire"
 )
 
 // Binary codec for cache entries: the persisted form of one mapping
@@ -30,24 +29,15 @@ const (
 	entryVersion = 1
 )
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendFloat(buf []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-}
-
 // MarshalBinary encodes the entry in the versioned varint wire format.
 func (e *Entry) MarshalBinary() ([]byte, error) {
 	s := &e.Summary
 	buf := make([]byte, 0, 96+len(e.Fingerprint)+len(s.Kernel)+16*len(s.Stages))
 	buf = append(buf, entryMagic...)
 	buf = append(buf, entryVersion)
-	buf = appendString(buf, e.Fingerprint)
+	buf = wire.AppendString(buf, e.Fingerprint)
 
-	buf = appendString(buf, s.Kernel)
+	buf = wire.AppendString(buf, s.Kernel)
 	if s.Success {
 		buf = append(buf, 1)
 	} else {
@@ -57,151 +47,53 @@ func (e *Entry) MarshalBinary() ([]byte, error) {
 	buf = binary.AppendVarint(buf, int64(s.II))
 	buf = binary.AppendVarint(buf, int64(s.Candidates))
 	buf = binary.AppendVarint(buf, int64(s.PartitionK))
-	buf = appendFloat(buf, s.QoM)
-	buf = appendFloat(buf, s.ClusteringMS)
-	buf = appendFloat(buf, s.ClusterMapMS)
-	buf = appendFloat(buf, s.LowerMS)
-	buf = appendFloat(buf, s.TotalMS)
-	buf = appendString(buf, s.Guidance)
-	buf = appendString(buf, s.BudgetStage)
+	buf = wire.AppendFloat(buf, s.QoM)
+	buf = wire.AppendFloat(buf, s.ClusteringMS)
+	buf = wire.AppendFloat(buf, s.ClusterMapMS)
+	buf = wire.AppendFloat(buf, s.LowerMS)
+	buf = wire.AppendFloat(buf, s.TotalMS)
+	buf = wire.AppendString(buf, s.Guidance)
+	buf = wire.AppendString(buf, s.BudgetStage)
 	buf = binary.AppendUvarint(buf, uint64(len(s.Stages)))
 	for _, st := range s.Stages {
-		buf = appendString(buf, st.Stage)
+		buf = wire.AppendString(buf, st.Stage)
 		buf = binary.AppendVarint(buf, int64(st.Wall))
-		buf = appendString(buf, st.Note)
+		buf = wire.AppendString(buf, st.Note)
 	}
 	return buf, nil
-}
-
-// entryReader mirrors the dfg codec's reader: remember the first
-// error, return zeros after it.
-type entryReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *entryReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("service: entry codec: "+format, args...)
-	}
-}
-
-func (r *entryReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("truncated uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *entryReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("truncated varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *entryReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.data)-r.off) {
-		r.fail("string length %d exceeds remaining %d bytes", n, len(r.data)-r.off)
-		return ""
-	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func (r *entryReader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data)-r.off < 8 {
-		r.fail("truncated float at offset %d", r.off)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *entryReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.data) {
-		r.fail("truncated byte at offset %d", r.off)
-		return 0
-	}
-	b := r.data[r.off]
-	r.off++
-	return b
 }
 
 // UnmarshalBinary decodes an entry previously written by
 // MarshalBinary. Arbitrary input is safe: string lengths and the stage
 // count are bounded by the payload size before any allocation.
 func (e *Entry) UnmarshalBinary(data []byte) error {
-	if len(data) < len(entryMagic)+1 || string(data[:len(entryMagic)]) != entryMagic {
-		return fmt.Errorf("service: entry codec: bad magic")
-	}
-	if v := data[len(entryMagic)]; v != entryVersion {
-		return fmt.Errorf("service: entry codec: unsupported version %d", v)
-	}
-	r := &entryReader{data: data, off: len(entryMagic) + 1}
+	r := wire.NewReader("service: entry codec", data)
+	r.Header(entryMagic, entryVersion)
 
 	var dec Entry
-	dec.Fingerprint = r.str()
+	dec.Fingerprint = r.String()
 	s := &dec.Summary
-	s.Kernel = r.str()
-	s.Success = r.byte() != 0
-	s.MII = int(r.varint())
-	s.II = int(r.varint())
-	s.Candidates = int(r.varint())
-	s.PartitionK = int(r.varint())
-	s.QoM = r.float()
-	s.ClusteringMS = r.float()
-	s.ClusterMapMS = r.float()
-	s.LowerMS = r.float()
-	s.TotalMS = r.float()
-	s.Guidance = r.str()
-	s.BudgetStage = r.str()
-	nStages := r.uvarint()
-	if r.err == nil && nStages > uint64(len(r.data)-r.off)/3 {
-		r.fail("stage count %d cannot fit in %d remaining bytes", nStages, len(r.data)-r.off)
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if nStages > 0 {
-		s.Stages = make([]core.StageRecord, 0, nStages)
-		for i := uint64(0); i < nStages; i++ {
-			st := core.StageRecord{Stage: r.str()}
-			st.Wall = time.Duration(r.varint())
-			st.Note = r.str()
-			if r.err != nil {
-				return r.err
-			}
-			s.Stages = append(s.Stages, st)
+	s.Kernel = r.String()
+	s.Success = r.Byte() != 0
+	s.MII = int(r.Varint())
+	s.II = int(r.Varint())
+	s.Candidates = int(r.Varint())
+	s.PartitionK = int(r.Varint())
+	s.QoM = r.Float()
+	s.ClusteringMS = r.Float()
+	s.ClusterMapMS = r.Float()
+	s.LowerMS = r.Float()
+	s.TotalMS = r.Float()
+	s.Guidance = r.String()
+	s.BudgetStage = r.String()
+	if nStages := r.Count("stage", 3); nStages > 0 {
+		s.Stages = make([]core.StageRecord, nStages)
+		for i := range s.Stages {
+			s.Stages[i] = core.StageRecord{Stage: r.String(), Wall: time.Duration(r.Varint()), Note: r.String()}
 		}
 	}
-	if r.off != len(data) {
-		return fmt.Errorf("service: entry codec: %d trailing bytes", len(data)-r.off)
+	if err := r.Done(); err != nil {
+		return err
 	}
 	*e = dec
 	return nil

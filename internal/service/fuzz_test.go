@@ -1,8 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
+
+	"panorama/internal/core"
+	"panorama/internal/wire"
 )
 
 // FuzzServiceRequest drives the POST /v1/map request decoder and
@@ -33,7 +38,7 @@ func FuzzServiceRequest(f *testing.F) {
 		if r1.graph == nil || r1.arch == nil {
 			t.Fatal("resolve accepted a request without a graph or architecture")
 		}
-		if !validMapper(r1.mapper) {
+		if core.CheckMapper(r1.mapper) != nil {
 			t.Fatalf("resolve accepted unknown mapper %q", r1.mapper)
 		}
 		r2, err := s.resolve(&req)
@@ -42,6 +47,95 @@ func FuzzServiceRequest(f *testing.F) {
 		}
 		if r1.fingerprint != r2.fingerprint {
 			t.Fatalf("resolve is not deterministic: %s vs %s", r1.fingerprint, r2.fingerprint)
+		}
+	})
+}
+
+// FuzzWireDecoders feeds arbitrary bytes to the two internal/wire
+// clients no other target reaches: the cache-entry codec and the
+// journal job payload (FuzzCodecRoundTrip and FuzzJournalReplay cover
+// the graph and record codecs). Neither decoder may panic or allocate
+// more than a multiple of its input, and whatever one accepts
+// re-encodes to a canonical form that decodes and re-encodes to the
+// same bytes. Seeded from the encoders, so it needs no committed
+// corpus.
+func FuzzWireDecoders(f *testing.F) {
+	s, err := New(Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := s.resolve(&Request{Kernel: "fir", Scale: 0.1, Arch: "4x4", Mapper: "ultrafast", Seed: 3, TimeoutMS: 900})
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := encodeJobPayload(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(payload)
+	for _, e := range []*Entry{
+		{Fingerprint: "f0"},
+		{Fingerprint: res.fingerprint, Summary: core.Summary{Kernel: "fir", Success: true, MII: 2, II: 3, QoM: 2. / 3,
+			TotalMS: 1.25, Guidance: "full", Stages: []core.StageRecord{{Stage: "lower", Wall: 1250, Note: "ok"}}}},
+	} {
+		enc, err := e.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+
+	// allocated runs fn and returns the heap bytes it allocated.
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var e Entry
+		var derr error
+		if n := allocated(func() { derr = e.UnmarshalBinary(data) }); n > 64*uint64(len(data))+1<<16 {
+			t.Fatalf("entry decode of %d bytes allocated %d", len(data), n)
+		}
+		if derr == nil {
+			enc, _ := e.MarshalBinary()
+			var back Entry
+			if err := back.UnmarshalBinary(enc); err != nil {
+				t.Fatalf("canonical entry failed to decode: %v", err)
+			}
+			if again, _ := back.MarshalBinary(); !bytes.Equal(enc, again) {
+				t.Fatal("canonical entry encoding is not byte-stable")
+			}
+		}
+
+		// The payload's architecture is built, not just parsed, so keep
+		// the fuzzer off fabrics whose size is the allocation.
+		r := wire.NewReader("", data)
+		r.Header("", jobPayloadVersion)
+		r.Bytes()
+		var dims struct{ Rows, Cols int }
+		if json.Unmarshal(r.Bytes(), &dims) == nil && (dims.Rows > 32 || dims.Cols > 32) {
+			return
+		}
+		var req *resolved
+		if n := allocated(func() { req, derr = decodeJobPayload(data) }); n > 256*uint64(len(data))+8<<20 {
+			t.Fatalf("job payload decode of %d bytes allocated %d", len(data), n)
+		}
+		if derr != nil {
+			return
+		}
+		enc, err := encodeJobPayload(req)
+		if err != nil {
+			t.Fatalf("accepted job payload failed to re-encode: %v", err)
+		}
+		back, err := decodeJobPayload(enc)
+		if err != nil {
+			t.Fatalf("canonical job payload failed to decode: %v", err)
+		}
+		if again, _ := encodeJobPayload(back); !bytes.Equal(enc, again) || back.fingerprint != req.fingerprint {
+			t.Fatal("canonical job payload is not byte-stable")
 		}
 	})
 }

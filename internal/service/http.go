@@ -65,7 +65,7 @@ func (j *Job) View() JobView {
 	}
 	if j.err != nil {
 		v.Error = &ErrorInfo{
-			Class:   failureClass(j.err),
+			Class:   failure.ClassOf(j.err),
 			Stage:   failure.StageOf(j.err),
 			Message: j.err.Error(),
 		}
@@ -81,35 +81,16 @@ func (j *Job) View() JobView {
 	return v
 }
 
-// failureClass buckets an error by the failure taxonomy.
-func failureClass(err error) string {
-	var pe *failure.PanicError
-	switch {
-	case failure.IsBudget(err):
-		return "budget"
-	case failure.IsCancelled(err):
-		return "cancelled"
-	case failure.IsInfeasible(err):
-		return "infeasible"
-	case errors.Is(err, failure.ErrLowerFailed):
-		return "lower-failed"
-	case errors.As(err, &pe):
-		return "panic"
-	default:
-		return "internal"
-	}
-}
-
 // failureStatus maps the failure taxonomy onto distinct HTTP statuses:
 // budget → 504, cancelled → 499, infeasible → 422, everything else
 // (lower-failed, panics, internal errors) → 500.
 func failureStatus(err error) int {
-	switch {
-	case failure.IsBudget(err):
+	switch failure.ClassOf(err) {
+	case failure.ClassBudget:
 		return http.StatusGatewayTimeout
-	case failure.IsCancelled(err):
+	case failure.ClassCancelled:
 		return StatusClientClosedRequest
-	case failure.IsInfeasible(err):
+	case failure.ClassInfeasible:
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError
@@ -332,7 +313,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // an unknown mapper lists the accepted names, anything else is a plain
 // bad request.
 func resolveErrorInfo(err error) ErrorInfo {
-	var um *UnknownMapperError
+	var um *core.UnknownMapperError
 	if errors.As(err, &um) {
 		return ErrorInfo{Class: "unknown-mapper", Message: err.Error(), Valid: um.Valid}
 	}

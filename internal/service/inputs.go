@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"sync"
 
 	"panorama/internal/arch"
@@ -51,7 +50,7 @@ func (in *inputs) preset(name string) (*arch.CGRA, error) {
 	if a, ok := in.presets[name]; ok {
 		return a, nil
 	}
-	a, err := archPreset(name)
+	a, err := arch.Preset(name)
 	if err != nil {
 		return nil, err
 	}
@@ -95,18 +94,4 @@ func (in *inputs) kernelGraph(kernel string, scale float64) (*dfg.Graph, error) 
 	}
 	in.graphs[key] = g
 	return g, nil
-}
-
-func archPreset(name string) (*arch.CGRA, error) {
-	switch name {
-	case "4x4":
-		return arch.Preset4x4(), nil
-	case "8x8":
-		return arch.Preset8x8(), nil
-	case "9x9":
-		return arch.Preset9x9(), nil
-	case "16x16":
-		return arch.Preset16x16(), nil
-	}
-	return nil, fmt.Errorf("unknown architecture %q (want 4x4, 8x8, 9x9, 16x16)", name)
 }

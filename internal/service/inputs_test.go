@@ -133,7 +133,7 @@ func TestResolveSharesInputs(t *testing.T) {
 	for _, tc := range []struct{ body, class, message string }{
 		{`{"kernel":"nosuch"}`, "bad-request", `kernels: unknown kernel "nosuch"`},
 		{`{"kernel":"fir","arch":"3x3"}`, "bad-request", `unknown architecture "3x3" (want 4x4, 8x8, 9x9, 16x16)`},
-		{`{"kernel":"fir","mapper":"magic"}`, "unknown-mapper", fmt.Sprintf(`unknown mapper "magic" (want one of %v)`, Mappers())},
+		{`{"kernel":"fir","mapper":"magic"}`, "unknown-mapper", fmt.Sprintf(`unknown mapper "magic" (want one of %v)`, core.MapperNames())},
 		{`{"kernel":"fir","dfg":{"name":"g","nodes":[],"edges":[]}}`, "bad-request", "request has both kernel and dfg; pick one"},
 		{`{"arch":"8x8"}`, "bad-request", "request needs a kernel name or an inline dfg"},
 	} {
@@ -216,7 +216,7 @@ func TestKeyMatchesReference(t *testing.T) {
 		for _, scale := range []float64{0.25, 1.0} {
 			fresh := spec.Build(scale) // unfrozen and unshared
 			for _, preset := range []string{"4x4", "8x8", "9x9", "16x16"} {
-				a, err := archPreset(preset)
+				a, err := arch.Preset(preset)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -237,7 +237,7 @@ func TestKeyMatchesReference(t *testing.T) {
 					if got := Key(fresh, a, mapper, seed, budgets); got != referenceKey(fresh, a, mapper, seed, budgets) {
 						t.Fatalf("%s@%g %s %s: Key on an unfrozen graph with budgets %s differs from the reference", spec.Name, scale, preset, mapper, got)
 					}
-					next := DegradeMapper(mapper)
+					next := core.DegradeOf(mapper)
 					if next == "" {
 						continue
 					}
@@ -381,12 +381,13 @@ func TestConcurrentJobsShareInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		g, a := spec.Build(scale), arch.Preset4x4()
-		lower, err := core.NewLowerByName(bareMapper(r.mapper), r.seed)
+		bare, guided := strings.CutPrefix(r.mapper, core.PanPrefix)
+		lower, err := core.NewLowerByName(bare, r.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ref *core.Result
-		if guided(r.mapper) {
+		if guided {
 			ref, err = core.MapPanoramaCtx(context.Background(), g, a, lower, core.Config{Seed: r.seed, RelaxOnFailure: true, Workers: 1})
 		} else {
 			ref, err = core.MapBaselineCtx(context.Background(), g, a, lower)

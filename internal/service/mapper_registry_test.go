@@ -12,22 +12,26 @@ import (
 	"panorama/internal/core"
 )
 
-// TestMappersTracksRegistry: the request schema's accepted mapper list
-// is derived from the core lowering registry — every registered mapper
-// appears in both bare and "pan-" form, and nothing else does.
+// TestMappersTracksRegistry: the request schema accepts exactly
+// core.MapperNames() — every registered mapper in both bare and "pan-"
+// form, and nothing else.
 func TestMappersTracksRegistry(t *testing.T) {
-	names := core.LowerNames()
-	ms := Mappers()
-	if len(ms) != 2*len(names) {
-		t.Fatalf("Mappers() has %d entries for %d registered mappers", len(ms), len(names))
+	srv, err := New(Options{Workers: 1,
+		Run: func(ctx context.Context, job *Job) (core.Summary, error) { return core.Summary{}, nil }})
+	if err != nil {
+		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	for _, m := range ms {
-		seen[m] = true
-	}
-	for _, n := range names {
-		if !seen[n] || !seen["pan-"+n] {
-			t.Fatalf("registry mapper %q missing from Mappers() %v", n, ms)
+	defer srv.Shutdown(context.Background())
+	for _, n := range core.LowerNames() {
+		for _, m := range []string{n, "pan-" + n} {
+			if _, err := srv.resolve(&Request{Kernel: "fir", Scale: 0.1, Mapper: m}); err != nil {
+				t.Errorf("registry mapper %q rejected: %v", m, err)
+			}
+		}
+		for _, m := range []string{"pan-pan-" + n, "Pan-" + n, n + "-pan", "pan-"} {
+			if _, err := srv.resolve(&Request{Kernel: "fir", Scale: 0.1, Mapper: m}); err == nil {
+				t.Errorf("mapper %q accepted", m)
+			}
 		}
 	}
 }
@@ -49,7 +53,7 @@ func TestEveryRegisteredMapperResolves(t *testing.T) {
 	defer ts.Close()
 
 	prints := map[string]string{}
-	for _, m := range Mappers() {
+	for _, m := range core.MapperNames() {
 		body := fmt.Sprintf(`{"kernel":"fir","scale":0.3,"arch":"4x4","mapper":%q,"seed":1,"wait":true}`, m)
 		code, v := postMap(t, ts.URL, body)
 		if code != http.StatusOK {
@@ -102,7 +106,7 @@ func TestUnknownMapper400ListsValidNames(t *testing.T) {
 	if !strings.Contains(out.Error.Message, "magic") {
 		t.Fatalf("message %q does not name the rejected mapper", out.Error.Message)
 	}
-	want := Mappers()
+	want := core.MapperNames()
 	if len(out.Error.Valid) != len(want) {
 		t.Fatalf("valid list %v, want %v", out.Error.Valid, want)
 	}

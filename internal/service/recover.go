@@ -11,6 +11,7 @@ import (
 	"panorama/internal/core"
 	"panorama/internal/dfg"
 	"panorama/internal/journal"
+	"panorama/internal/wire"
 )
 
 // Journal blob carrying everything needed to re-run a job after a
@@ -19,8 +20,7 @@ import (
 // (version 1): version byte, DFG binary blob (PDFG codec), arch
 // description JSON, mapper string, seed zigzag varint, the four budget
 // durations as zigzag varints — blobs and strings as uvarint length +
-// raw bytes, decoded by the same bounds-checked reader as the cache
-// entry codec.
+// raw bytes (internal/wire).
 const jobPayloadVersion = 1
 
 // encodeJobPayload flattens a resolved request into the journal blob.
@@ -35,11 +35,9 @@ func encodeJobPayload(req *resolved) ([]byte, error) {
 	}
 	buf := make([]byte, 0, 64+len(gbin)+ab.Len()+len(req.mapper))
 	buf = append(buf, jobPayloadVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(gbin)))
-	buf = append(buf, gbin...)
-	buf = binary.AppendUvarint(buf, uint64(ab.Len()))
-	buf = append(buf, ab.Bytes()...)
-	buf = appendString(buf, req.mapper)
+	buf = wire.AppendBytes(buf, gbin)
+	buf = wire.AppendBytes(buf, ab.Bytes())
+	buf = wire.AppendString(buf, req.mapper)
 	buf = binary.AppendVarint(buf, req.seed)
 	for _, d := range []time.Duration{req.budgets.Clustering, req.budgets.ClusterMap,
 		req.budgets.Lower, req.budgets.Total} {
@@ -53,24 +51,19 @@ func encodeJobPayload(req *resolved) ([]byte, error) {
 // the fingerprint (which may legitimately drift across a CodeVersion
 // bump — the caller compares it against the journaled key).
 func decodeJobPayload(data []byte) (*resolved, error) {
-	if len(data) < 1 || data[0] != jobPayloadVersion {
-		return nil, fmt.Errorf("service: job payload: bad version")
-	}
-	r := &entryReader{data: data, off: 1}
-	gbin := []byte(r.str())
-	ajson := []byte(r.str())
-	mapper := r.str()
-	seed := r.varint()
+	r := wire.NewReader("service: job payload", data)
+	r.Header("", jobPayloadVersion)
+	gbin := r.Bytes()
+	ajson := r.Bytes()
+	mapper := r.String()
+	seed := r.Varint()
 	var budgets core.Budgets
-	budgets.Clustering = time.Duration(r.varint())
-	budgets.ClusterMap = time.Duration(r.varint())
-	budgets.Lower = time.Duration(r.varint())
-	budgets.Total = time.Duration(r.varint())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("service: job payload: %d trailing bytes", len(data)-r.off)
+	budgets.Clustering = time.Duration(r.Varint())
+	budgets.ClusterMap = time.Duration(r.Varint())
+	budgets.Lower = time.Duration(r.Varint())
+	budgets.Total = time.Duration(r.Varint())
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	g := new(dfg.Graph)
 	if err := g.UnmarshalBinary(gbin); err != nil {
@@ -83,8 +76,8 @@ func decodeJobPayload(data []byte) (*resolved, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: job payload: %w", err)
 	}
-	if !validMapper(mapper) {
-		return nil, fmt.Errorf("service: job payload: unknown mapper %q", mapper)
+	if err := core.CheckMapper(mapper); err != nil {
+		return nil, fmt.Errorf("service: job payload: %w", err)
 	}
 	return &resolved{
 		graph:       g,

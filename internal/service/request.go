@@ -23,7 +23,7 @@ type Request struct {
 	Arch     string          `json:"arch,omitempty"` // preset: 4x4, 8x8, 9x9, 16x16
 	ArchDesc json.RawMessage `json:"archDesc,omitempty"`
 
-	Mapper    string `json:"mapper,omitempty"` // any name in Mappers() (default pan-spr)
+	Mapper    string `json:"mapper,omitempty"` // any name in core.MapperNames() (default pan-spr)
 	Seed      int64  `json:"seed,omitempty"`
 	TimeoutMS int64  `json:"timeoutMS,omitempty"` // job Budgets.Total override; 0 = server default
 
@@ -37,37 +37,6 @@ type Request struct {
 	// the computation: it is excluded from the fingerprint, so two
 	// requests differing only in webhook share one cache entry.
 	Webhook string `json:"webhook,omitempty"`
-}
-
-// panPrefix marks the guided Panorama pipeline: "pan-spr" runs the
-// full clustering → cluster-mapping → lowering stack with SPR* at the
-// bottom, bare "spr" runs the same lowerer as an unguided baseline.
-const panPrefix = "pan-"
-
-// Mappers lists the accepted Request.Mapper values: every mapper in
-// the core lowering registry, each in its bare (baseline) and "pan-"
-// (guided pipeline) form. The list follows registry order, so new
-// mappers show up here — and in the retry ladder — without any service
-// edits.
-func Mappers() []string {
-	names := core.LowerNames()
-	out := make([]string, 0, 2*len(names))
-	for _, n := range names {
-		out = append(out, n, panPrefix+n)
-	}
-	return out
-}
-
-// UnknownMapperError reports a request naming a mapper outside the
-// registry; Valid carries the accepted names for the 400 response.
-type UnknownMapperError struct {
-	Name  string
-	Valid []string
-}
-
-// Error formats the rejected name and the accepted alternatives.
-func (e *UnknownMapperError) Error() string {
-	return fmt.Sprintf("unknown mapper %q (want one of %v)", e.Name, e.Valid)
 }
 
 // resolved is a fully-validated request: graph and architecture
@@ -130,8 +99,8 @@ func (s *Server) resolve(req *Request) (*resolved, error) {
 	if mapper == "" {
 		mapper = "pan-spr"
 	}
-	if !validMapper(mapper) {
-		return nil, &UnknownMapperError{Name: mapper, Valid: Mappers()}
+	if err := core.CheckMapper(mapper); err != nil {
+		return nil, err
 	}
 
 	budgets := s.opts.Budgets
@@ -161,20 +130,3 @@ func (r *resolved) withMapper(m string) *resolved {
 	c.fingerprint = Key(c.graph, c.arch, m, c.seed, c.budgets)
 	return &c
 }
-
-func validMapper(name string) bool {
-	_, ok := core.LowerSpecOf(bareMapper(name))
-	return ok
-}
-
-// bareMapper strips the guided-pipeline prefix: "pan-spr" → "spr".
-func bareMapper(name string) string {
-	if len(name) > len(panPrefix) && name[:len(panPrefix)] == panPrefix {
-		return name[len(panPrefix):]
-	}
-	return name
-}
-
-// guided reports whether name selects the full Panorama pipeline
-// rather than a bare baseline run.
-func guided(name string) bool { return bareMapper(name) != name }

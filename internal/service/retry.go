@@ -33,24 +33,6 @@ func (d decision) String() string {
 	return "fail"
 }
 
-// DegradeMapper returns the next-cheaper rung of the mapper ladder for
-// m, or "" when m is already the cheapest (or unknown). The ladder is
-// the core lowering registry's: each mapper declares its own degrade
-// target (portfolio → spr → ultrafast, sat → spr), so new mappers slot
-// into the retry policy without edits here. A guided "pan-" mapper
-// degrades to the guided form of its target — the pipeline shape is
-// preserved, only the lowerer gets cheaper.
-func DegradeMapper(m string) string {
-	next := core.DegradeOf(bareMapper(m))
-	if next == "" {
-		return ""
-	}
-	if guided(m) {
-		return panPrefix + next
-	}
-	return next
-}
-
 // retryDecision classifies a failed attempt against the failure
 // taxonomy:
 //
@@ -60,8 +42,9 @@ func DegradeMapper(m string) string {
 //     and re-running proves nothing;
 //   - caller cancellations never retry — nobody is waiting;
 //   - ErrBudget retries once at the next rung of the degrade ladder
-//     (the cheaper mapper fits the same budget), and fails when the
-//     job is already degraded or has nowhere cheaper to go;
+//     (core.DegradeOf: the cheaper mapper fits the same budget), and
+//     fails when the job is already degraded or has nowhere cheaper to
+//     go;
 //   - ErrLowerFailed is deterministic (every ladder rung failed hard)
 //     and never retries;
 //   - panics and unclassified errors are treated as transient — worker
@@ -83,7 +66,7 @@ func retryDecision(err error, attempt, maxAttempts int, mapper string, degraded,
 	case failure.IsInfeasible(err):
 		return decideFail
 	case failure.IsBudget(err):
-		if !degraded && DegradeMapper(mapper) != "" {
+		if !degraded && core.DegradeOf(mapper) != "" {
 			return decideDegrade
 		}
 		return decideFail

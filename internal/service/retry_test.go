@@ -73,16 +73,16 @@ func TestDegradeMapperLadder(t *testing.T) {
 		"ultrafast":     "",
 		"bogus":         "",
 	} {
-		if got := DegradeMapper(m); got != want {
-			t.Errorf("DegradeMapper(%q) = %q, want %q", m, got, want)
+		if got := core.DegradeOf(m); got != want {
+			t.Errorf("core.DegradeOf(%q) = %q, want %q", m, got, want)
 		}
 	}
 	// Every accepted request mapper must reach the bottom of the ladder
 	// in finitely many steps — a cycle would retry forever.
-	for _, m := range Mappers() {
+	for _, m := range core.MapperNames() {
 		hops := 0
-		for cur := m; cur != ""; cur = DegradeMapper(cur) {
-			if hops++; hops > len(Mappers()) {
+		for cur := m; cur != ""; cur = core.DegradeOf(cur) {
+			if hops++; hops > len(core.MapperNames()) {
 				t.Fatalf("degrade ladder from %q does not terminate", m)
 			}
 		}

@@ -65,9 +65,6 @@ type Options struct {
 	// MaxBodyBytes bounds a request body before JSON decoding; an
 	// oversized body gets 413 (default 8 MiB).
 	MaxBodyBytes int64
-	// MaxBatchItems bounds the items in one POST /v1/batch request
-	// (default 64).
-	MaxBatchItems int
 	// SSEHeartbeat is the keep-alive comment interval on idle event
 	// streams (default 15s).
 	SSEHeartbeat time.Duration
@@ -77,11 +74,8 @@ type Options struct {
 	// re-enqueue jobs a previous process left unfinished. Empty
 	// disables durability (the pre-journal behavior).
 	JournalDir string
-	// JournalSegmentBytes overrides the journal's compaction threshold
-	// (0 = journal.DefaultSegmentBytes); JournalNoSync skips the fsync
-	// per append (tests only).
-	JournalSegmentBytes int64
-	JournalNoSync       bool
+	// JournalNoSync skips the fsync per append (tests only).
+	JournalNoSync bool
 
 	// MaxAttempts bounds executions per job, counting attempts replayed
 	// from the journal, so a poison job gets at most one run per
@@ -90,11 +84,6 @@ type Options struct {
 	// RetryBase seeds the exponential retry backoff (default 50ms;
 	// negative disables the sleep entirely).
 	RetryBase time.Duration
-	// WatchdogGrace cancels and retries a run exceeding
-	// Budgets.Total × WatchdogGrace — a stalled worker, since the
-	// pipeline enforces Total itself (default 1.5; negative disables;
-	// jobs with no Total budget are never watched).
-	WatchdogGrace float64
 	// BreakerWindow sizes the rolling window of terminal job outcomes
 	// behind the service breaker (default 16; negative disables).
 	// BreakerDegrade and BreakerShed are the failure-rate fractions at
@@ -352,9 +341,6 @@ func New(opts Options) (*Server, error) {
 	if opts.RetryBase < 0 {
 		opts.RetryBase = 0
 	}
-	if opts.WatchdogGrace == 0 {
-		opts.WatchdogGrace = 1.5
-	}
 	if opts.BreakerWindow == 0 {
 		opts.BreakerWindow = 16
 	}
@@ -366,9 +352,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 8 << 20
-	}
-	if opts.MaxBatchItems <= 0 {
-		opts.MaxBatchItems = 64
 	}
 	if opts.SSEHeartbeat <= 0 {
 		opts.SSEHeartbeat = 15 * time.Second
@@ -386,10 +369,7 @@ func New(opts Options) (*Server, error) {
 	var jn *journal.Journal
 	var pending []journal.Record
 	if opts.JournalDir != "" {
-		jn, err = journal.Open(opts.JournalDir, journal.Options{
-			SegmentBytes: opts.JournalSegmentBytes,
-			NoSync:       opts.JournalNoSync,
-		})
+		jn, err = journal.Open(opts.JournalDir, journal.Options{NoSync: opts.JournalNoSync})
 		if err != nil {
 			return nil, err
 		}
@@ -541,7 +521,7 @@ func (s *Server) admit(reqs []*resolved) ([]Outcome, error) {
 		case breakerDegrade:
 			kept := pending[:0]
 			for _, p := range pending {
-				if m := DegradeMapper(p.req.mapper); m != "" {
+				if m := core.DegradeOf(p.req.mapper); m != "" {
 					// Serve a worse answer rather than none: admit the job on
 					// the next-cheaper mapper rung (which gets its own
 					// fingerprint — a degraded result must never answer a
@@ -699,7 +679,7 @@ func (s *Server) runJob(job *Job) {
 			s.finish(job, endFailed, sum, err)
 			return
 		case decideDegrade:
-			next := DegradeMapper(job.currentMapper())
+			next := core.DegradeOf(job.currentMapper())
 			log.Printf("service: job %s attempt %d over budget; degrading to %s", job.ID, attempt, next)
 			job.degradeTo(next)
 			s.met.degraded.Inc()
@@ -733,7 +713,8 @@ func (s *Server) runAttempt(job *Job) (sum core.Summary, err error, watchdog boo
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	var tripped atomic.Bool
-	if d := s.watchdogDeadline(job); d > 0 {
+	// A job without a Total budget is never watched.
+	if d := time.Duration(float64(job.Budgets.Total) * watchdogGrace); d > 0 {
 		t := time.AfterFunc(d, func() {
 			tripped.Store(true)
 			cancel()
@@ -766,14 +747,10 @@ func (s *Server) runAttempt(job *Job) (sum core.Summary, err error, watchdog boo
 	return sum, err, tripped.Load()
 }
 
-// watchdogDeadline is how long an attempt may run before the watchdog
-// cancels it (0 = unwatched).
-func (s *Server) watchdogDeadline(job *Job) time.Duration {
-	if s.opts.WatchdogGrace < 0 || job.Budgets.Total <= 0 {
-		return 0
-	}
-	return time.Duration(float64(job.Budgets.Total) * s.opts.WatchdogGrace)
-}
+// watchdogGrace is how far past Budgets.Total (as a factor) an attempt
+// may run before the watchdog cancels and retries it: the pipeline
+// enforces Total itself, so a run this late is a stalled worker.
+const watchdogGrace = 1.5
 
 func (s *Server) isDraining() bool {
 	s.mu.Lock()
@@ -840,7 +817,7 @@ func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
 		s.met.recordFailure(err)
 		s.met.recordStages(sum)
 		s.breaker.record(true)
-		note = failureClass(err)
+		note = failure.ClassOf(err)
 	case endRequeued:
 		s.met.requeued.Inc()
 		note = "draining"
@@ -904,24 +881,7 @@ func (s *Server) mapJob(ctx context.Context, job *Job) (*core.Result, error) {
 		Workers:        s.opts.PipelineWorkers,
 		Budgets:        job.Budgets,
 	}
-	// The mapper comes from the core lowering registry; "pan-" selects
-	// the guided pipeline around it, the bare name runs it as a
-	// baseline.
-	name := job.currentMapper()
-	lower, err := core.NewLowerByName(bareMapper(name), job.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if guided(name) {
-		return core.MapPanoramaCtx(ctx, req.graph, req.arch, lower, cfg)
-	}
-	// Baselines take no Config; apply the total budget here.
-	if job.Budgets.Total > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, job.Budgets.Total)
-		defer cancel()
-	}
-	return core.MapBaselineCtx(ctx, req.graph, req.arch, lower)
+	return core.MapByName(ctx, req.graph, req.arch, job.currentMapper(), cfg)
 }
 
 // Shutdown stops accepting work, lets queued and in-flight jobs drain,

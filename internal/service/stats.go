@@ -27,10 +27,9 @@ type metrics struct {
 	executed  *obs.Counter // pipeline executions started
 	completed *obs.Counter // executions that returned a clean Summary
 
-	failedBudget     *obs.Counter
-	failedInfeasible *obs.Counter
-	failedCancelled  *obs.Counter
-	failedOther      *obs.Counter
+	// failed counts failed executions by failure class; a class without
+	// a series of its own counts as "other".
+	failed map[string]*obs.Counter
 
 	retried       *obs.Counter // attempts re-run by the retry ladder
 	degraded      *obs.Counter // jobs stepped down to a cheaper mapper
@@ -116,10 +115,7 @@ func newMetrics(s *Server) *metrics {
 		completed:           reg.NewCounter("panorama_service_completed_total", "Executions that returned a clean summary."),
 		degraded:            reg.NewCounter("panorama_service_degraded_total", "Jobs stepped down to a cheaper mapper (retry ladder or admission breaker)."),
 		executed:            reg.NewCounter("panorama_service_executed_total", "Pipeline executions started."),
-		failedBudget:        failed.With("budget"),
-		failedCancelled:     failed.With("cancelled"),
-		failedInfeasible:    failed.With("infeasible"),
-		failedOther:         failed.With("other"),
+		failed:              map[string]*obs.Counter{failure.ClassBudget: failed.With("budget"), failure.ClassCancelled: failed.With("cancelled"), failure.ClassInfeasible: failed.With("infeasible"), "other": failed.With("other")},
 		journalErrors:       reg.NewCounter("panorama_service_journal_append_errors_total", "Job lifecycle records the service failed to journal."),
 		recovered:           reg.NewCounter("panorama_service_recovered_total", "Jobs replayed from the journal at startup."),
 		rejected:            reg.NewCounter("panorama_service_rejected_total", "Submissions rejected by admission control (429)."),
@@ -183,16 +179,11 @@ func (m *metrics) recordStages(sum core.Summary) {
 }
 
 func (m *metrics) recordFailure(err error) {
-	switch {
-	case failure.IsBudget(err):
-		m.failedBudget.Inc()
-	case failure.IsCancelled(err):
-		m.failedCancelled.Inc()
-	case failure.IsInfeasible(err):
-		m.failedInfeasible.Inc()
-	default:
-		m.failedOther.Inc()
+	c, ok := m.failed[failure.ClassOf(err)]
+	if !ok {
+		c = m.failed["other"]
 	}
+	c.Inc()
 }
 
 // Stats is the typed in-process snapshot of the server's instruments:
@@ -278,10 +269,10 @@ func (s *Server) Stats() Stats {
 		RunningJobs:         int(s.running.Load()),
 		Executed:            st.executed.Value(),
 		Completed:           st.completed.Value(),
-		FailedBudget:        st.failedBudget.Value(),
-		FailedInfeasib:      st.failedInfeasible.Value(),
-		FailedCancel:        st.failedCancelled.Value(),
-		FailedOther:         st.failedOther.Value(),
+		FailedBudget:        st.failed[failure.ClassBudget].Value(),
+		FailedInfeasib:      st.failed[failure.ClassInfeasible].Value(),
+		FailedCancel:        st.failed[failure.ClassCancelled].Value(),
+		FailedOther:         st.failed["other"].Value(),
 		Retried:             st.retried.Value(),
 		Degraded:            st.degraded.Value(),
 		Shed:                st.shed.Value(),

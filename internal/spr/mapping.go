@@ -23,7 +23,8 @@ import (
 
 // Options tunes the mapper.
 type Options struct {
-	// MaxII caps II escalation; 0 means MII + DefaultIISlack.
+	// MaxII caps II escalation; 0 means DefaultIISlack past MII (see
+	// arch.IIRange).
 	MaxII int
 	// AllowedClusters restricts each DFG node to the given CGRA cluster
 	// ids (Panorama guidance). nil, or a nil entry, means unrestricted.
@@ -34,9 +35,6 @@ type Options struct {
 	// RouterIters is the number of PathFinder iterations per routing
 	// call (default 12).
 	RouterIters int
-	// MaxDelta caps the elapsed cycles a single edge route may take;
-	// 0 means 3*II+4.
-	MaxDelta int
 
 	// Simulated annealing schedule (defaults: 20 / 0.5 / 0.85).
 	SAInitTemp float64
@@ -116,39 +114,17 @@ func MapCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options) (*Res
 	if err := d.Freeze(); err != nil {
 		return nil, err
 	}
-	if opts.AllowedClusters != nil && len(opts.AllowedClusters) != d.NumNodes() {
-		return nil, fmt.Errorf("spr: AllowedClusters has %d entries for %d nodes",
-			len(opts.AllowedClusters), d.NumNodes())
+	r, err := a.IIRange(d, opts.AllowedClusters, opts.MaxII, DefaultIISlack)
+	if err != nil {
+		return nil, fmt.Errorf("spr: %w", err)
 	}
 	opts.defaults(d.NumNodes())
+	res := &Result{MII: r.MII}
 
-	mii := a.MII(d)
-	maxII := opts.MaxII
-	if maxII <= 0 {
-		maxII = mii + DefaultIISlack
-	}
-	res := &Result{MII: mii}
-
-	// Under cluster guidance the per-cluster resource bound can exceed
-	// the global MII (a cluster hosting L ops has only |PEs|*II FU
-	// slots); starting there skips provably infeasible IIs. QoM is
-	// still reported against the global MII, like the paper.
-	startII := mii
-	if opts.AllowedClusters != nil {
-		if c := a.ClusterMII(d, opts.AllowedClusters); c > startII {
-			startII = c
-		}
-	}
-	if startII > mii+64 {
-		// The restriction is unsatisfiable (e.g. memory ops pinned to a
-		// memory-less cluster); report failure so callers can relax.
-		return res, nil
-	}
-	if opts.MaxII <= 0 && maxII < startII+2 {
-		maxII = startII + 2
-	}
-
-	for ii := startII; ii <= maxII; ii++ {
+	// An empty range (arch.IIRange: unsatisfiable restriction, or MaxII
+	// below the start) reports failure so callers can relax. QoM is
+	// reported against the global MII, like the paper.
+	for ii := r.Start; ii <= r.End; ii++ {
 		// A near-miss (a few conflicts left) earns fresh restarts with a
 		// different annealing trajectory before the II escalates.
 		const maxRestarts = 3
@@ -258,9 +234,6 @@ func attemptII(ctx context.Context, d *dfg.Graph, a *arch.CGRA, ii, restart int,
 			return att, nil, err
 		}
 		st.pathFinderIterations(40)
-	}
-	if debugOveruse && st.badness() > 0 {
-		st.dumpOveruse()
 	}
 	att.FinalOveruse = st.badness()
 	return att, st, nil

@@ -1,7 +1,6 @@
 package spr
 
 import (
-	"fmt"
 	"math"
 
 	"panorama/internal/mrrg"
@@ -90,31 +89,6 @@ func (st *state) releaseNode(node int32) {
 	st.rc[node].head++
 }
 
-// occElapsedMax bounds the elapsed-phase field of occKey: the packing
-// reserves 16 bits for it, so any larger value would collide with the
-// next node's keyspace.
-const occElapsedMax = 1<<16 - 1
-
-// occKey identifies one phase of a signal's occupation of a node: two
-// sink routes of the same signal may share a resource for free only
-// when they pass it at the same elapsed time — at different phases the
-// wire would have to carry two different iterations' values in the
-// same cycle.
-//
-// It survives only on the PANORAMA_DEBUG_OCC validation path (the hot
-// path indexes the occupancy bitset by router state instead). The
-// packing is 48 bits of node << 16 bits of elapsed; the guard turns a
-// silent key collision on out-of-range fields into a loud failure.
-// Elapsed times are bounded by maxDelta (a few times II), so the limit
-// is unreachable in practice.
-func occKey(node int32, elapsed int) int64 {
-	if node < 0 || elapsed < 0 || elapsed > occElapsedMax {
-		panic(fmt.Sprintf("spr: occKey(%d, %d) outside packable range (elapsed max %d)",
-			node, elapsed, occElapsedMax))
-	}
-	return int64(node)<<16 | int64(elapsed)
-}
-
 // walkElapsed visits every node of a route with its elapsed time.
 func (st *state) walkElapsed(route []int32, visit func(node int32, elapsed int)) {
 	if len(route) == 0 {
@@ -148,10 +122,6 @@ func (st *state) claimRoute(sig *signal, i int, route []int32) {
 				st.occBits[s>>6] |= 1 << (uint(s) & 63)
 			}
 		}
-		if debugOcc {
-			sig.occ[occKey(n, elapsed)]++
-			st.checkOcc(sig, n, elapsed)
-		}
 	})
 }
 
@@ -178,14 +148,6 @@ func (st *state) ripupSink(sig *signal, i int) {
 			if st.occSig == sig {
 				st.occBits[s>>6] &^= 1 << (uint(s) & 63)
 			}
-		}
-		if debugOcc {
-			k := occKey(n, elapsed)
-			sig.occ[k]--
-			if sig.occ[k] == 0 {
-				delete(sig.occ, k)
-			}
-			st.checkOcc(sig, n, elapsed)
 		}
 	})
 	sig.routes[i] = nil
@@ -428,9 +390,6 @@ func (st *state) routeAll() {
 			sig.routes[i] = nil
 		}
 		sig.claims = sig.claims[:0]
-		for n := range sig.occ {
-			delete(sig.occ, n)
-		}
 	}
 	for _, sig := range st.signals {
 		if st.cancelled() {

@@ -64,12 +64,6 @@ type signal struct {
 	// shared occupancy bitset answers membership in O(1) for the signal
 	// currently being routed (see state.beginRouting).
 	claims []occClaim
-
-	// occ mirrors claims as an occKey-indexed reference-count map, and
-	// exists only under PANORAMA_DEBUG_OCC as the validation fallback
-	// cross-checked against the bitset path (see debug.go). nil in
-	// normal operation.
-	occ map[int64]int
 }
 
 // claimIndex returns the position of state in claims, or -1.
@@ -179,18 +173,15 @@ func newState(d *dfg.Graph, a *arch.CGRA, ii int, opts *Options) (*state, error)
 	}
 	st := &state{
 		d: d, a: a, g: g, ii: ii, opts: opts,
-		maxDelta: opts.MaxDelta,
-		rng:      rand.New(rand.NewSource(opts.Seed + int64(ii)*104729)),
-		presFac:  1.5,
-	}
-	if st.maxDelta <= 0 {
 		// Enough slack for a route across the whole array plus parking:
 		// at low II a consumer pinned to a far cluster legitimately
 		// needs diameter-many cycles of transport, and a value may wait
 		// at most ~II cycles in any one resource before it would wrap
 		// into its own next iteration (see routeSink's revisit check),
 		// so longer deltas than this are rarely routable anyway.
-		st.maxDelta = 2*ii + 6 + a.Rows + a.Cols
+		maxDelta: 2*ii + 6 + a.Rows + a.Cols,
+		rng:      rand.New(rand.NewSource(opts.Seed + int64(ii)*104729)),
+		presFac:  1.5,
 	}
 	n := d.NumNodes()
 	st.placePE = make([]int, n)
@@ -521,9 +512,6 @@ func (st *state) buildSignals() {
 			continue
 		}
 		sig := &signal{src: v}
-		if debugOcc {
-			sig.occ = make(map[int64]int)
-		}
 		for _, ei := range outs {
 			e := st.d.Edges[ei]
 			sig.sinks = append(sig.sinks, sink{edge: ei, consumer: e.To})

@@ -174,3 +174,27 @@ func TestMapAllocationsDoNotScaleWithAttempts(t *testing.T) {
 			manyAttempts, many, fewAttempts, few)
 	}
 }
+
+// Guided UltraFast* starts at the clusters' own bound (arch.IIRange)
+// instead of climbing to it from MII: fir@0.25 pinned to one 4-PE
+// cluster of the 8x8 maps at the same II 21 in 3 attempts, not 20.
+func TestGuidedStartSkipsInfeasibleIIs(t *testing.T) {
+	spec, err := kernels.ByName("fir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := spec.Build(0.25)
+	g.MustFreeze()
+	allowed := make([][]int, g.NumNodes())
+	for i := range allowed {
+		allowed[i] = []int{0}
+	}
+	before := mAttempts.Value()
+	res, err := Map(g, arch.Preset8x8(), Options{AllowedClusters: allowed})
+	if err != nil || !res.Success {
+		t.Fatalf("%+v, %v", res, err)
+	}
+	if attempts := mAttempts.Value() - before; res.II != 21 || attempts != 3 {
+		t.Fatalf("II %d after %d attempts, want II 21 after 3", res.II, attempts)
+	}
+}

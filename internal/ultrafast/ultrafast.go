@@ -30,7 +30,8 @@ import (
 
 // Options tunes the mapper.
 type Options struct {
-	// MaxII caps II escalation; 0 means MII + DefaultIISlack.
+	// MaxII caps II escalation; 0 means DefaultIISlack past MII (see
+	// arch.IIRange).
 	MaxII int
 	// AllowedClusters restricts each DFG node to the given CGRA
 	// clusters (Panorama guidance); nil = unrestricted.
@@ -68,21 +69,16 @@ func MapCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options) (*Res
 	if err := d.Freeze(); err != nil {
 		return nil, err
 	}
-	if opts.AllowedClusters != nil && len(opts.AllowedClusters) != d.NumNodes() {
-		return nil, fmt.Errorf("ultrafast: AllowedClusters has %d entries for %d nodes",
-			len(opts.AllowedClusters), d.NumNodes())
+	r, err := a.IIRange(d, opts.AllowedClusters, opts.MaxII, DefaultIISlack)
+	if err != nil {
+		return nil, fmt.Errorf("ultrafast: %w", err)
 	}
 	if opts.CrossbarCap <= 0 {
 		opts.CrossbarCap = verify.DefaultCrossbarCap
 	}
-	mii := a.MII(d)
-	maxII := opts.MaxII
-	if maxII <= 0 {
-		maxII = mii + DefaultIISlack
-	}
-	res := &Result{MII: mii}
+	res := &Result{MII: r.MII}
 	st := newState(d, a, &opts)
-	for ii := mii; ii <= maxII; ii++ {
+	for ii := r.Start; ii <= r.End; ii++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
