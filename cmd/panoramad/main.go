@@ -1,7 +1,7 @@
 // Command panoramad serves the Panorama mapper as a long-running
 // HTTP/JSON daemon: mapping jobs are queued with admission control,
-// coalesced when identical, executed on a bounded worker set under the
-// budget ladder, and served from a content-addressed result cache
+// coalesced when identical, executed on a bounded worker set under an
+// abort-only deadline, and served from a content-addressed result cache
 // (optionally persisted across restarts with -cache-dir).
 //
 // With -journal-dir the daemon is crash-safe: every accepted job is

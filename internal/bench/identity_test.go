@@ -14,6 +14,7 @@ import (
 	"panorama/internal/core"
 	"panorama/internal/kernels"
 	"panorama/internal/satmap"
+	"panorama/internal/service"
 	"panorama/internal/spr"
 	"panorama/internal/ultrafast"
 	"panorama/internal/verify"
@@ -193,4 +194,38 @@ func TestIdentityGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("mappings drifted from %s (rerun with -update only if the change means to move them):\n%s", path, drift.String())
+}
+
+// TestCodeVersionLedger ties the service's cache key to the identity
+// golden: testdata/codeversion.ledger records, one "version sha256"
+// line per service.CodeVersion, the digest of identity.golden that
+// version was cut at. A change that moves a golden row cannot pass
+// without also bumping CodeVersion and appending its line, so a cache
+// never serves a mapping from before the move under the same key.
+func TestCodeVersionLedger(t *testing.T) {
+	golden, err := os.ReadFile("testdata/identity.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := os.ReadFile("testdata/codeversion.ledger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := fmt.Sprintf("%x", sha256.Sum256(golden))
+	for _, line := range strings.Split(strings.TrimSpace(string(ledger)), "\n") {
+		var version int
+		var recorded string
+		if _, err := fmt.Sscanf(line, "%d %s", &version, &recorded); err != nil {
+			t.Fatalf("ledger line %q: %v", line, err)
+		}
+		if version != service.CodeVersion {
+			continue
+		}
+		if recorded != digest {
+			t.Fatalf("identity.golden digest %s, but CodeVersion %d was recorded at %s: a change that moves a mapping must bump service.CodeVersion and append \"%d %s\" to the ledger",
+				digest, version, recorded, service.CodeVersion+1, digest)
+		}
+		return
+	}
+	t.Fatalf("ledger has no line for CodeVersion %d: append \"%d %s\"", service.CodeVersion, service.CodeVersion, digest)
 }

@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"panorama/internal/failure"
 	"panorama/internal/ilp"
@@ -51,8 +50,8 @@ type Result struct {
 	// Provenance of the degradation ladder inside cluster mapping:
 	// GreedyRows counts the rows whose final column assignment came
 	// from the greedy fallback instead of the row ILP; Limited reports
-	// that at least one ILP solve hit a budget (its incumbent, or the
-	// greedy placement, was used instead of a proven optimum).
+	// that at least one ILP solve hit its node budget (its incumbent,
+	// or the greedy placement, was used instead of a proven optimum).
 	GreedyRows int
 	Limited    bool
 }
@@ -66,12 +65,6 @@ func (res *Result) Score() int { return 3*res.LoadImbalance + res.Cost }
 type Options struct {
 	Zeta1, Zeta2 int // matching-cut slack (>=1); see paper §3.2.1
 	MaxNodes     int // ILP node budget per solve (default 20_000)
-
-	// SolveTimeout is the wall-clock budget of each individual ILP
-	// solve (0 = none). Expiry is anytime: the solve's best incumbent
-	// is used when one exists, otherwise the ζ escalation or the
-	// greedy fallback takes over.
-	SolveTimeout time.Duration
 
 	// NodeCapacity and MemCapacity bound the DFG nodes (resp. memory
 	// operations) a single CGRA cluster may receive. The caller derives
@@ -95,11 +88,10 @@ func Map(cdg *spectral.CDG, r, c int, opts Options) (res *Result, ok bool, err e
 
 // MapCtx is Map with cancellation and deadline awareness: ctx is
 // threaded into every split/row ILP solve, so a fired deadline stops
-// the branch-and-bound mid-search. The attempt still completes on the
-// solves' incumbents and the greedy fallback when possible; when even
-// that is impossible (the column scatter has no incumbent) the
-// returned error carries the failure taxonomy (failure.ErrBudget /
-// failure.ErrCancelled).
+// the branch-and-bound mid-search and the attempt aborts with an error
+// carrying the failure taxonomy (failure.ErrBudget /
+// failure.ErrCancelled). Only the node budget (Options.MaxNodes) lets
+// an attempt complete on an incumbent or the greedy fallback.
 func MapCtx(ctx context.Context, cdg *spectral.CDG, r, c int, opts Options) (res *Result, ok bool, err error) {
 	if r <= 0 || c <= 0 {
 		return nil, false, fmt.Errorf("clustermap: invalid cluster grid %dx%d", r, c)
@@ -173,12 +165,11 @@ func MapWithEscalation(cdg *spectral.CDG, r, c int, opts Options) (*Result, erro
 	return MapWithEscalationCtx(context.Background(), cdg, r, c, opts)
 }
 
-// MapWithEscalationCtx is MapWithEscalation with cancellation, with
-// anytime semantics: if the context fires mid-escalation after at
-// least one feasible mapping was found, the best mapping so far is
-// returned instead of an error. With nothing usable, the error is
-// classified (failure.ErrBudget, failure.ErrCancelled, or
-// failure.ErrInfeasible when the escalation genuinely ran dry).
+// MapWithEscalationCtx is MapWithEscalation with cancellation. A fired
+// context aborts the escalation with a classified error
+// (failure.ErrBudget or failure.ErrCancelled) even when a feasible
+// mapping is in hand, so a returned mapping never depends on wall time;
+// failure.ErrInfeasible reports that the escalation genuinely ran dry.
 func MapWithEscalationCtx(ctx context.Context, cdg *spectral.CDG, r, c int, opts Options) (*Result, error) {
 	if opts.Zeta1 <= 0 {
 		opts.Zeta1 = 1
@@ -191,17 +182,11 @@ func MapWithEscalationCtx(ctx context.Context, cdg *spectral.CDG, r, c int, opts
 	extra := 0
 	for ; opts.Zeta1 <= maxZeta && extra < 3; opts.Zeta1, opts.Zeta2 = opts.Zeta1+1, opts.Zeta2+1 {
 		if cerr := ctx.Err(); cerr != nil {
-			if best != nil {
-				return best, nil
-			}
 			return nil, fmt.Errorf("clustermap: escalation stopped at zeta=%d: %w",
 				opts.Zeta1, failure.Classify(cerr))
 		}
 		res, ok, err := MapCtx(ctx, cdg, r, c, opts)
 		if err != nil {
-			if best != nil && (failure.IsBudget(err) || failure.IsCancelled(err)) {
-				return best, nil
-			}
 			return nil, err
 		}
 		if ok {
@@ -392,21 +377,19 @@ func splitILP(ctx context.Context, cdg *spectral.CDG, current []int, fixed map[i
 		}
 	}
 
-	res := m.SolveCtx(ctx, ilp.Options{MaxNodes: opts.MaxNodes, Timeout: opts.SolveTimeout})
+	res := m.SolveCtx(ctx, ilp.Options{MaxNodes: opts.MaxNodes})
+	if cerr := ctx.Err(); cerr != nil {
+		// The caller's deadline may have cut the search short: its
+		// incumbent is a function of wall time, so abort instead.
+		return nil, false, fmt.Errorf("clustermap: column scatter: %w", failure.Classify(cerr))
+	}
 	switch res.Status {
 	case ilp.Infeasible:
 		return nil, false, nil
 	case ilp.Limit:
 		if !res.Feasible {
-			if cerr := ctx.Err(); cerr != nil {
-				// The caller's deadline (not this solve's own budget)
-				// stopped the search with nothing usable: escalating ζ
-				// would just re-fail instantly, so surface the typed
-				// failure and let the caller's anytime path decide.
-				return nil, false, fmt.Errorf("clustermap: column scatter: %w", failure.Classify(cerr))
-			}
-			// The budget ran out before any incumbent; treat the ζ as
-			// infeasible so escalation loosens the constraints (the
+			// The node budget ran out before any incumbent; treat the ζ
+			// as infeasible so escalation loosens the constraints (the
 			// constrained instances get easier as ζ grows).
 			return nil, false, nil
 		}

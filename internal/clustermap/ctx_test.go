@@ -57,13 +57,35 @@ func TestMapCtxMatchesMapWhenUnconstrained(t *testing.T) {
 	}
 }
 
-func TestSolveTimeoutDegradesCleanly(t *testing.T) {
-	// A 1ns per-solve budget starves every ILP, including the column
-	// scatter which has no greedy rung: the escalation must dry out
-	// into a typed infeasibility, never a crash or a hang.
-	_, err := MapWithEscalation(chainCDG(t, 8), 2, 2, Options{SolveTimeout: time.Nanosecond})
-	if !failure.IsInfeasible(err) {
-		t.Fatalf("err = %v, want an infeasibility-classified error", err)
+// expiresAfterFeasible is a context whose deadline passes the moment
+// the first ζ attempt succeeds: it reports DeadlineExceeded once the
+// feasible-attempt counter has moved past its value at creation.
+type expiresAfterFeasible struct {
+	context.Context
+	okBefore int64
+}
+
+func (c expiresAfterFeasible) Err() error {
+	if mAttemptOK.Value() > c.okBefore {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// A clock that fires after a feasible ζ is in hand must still abort
+// the escalation: returning the best mapping so far would make the
+// result a function of wall time.
+func TestFiredClockNeverYieldsBestSoFar(t *testing.T) {
+	ctx := expiresAfterFeasible{Context: context.Background(), okBefore: mAttemptOK.Value()}
+	res, err := MapWithEscalationCtx(ctx, chainCDG(t, 8), 2, 2, Options{})
+	if mAttemptOK.Value() == ctx.okBefore {
+		t.Fatal("no ζ attempt succeeded; the clock never fired")
+	}
+	if res != nil {
+		t.Fatalf("a fired clock returned a mapping (ζ1=%d)", res.Zeta1)
+	}
+	if !failure.IsBudget(err) && !failure.IsCancelled(err) {
+		t.Fatalf("err = %v, want a budget- or cancel-classified error", err)
 	}
 }
 

@@ -23,7 +23,8 @@ import (
 //
 // The returned greedyRows counts rows of the final pass whose
 // assignment came from the greedy fallback; limited reports that at
-// least one row ILP hit a budget (ladder provenance for the caller).
+// least one row ILP hit its node budget (ladder provenance for the
+// caller).
 func rowScatter(ctx context.Context, cdg *spectral.CDG, rows []int, r, c int, opts Options) (colsOut [][]int, greedyRows int, limited bool, err error) {
 	perRow := make([][]int, r)
 	for v, row := range rows {
@@ -96,7 +97,7 @@ func centeredInterval(span, c int) []int {
 // rowILP solves the column assignment for the nodes of one row, with
 // every other row's columns fixed. It returns the new column sets for
 // exactly the given nodes, whether the greedy fallback produced them,
-// and whether the ILP hit a budget.
+// and whether the ILP hit its node budget.
 func rowILP(ctx context.Context, cdg *spectral.CDG, nodes []int, rows []int, cols [][]int, spans []int, c int, opts Options) (map[int][]int, bool, bool, error) {
 	m := ilp.NewModel()
 	inRow := make(map[int]bool, len(nodes))
@@ -229,7 +230,12 @@ func rowILP(ctx context.Context, cdg *spectral.CDG, nodes []int, rows []int, col
 		}
 	}
 
-	res := m.SolveCtx(ctx, ilp.Options{MaxNodes: opts.MaxNodes, Timeout: opts.SolveTimeout})
+	res := m.SolveCtx(ctx, ilp.Options{MaxNodes: opts.MaxNodes})
+	if cerr := ctx.Err(); cerr != nil {
+		// The caller's deadline may have cut the search short: abort
+		// rather than settle for its incumbent or the greedy row.
+		return nil, false, false, fmt.Errorf("clustermap: row scatter: %w", failure.Classify(cerr))
+	}
 	hitLimit := res.Status == ilp.Limit
 
 	// The greedy placement both serves as a fallback when the coverage
@@ -238,12 +244,6 @@ func rowILP(ctx context.Context, cdg *spectral.CDG, nodes []int, rows []int, col
 	greedy, gerr := rowGreedy(cdg, nodes, cols, spans, c, opts)
 	if !res.Feasible {
 		if gerr != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				// Both ladder rungs are gone because the caller's
-				// deadline fired; report the typed failure rather than
-				// the greedy's (injected) error.
-				return nil, false, hitLimit, fmt.Errorf("clustermap: row scatter: %w", failure.Classify(cerr))
-			}
 			return nil, false, hitLimit, fmt.Errorf("clustermap: row ILP infeasible (%v) and greedy failed: %w", res.Status, gerr)
 		}
 		return greedy, true, hitLimit, nil

@@ -7,9 +7,8 @@ import "panorama/internal/failure"
 // All of them match with errors.Is; StageError additionally carries
 // which pipeline stage failed and matches with errors.As.
 var (
-	// ErrBudget: a wall-clock budget fired (a per-stage budget from
-	// Config.Budgets, the total deadline, or the caller's context
-	// deadline).
+	// ErrBudget: a wall-clock budget fired (Config.Budgets.Total or the
+	// caller's context deadline).
 	ErrBudget = failure.ErrBudget
 	// ErrInfeasible: the instance is unmappable under the given
 	// constraints — no partition, no feasible cluster mapping, or an

@@ -58,6 +58,19 @@ func TestFaultMatrix(t *testing.T) {
 		}
 	})
 
+	t.Run("eigensolve timeout aborts", func(t *testing.T) {
+		defer faultinject.Arm(&faultinject.Plan{Rules: []faultinject.Rule{
+			{Site: faultinject.SiteEigensolve, Kind: faultinject.Timeout, From: 1},
+		}})()
+		res, err := run(cfg(), nil)
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("err = %v, want ErrBudget", err)
+		}
+		if res == nil || res.Provenance.BudgetStage != "clustering" {
+			t.Fatalf("BudgetStage = %q, want clustering", res.Provenance.BudgetStage)
+		}
+	})
+
 	t.Run("eigensolve panic recovered", func(t *testing.T) {
 		defer faultinject.Arm(&faultinject.Plan{Rules: []faultinject.Rule{
 			{Site: faultinject.SiteEigensolve, Kind: faultinject.Panic, From: 1},
@@ -196,40 +209,12 @@ func TestFaultMatrix(t *testing.T) {
 	})
 }
 
-// TestRealBudgets exercises the Budgets knobs without fault injection:
-// genuinely expired deadlines must produce typed errors, partial
-// results, and bounded wall-clock.
+// TestRealBudgets exercises the one wall clock, Budgets.Total, without
+// fault injection: a genuinely expired deadline must produce a typed
+// error, a partial result attributed to the stage it fired in, and
+// bounded wall-clock.
 func TestRealBudgets(t *testing.T) {
 	a := arch.Preset8x8()
-
-	t.Run("clustering budget aborts", func(t *testing.T) {
-		d := firKernel(t, 0.2)
-		res, err := MapPanoramaCtx(context.Background(), d, a, UltraFastLower{},
-			Config{Seed: 1, RelaxOnFailure: true, Workers: 1,
-				Budgets: Budgets{Clustering: time.Nanosecond}})
-		if !errors.Is(err, ErrBudget) {
-			t.Fatalf("err = %v, want ErrBudget", err)
-		}
-		if res == nil || res.Provenance.BudgetStage != "clustering" {
-			t.Fatalf("BudgetStage = %q, want clustering", res.Provenance.BudgetStage)
-		}
-	})
-
-	t.Run("lower budget keeps cluster mapping", func(t *testing.T) {
-		d := firKernel(t, 0.2)
-		res, err := MapPanoramaCtx(context.Background(), d, a, UltraFastLower{},
-			Config{Seed: 1, RelaxOnFailure: true, Workers: 1,
-				Budgets: Budgets{Lower: time.Nanosecond}})
-		if !errors.Is(err, ErrBudget) {
-			t.Fatalf("err = %v, want ErrBudget", err)
-		}
-		if res == nil || res.ClusterMap == nil {
-			t.Fatal("partial Result must keep the cluster mapping")
-		}
-		if res.Provenance.BudgetStage != "lower" {
-			t.Fatalf("BudgetStage = %q, want lower", res.Provenance.BudgetStage)
-		}
-	})
 
 	t.Run("total budget returns promptly", func(t *testing.T) {
 		d := firKernel(t, 0.2)
@@ -248,6 +233,25 @@ func TestRealBudgets(t *testing.T) {
 		}
 	})
 
+	t.Run("lower budget keeps cluster mapping", func(t *testing.T) {
+		// Clustering and cluster mapping take ~10 ms here; the lower
+		// mapper then runs until the Total deadline fires, so the clock
+		// expires in the lower stage.
+		d := firKernel(t, 0.2)
+		res, err := MapPanoramaCtx(context.Background(), d, a, stallLower{},
+			Config{Seed: 1, RelaxOnFailure: true, Workers: 1,
+				Budgets: Budgets{Total: 500 * time.Millisecond}})
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("err = %v, want ErrBudget", err)
+		}
+		if res == nil || res.ClusterMap == nil {
+			t.Fatal("partial Result must keep the cluster mapping")
+		}
+		if res.Provenance.BudgetStage != "lower" {
+			t.Fatalf("BudgetStage = %q, want lower", res.Provenance.BudgetStage)
+		}
+	})
+
 	t.Run("unbudgeted run untouched", func(t *testing.T) {
 		d := firKernel(t, 0.2)
 		res, err := MapPanoramaCtx(context.Background(), d, a, UltraFastLower{},
@@ -256,6 +260,18 @@ func TestRealBudgets(t *testing.T) {
 			t.Fatalf("zero Budgets must mean unbounded: err=%v", err)
 		}
 	})
+}
+
+// stallLower is a lower mapper that never finishes on its own: it
+// returns only when its context ends, for exercising a real deadline
+// that fires mid-lower.
+type stallLower struct{}
+
+func (stallLower) Name() string { return "stall" }
+
+func (stallLower) Map(ctx context.Context, _ *dfg.Graph, _ *arch.CGRA, _ [][]int) (LowerResult, error) {
+	<-ctx.Done()
+	return LowerResult{}, ctx.Err()
 }
 
 // panicLower is a lower mapper that always panics, for exercising the

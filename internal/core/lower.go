@@ -172,8 +172,11 @@ func MapByName(ctx context.Context, d *dfg.Graph, a *arch.CGRA, mapper string, c
 	if guided {
 		return MapPanoramaCtx(ctx, d, a, lower, cfg)
 	}
-	ctx, cancel := stageCtx(ctx, cfg.Budgets.Total)
-	defer cancel()
+	if cfg.Budgets.Total > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.Budgets.Total)
+		defer cancel()
+	}
 	return MapBaselineCtx(ctx, d, a, lower)
 }
 

@@ -100,21 +100,13 @@ func (u UltraFastLower) Map(ctx context.Context, d *dfg.Graph, a *arch.CGRA, all
 	return lowered(res.Success, res.MII, res.II, res.Mapping), nil
 }
 
-// Budgets caps the wall-clock of the pipeline stages. Zero means
-// unbounded. Semantics: when a *stage* budget fires while the total
-// deadline is still alive, the pipeline degrades — the cluster mapping
-// keeps its best mapping so far, the lower mapper drops to the next
-// rung of the relaxation ladder. Only a stage that has nothing to
-// degrade to (clustering, or cluster mapping with no feasible
-// candidate yet) aborts the run, returning the partial Result next to
-// an error matching ErrBudget. When the *Total* deadline (or the
-// caller's own context) fires, the pipeline aborts immediately with
-// whatever it has.
+// Budgets caps the wall clock of a run. The clock only aborts: when
+// Total (or the caller's own context) fires, the pipeline stops and
+// returns the partial Result next to an error matching ErrBudget or
+// ErrCancelled; it never settles for a result the clock picked. Zero
+// means unbounded.
 type Budgets struct {
-	Clustering time.Duration // spectral sweep (eigensolve + k-means fan-out)
-	ClusterMap time.Duration // all candidate split&push ILP escalations
-	Lower      time.Duration // each rung of the lower mapper's II search
-	Total      time.Duration // whole-pipeline deadline
+	Total time.Duration // whole-pipeline deadline
 }
 
 // StageRecord is one pipeline stage's provenance entry. The JSON form
@@ -123,7 +115,7 @@ type Budgets struct {
 type StageRecord struct {
 	Stage string        `json:"stage"`          // "clustering", "clustermap", "lower"
 	Wall  time.Duration `json:"wallNS"`         // wall-clock spent in the stage
-	Note  string        `json:"note,omitempty"` // what the stage settled for ("", "budgeted: best-so-far", rung name, ...)
+	Note  string        `json:"note,omitempty"` // what the stage settled for ("", "3 candidates", rung name, ...)
 }
 
 // Provenance records how a Result was produced: per-stage wall time
@@ -162,8 +154,8 @@ type Config struct {
 	// outright, so Panorama degrades to the baseline instead of
 	// failing. Enabled by default via MapPanorama.
 	RelaxOnFailure bool
-	// Budgets caps the wall clock of each pipeline stage and of the
-	// whole run; see the Budgets type for degradation semantics.
+	// Budgets caps the wall clock of the whole run; see the Budgets
+	// type for its abort-only semantics.
 	Budgets Budgets
 }
 
@@ -293,15 +285,12 @@ func MapPanoramaCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, lower Lower
 	res = &Result{Kernel: d.Name, Trace: obs.TraceFrom(ctx)}
 
 	// Lines 1-4: clustering sweep k = R .. m. One eigendecomposition,
-	// k-means fanned out per k. This stage has no degraded form: its
-	// budget firing aborts the run.
+	// k-means fanned out per k.
 	t0 := time.Now()
-	cctx, ccancel := stageCtx(ctx, cfg.Budgets.Clustering)
-	cctx, csp := obs.StartSpan(cctx, "clustering")
+	cctx, csp := obs.StartSpan(ctx, "clustering")
 	csp.Set("maxK", cfg.MaxDFGClusters)
 	parts, sweepStats, err := spectral.SweepCtx(cctx, d, r, cfg.MaxDFGClusters, cfg.Seed, cfg.Workers)
 	csp.End()
-	ccancel()
 	res.ClusteringTime = time.Since(t0)
 	res.SweepStats = sweepStats
 	if err != nil {
@@ -341,10 +330,9 @@ func MapPanoramaCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, lower Lower
 	// The candidates are independent ILP solves: fan them out and
 	// reduce in candidate order, so the winner is the same one the
 	// serial loop would pick regardless of completion order. Budget and
-	// cancellation errors stop the fan-out (there is no point starting
-	// more candidates); infeasible candidates are dropped silently.
-	mctx, mcancel := stageCtx(ctx, cfg.Budgets.ClusterMap)
-	mctx, msp := obs.StartSpan(mctx, "clustermap")
+	// cancellation errors stop the fan-out and abort the run;
+	// infeasible candidates are dropped silently.
+	mctx, msp := obs.StartSpan(ctx, "clustermap")
 	msp.Set("candidates", len(top))
 	cms := make([]*clustermap.Result, len(top))
 	cmStats, cmErr := pool.Run(mctx, cfg.Workers, len(top), func(i int) error {
@@ -370,7 +358,12 @@ func MapPanoramaCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, lower Lower
 		return nil
 	})
 	msp.End()
-	mcancel()
+	res.ClusterMapTime = time.Since(t1)
+	res.ClusterMapStats = cmStats
+	if cmErr != nil {
+		res.Provenance.record("clustermap", res.ClusterMapTime, "failed")
+		return res, res.abort("clustermap", cmErr)
+	}
 	var best *clustermap.Result
 	var bestPart *spectral.Partition
 	for i, cm := range cms {
@@ -381,26 +374,12 @@ func MapPanoramaCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, lower Lower
 			best, bestPart = cm, top[i]
 		}
 	}
-	res.ClusterMapTime = time.Since(t1)
-	res.ClusterMapStats = cmStats
-	if cmErr != nil && (best == nil || ctx.Err() != nil || isPanic(cmErr)) {
-		// Nothing usable, the total deadline (not just the stage's)
-		// fired, or a candidate panicked: abort.
-		res.Provenance.record("clustermap", res.ClusterMapTime, "failed")
-		return res, res.abort("clustermap", cmErr)
-	}
 	if best == nil {
 		res.Provenance.record("clustermap", res.ClusterMapTime, "all candidates infeasible")
 		return res, failure.Stage("clustermap", fmt.Errorf(
 			"cluster mapping failed for all %d candidate partitions: %w", len(top), failure.ErrInfeasible))
 	}
-	cmNote := ""
-	if cmErr != nil {
-		// The stage budget fired with candidates in hand: degrade to
-		// the best mapping found so far.
-		cmNote = "budgeted: best-so-far"
-	}
-	res.Provenance.record("clustermap", res.ClusterMapTime, cmNote)
+	res.Provenance.record("clustermap", res.ClusterMapTime, "")
 	res.Partition = bestPart
 	res.CDG = best.CDG
 	res.ClusterMap = best
@@ -416,10 +395,9 @@ func MapPanoramaCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, lower Lower
 		res.Relaxed = true
 	}
 
-	// The degradation ladder: each rung is one lower-mapper attempt
-	// under its own Budgets.Lower slice. A rung that errors out — its
-	// budget fired, an injected fault, a hard mapper error — degrades
-	// to the next rung as long as the pipeline deadline is alive;
+	// The degradation ladder: each rung is one lower-mapper attempt. A
+	// rung that errors out while the pipeline deadline is alive — an
+	// injected fault, a hard mapper error — degrades to the next rung;
 	// exhausting the ladder surfaces the last error, typed.
 	type rung struct {
 		name     string
@@ -442,7 +420,7 @@ func MapPanoramaCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, lower Lower
 	for _, rg := range rungs {
 		rctx, rsp := obs.StartSpan(lctx, "rung")
 		rsp.Set("rung", rg.name)
-		low, lerr := runRung(rctx, cfg.Budgets.Lower, lower, d, a, rg.allowed)
+		low, lerr := runRung(rctx, lower, d, a, rg.allowed)
 		rsp.End()
 		if lerr != nil {
 			if ctx.Err() != nil || isPanic(lerr) {
@@ -483,25 +461,13 @@ func MapPanoramaCtx(ctx context.Context, d *dfg.Graph, a *arch.CGRA, lower Lower
 	return res, nil
 }
 
-// stageCtx derives a stage-budget context: with d <= 0 the parent is
-// used unchanged.
-func stageCtx(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, d)
-}
-
-// runRung runs one rung of the lower-mapper ladder under its own
-// budget slice, with the faultinject site armed tests use to force
-// rung failures.
-func runRung(ctx context.Context, budget time.Duration, lower Lower, d *dfg.Graph, a *arch.CGRA, allowed [][]int) (LowerResult, error) {
+// runRung runs one rung of the lower-mapper ladder, with the
+// faultinject site armed tests use to force rung failures.
+func runRung(ctx context.Context, lower Lower, d *dfg.Graph, a *arch.CGRA, allowed [][]int) (LowerResult, error) {
 	if err := faultinject.Fire(faultinject.SiteLowerMap); err != nil {
 		return LowerResult{}, err
 	}
-	lctx, cancel := stageCtx(ctx, budget)
-	defer cancel()
-	return lower.Map(lctx, d, a, allowed)
+	return lower.Map(ctx, d, a, allowed)
 }
 
 // abort finalises a fatal stage failure: the error is classified and

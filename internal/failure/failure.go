@@ -4,9 +4,9 @@
 // service wrapping the mapper — can branch on the *class* of failure
 // with errors.Is/As instead of string matching:
 //
-//   - ErrBudget: a wall-clock or node budget fired. The work done so
-//     far may still be usable (anytime semantics); core returns the
-//     best partial result next to this error.
+//   - ErrBudget: the run's wall-clock deadline fired. The run aborts:
+//     core returns its partial result next to this error for
+//     diagnostics, never a mapping the clock settled for.
 //   - ErrCancelled: the caller's context was cancelled. Nothing about
 //     the input is wrong; retrying with more time is sensible.
 //   - ErrInfeasible: the instance itself admits no solution under the

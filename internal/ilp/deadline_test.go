@@ -27,10 +27,14 @@ func hardModel() (*Model, []VarID) {
 	return m, vars
 }
 
+// The wall-clock budget of a solve is its context's deadline; expiry
+// has anytime semantics.
 func TestSolveTimeoutReturnsIncumbent(t *testing.T) {
 	m, _ := hardModel()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	t0 := time.Now()
-	res := m.Solve(Options{Timeout: 20 * time.Millisecond})
+	res := m.SolveCtx(ctx, Options{})
 	elapsed := time.Since(t0)
 	if res.Status != Limit {
 		t.Fatalf("status = %v, want Limit (nodes=%d)", res.Status, res.Nodes)
@@ -41,14 +45,14 @@ func TestSolveTimeoutReturnsIncumbent(t *testing.T) {
 	if len(res.Assign) == 0 {
 		t.Fatal("Limit with Feasible must carry the incumbent assignment")
 	}
-	// Generous slack: the deadline is checked every 1024 nodes.
+	// Generous slack: the context is checked every 1024 nodes.
 	if elapsed > 2*time.Second {
 		t.Fatalf("solve overran its 20ms budget by %v", elapsed)
 	}
 }
 
 func TestSolveContextDeadline(t *testing.T) {
-	m, _ := hardModel()
+	m, vars := hardModel()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	res := m.SolveCtx(ctx, Options{})
@@ -57,6 +61,15 @@ func TestSolveContextDeadline(t *testing.T) {
 	}
 	if !res.Feasible {
 		t.Fatal("context deadline must keep the incumbent")
+	}
+	// The kept incumbent is a complete solution, not a partial search
+	// state: it satisfies the model's one constraint.
+	set := 0
+	for _, v := range vars {
+		set += res.Value(v)
+	}
+	if set != 14 {
+		t.Fatalf("incumbent sets %d of %d binaries, want 14", set, len(vars))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"panorama/internal/faultinject"
 )
@@ -18,9 +17,9 @@ const (
 	Optimal Status = iota
 	// Infeasible: no assignment satisfies the constraints.
 	Infeasible
-	// Limit: a budget fired — the node budget, the wall-clock
-	// Timeout, or the caller's context; Result holds the best
-	// incumbent found so far (Feasible reports whether one exists).
+	// Limit: a budget fired — the node budget or the caller's
+	// context; Result holds the best incumbent found so far (Feasible
+	// reports whether one exists).
 	Limit
 )
 
@@ -40,11 +39,11 @@ func (s Status) String() string {
 
 // Options tunes the search.
 type Options struct {
-	MaxNodes int // branch-and-bound node budget (default 2_000_000)
-	// Timeout is the wall-clock budget of one solve; 0 means none.
-	// Like the node budget, expiry has anytime semantics: the solve
-	// returns the best incumbent found so far with Status Limit.
-	Timeout time.Duration
+	// MaxNodes is the branch-and-bound node budget (default
+	// 2_000_000). It is effort, not time, so it has anytime semantics:
+	// an exhausted solve returns its best incumbent with Status Limit,
+	// the same one on every run.
+	MaxNodes int
 }
 
 // Result is the outcome of a solve.
@@ -78,15 +77,13 @@ type solver struct {
 	queued           []bool
 	props            int // constraints examined
 
-	ctx      context.Context
-	deadline time.Time
-	timed    bool
-	stopped  bool // wall-clock budget or ctx fired mid-search
+	ctx     context.Context
+	stopped bool // ctx fired mid-search
 }
 
 // deadlineCheckInterval bounds how many branch-and-bound nodes may be
-// explored between wall-clock/context checks; it caps the overrun past
-// a deadline at the cost of that many propagation passes (well under a
+// explored between context checks; it caps the overrun past a deadline
+// at the cost of that many propagation passes (well under a
 // millisecond on the CDG-sized instances this solver sees).
 const deadlineCheckInterval = 1024
 
@@ -95,11 +92,11 @@ func (m *Model) Solve(opts Options) *Result {
 	return m.SolveCtx(context.Background(), opts)
 }
 
-// SolveCtx is Solve with cancellation and deadline awareness. The
-// search honours, in addition to the node budget: opts.Timeout, the
-// context's deadline, and the context's cancellation — whichever
-// fires first stops the search, which then returns the best feasible
-// incumbent found so far with Status Limit (anytime semantics).
+// SolveCtx is Solve with cancellation and deadline awareness: a fired
+// context stops the search like an exhausted node budget, with the
+// best feasible incumbent found so far and Status Limit. Such an
+// incumbent depends on wall time; callers that need a pure result
+// check ctx.Err() before using it.
 func (m *Model) SolveCtx(ctx context.Context, opts Options) *Result {
 	if err := faultinject.Fire(faultinject.SiteILPSolve); err != nil {
 		// An injected fault is indistinguishable from an instantly
@@ -118,12 +115,6 @@ func (m *Model) SolveCtx(ctx context.Context, opts Options) *Result {
 		best:     math.MaxInt,
 		maxNodes: opts.MaxNodes,
 		ctx:      ctx,
-	}
-	if opts.Timeout > 0 {
-		s.deadline, s.timed = time.Now().Add(opts.Timeout), true
-	}
-	if d, ok := ctx.Deadline(); ok && (!s.timed || d.Before(s.deadline)) {
-		s.deadline, s.timed = d, true
 	}
 	for i, v := range m.vars {
 		s.lo[i], s.hi[i] = v.lo, v.hi
@@ -150,12 +141,8 @@ func (m *Model) SolveCtx(ctx context.Context, opts Options) *Result {
 	return res
 }
 
-// checkBudgets samples the wall clock and the context; it flips
-// stopped when either budget has fired.
+// checkBudgets flips stopped once the context has fired.
 func (s *solver) checkBudgets() {
-	if s.timed && !time.Now().Before(s.deadline) {
-		s.stopped = true
-	}
 	if s.ctx.Err() != nil {
 		s.stopped = true
 	}

@@ -29,7 +29,7 @@ func fullEntry() Entry {
 			Stages: []core.StageRecord{
 				{Stage: "clustering", Wall: 12500 * time.Microsecond},
 				{Stage: "clustermap", Wall: 3250 * time.Microsecond, Note: "ilp"},
-				{Stage: "lower", Wall: 840125 * time.Microsecond, Note: "budgeted: best-so-far"},
+				{Stage: "lower", Wall: 840125 * time.Microsecond, Note: "guided aborted"},
 			},
 			BudgetStage: "lower",
 		},

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"panorama/internal/core"
+	"panorama/internal/wire"
 )
 
 // crashForTest hard-drops the server the way a dead process would:
@@ -410,6 +413,58 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 		}
 		if job.Err() != nil {
 			t.Fatalf("resumed job %s failed: %v", j.ID, job.Err())
+		}
+	}
+}
+
+// A job payload journaled in the version 1 layout (four budget
+// varints: Clustering, ClusterMap, Lower, Total) still replays: Total
+// survives, and the fingerprint is today's Key, so a result the
+// re-run caches is found by a fresh request. A version this build
+// does not know is refused.
+func TestCrashRecoveryReplaysV1Payload(t *testing.T) {
+	const total = 900 * time.Millisecond
+	req := mustResolve(t, stubServer(t), Request{Kernel: "fir", Scale: 0.1, Arch: "4x4",
+		Mapper: "ultrafast", Seed: 3, TimeoutMS: total.Milliseconds()})
+	gbin, err := req.graph.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ab bytes.Buffer
+	if err := req.arch.WriteJSON(&ab); err != nil {
+		t.Fatal(err)
+	}
+	v1 := []byte{1}
+	v1 = wire.AppendBytes(v1, gbin)
+	v1 = wire.AppendBytes(v1, ab.Bytes())
+	v1 = wire.AppendString(v1, req.mapper)
+	v1 = binary.AppendVarint(v1, req.seed)
+	for _, d := range []time.Duration{7, 8, 9, total} {
+		v1 = binary.AppendVarint(v1, int64(d))
+	}
+
+	got, err := decodeJobPayload(v1)
+	if err != nil {
+		t.Fatalf("v1 payload refused: %v", err)
+	}
+	if got.budgets.Total != total {
+		t.Fatalf("v1 payload replayed Total %v, want %v", got.budgets.Total, total)
+	}
+	if want := Key(got.graph, got.arch, got.mapper, got.seed, core.Budgets{Total: total}); got.fingerprint != want || got.fingerprint != req.fingerprint {
+		t.Fatalf("v1 payload fingerprint %s, want Key %s (request %s)", got.fingerprint, want, req.fingerprint)
+	}
+
+	v2, err := encodeJobPayload(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2[0] != 2 {
+		t.Fatalf("payload written as version %d, want 2", v2[0])
+	}
+	for _, v := range []byte{0, 3} {
+		bad := append([]byte{v}, v2[1:]...)
+		if _, err := decodeJobPayload(bad); err == nil {
+			t.Fatalf("version %d payload accepted", v)
 		}
 	}
 }

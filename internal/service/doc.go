@@ -5,9 +5,9 @@
 //
 // The server accepts mapping jobs (a named kernel or an inline DFG,
 // plus architecture and mapper configuration), runs them on a bounded
-// worker set under the PR-2 budget ladder, and serves results from a
+// worker set under an abort-only deadline, and serves results from a
 // content-addressed cache keyed by a canonical fingerprint of
-// (DFG, arch params, mapper+seed, budgets, code version). Concurrent
+// (DFG, arch params, mapper+seed, Total budget, code version). Concurrent
 // identical submissions coalesce onto one computation (singleflight),
 // a bounded queue applies admission control (ErrOverloaded → 429), and
 // Shutdown drains in-flight jobs within the caller's deadline. See

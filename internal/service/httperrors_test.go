@@ -53,6 +53,11 @@ func TestHTTPErrorTable(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	// resultOf is the cache address of the fir request with this seed:
+	// a failed or aborted job must leave nothing there.
+	resultOf := func(seed int64) string {
+		return "/v1/result/" + mustResolve(t, srv, Request{Kernel: "fir", Seed: seed}).fingerprint
+	}
 
 	tests := []struct {
 		name       string
@@ -123,6 +128,18 @@ func TestHTTPErrorTable(t *testing.T) {
 			name: "cancelled", method: "POST", path: "/v1/map",
 			body:   `{"kernel":"fir","seed":499,"wait":true}`,
 			status: StatusClientClosedRequest, class: "cancelled",
+		},
+		{
+			name: "infeasible not cached", method: "GET", path: resultOf(422),
+			status: http.StatusNotFound, class: "not-found",
+		},
+		{
+			name: "budget abort not cached", method: "GET", path: resultOf(504),
+			status: http.StatusNotFound, class: "not-found",
+		},
+		{
+			name: "cancel not cached", method: "GET", path: resultOf(499),
+			status: http.StatusNotFound, class: "not-found",
 		},
 		{
 			name: "unknown job", method: "GET", path: "/v1/jobs/job-999999",

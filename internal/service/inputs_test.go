@@ -159,10 +159,11 @@ func TestResolveSharesInputs(t *testing.T) {
 	}
 }
 
-// referenceKey is Key as it stood before the graph fingerprint was
-// memoised, the edge copy and sort of dfg.Fingerprint included. Cache
-// files on disk and peers' hash rings are addressed by its output, so
-// Key must keep producing exactly it.
+// referenceKey is Key written out longhand — the edge copy and sort of
+// dfg.Fingerprint included, as before the graph fingerprint was
+// memoised — in the CodeVersion 4 layout, whose one budget field is
+// Total. Cache files on disk and peers' hash rings are addressed by its
+// output, so Key must keep producing exactly it.
 func referenceKey(g *dfg.Graph, a *arch.CGRA, mapper string, seed int64, budgets core.Budgets) string {
 	var buf [8]byte
 	gh := sha256.New()
@@ -200,7 +201,7 @@ func referenceKey(g *dfg.Graph, a *arch.CGRA, mapper string, seed int64, budgets
 		a.NumRegs, a.RFReadPorts, a.RFWritePorts, a.InterClusterLinks)
 	fmt.Fprintf(h, "mapper:%s\x00", mapper)
 	writeInts(h, int(seed))
-	writeDurations(h, budgets.Clustering, budgets.ClusterMap, budgets.Lower, budgets.Total)
+	writeInts(h, int(budgets.Total))
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
@@ -210,7 +211,7 @@ func referenceKey(g *dfg.Graph, a *arch.CGRA, mapper string, seed int64, budgets
 // own.
 func TestKeyMatchesReference(t *testing.T) {
 	srv := stubServer(t)
-	budgets := core.Budgets{Clustering: time.Second, ClusterMap: 2 * time.Second, Lower: 3 * time.Second, Total: 1500 * time.Millisecond}
+	budgets := core.Budgets{Total: 1500 * time.Millisecond}
 	seen := map[string]bool{}
 	for _, spec := range kernels.All() {
 		for _, scale := range []float64{0.25, 1.0} {

@@ -17,11 +17,12 @@ import (
 // Journal blob carrying everything needed to re-run a job after a
 // restart: the resolved request, not the wire request, so recovery is
 // independent of server defaults that may have changed. Layout
-// (version 1): version byte, DFG binary blob (PDFG codec), arch
-// description JSON, mapper string, seed zigzag varint, the four budget
-// durations as zigzag varints — blobs and strings as uvarint length +
-// raw bytes (internal/wire).
-const jobPayloadVersion = 1
+// (version 2): version byte, DFG binary blob (PDFG codec), arch
+// description JSON, mapper string, seed zigzag varint, the Total budget
+// as a zigzag varint — blobs and strings as uvarint length + raw bytes
+// (internal/wire). Version 1 carried three stage budgets before Total;
+// it still replays, keeping Total (no release ever set the others).
+const jobPayloadVersion = 2
 
 // encodeJobPayload flattens a resolved request into the journal blob.
 func encodeJobPayload(req *resolved) ([]byte, error) {
@@ -39,10 +40,7 @@ func encodeJobPayload(req *resolved) ([]byte, error) {
 	buf = wire.AppendBytes(buf, ab.Bytes())
 	buf = wire.AppendString(buf, req.mapper)
 	buf = binary.AppendVarint(buf, req.seed)
-	for _, d := range []time.Duration{req.budgets.Clustering, req.budgets.ClusterMap,
-		req.budgets.Lower, req.budgets.Total} {
-		buf = binary.AppendVarint(buf, int64(d))
-	}
+	buf = binary.AppendVarint(buf, int64(req.budgets.Total))
 	return buf, nil
 }
 
@@ -52,16 +50,20 @@ func encodeJobPayload(req *resolved) ([]byte, error) {
 // bump — the caller compares it against the journaled key).
 func decodeJobPayload(data []byte) (*resolved, error) {
 	r := wire.NewReader("service: job payload", data)
-	r.Header("", jobPayloadVersion)
+	version := r.Byte()
+	if r.Err() == nil && (version == 0 || version > jobPayloadVersion) {
+		return nil, fmt.Errorf("service: job payload: unsupported version %d", version)
+	}
 	gbin := r.Bytes()
 	ajson := r.Bytes()
 	mapper := r.String()
 	seed := r.Varint()
-	var budgets core.Budgets
-	budgets.Clustering = time.Duration(r.Varint())
-	budgets.ClusterMap = time.Duration(r.Varint())
-	budgets.Lower = time.Duration(r.Varint())
-	budgets.Total = time.Duration(r.Varint())
+	if version == 1 {
+		r.Varint() // the retired Clustering, ClusterMap and Lower budgets
+		r.Varint()
+		r.Varint()
+	}
+	budgets := core.Budgets{Total: time.Duration(r.Varint())}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}

@@ -48,8 +48,8 @@ type Options struct {
 	// DefaultCacheSize); CacheDir enables disk persistence.
 	CacheSize int
 	CacheDir  string
-	// Budgets is the default budget ladder applied to every job; a
-	// request's timeoutMS overrides Budgets.Total.
+	// Budgets is the default budget applied to every job; a request's
+	// timeoutMS overrides Budgets.Total.
 	Budgets core.Budgets
 	// RetryAfter is the Retry-After fallback for 429/503 responses,
 	// used until the drain estimator has observed at least one recent
