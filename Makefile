@@ -73,17 +73,22 @@ check-bits:
 # The property-based differential harness: both lower-level mappers and
 # the full pipeline over the seeded random-DFG corpus, every successful
 # mapping re-checked by the legality oracle (and, for routed mappings,
-# the cycle-accurate simulator), plus the metamorphic invariants —
-# under the race detector. Already part of `race`; this target runs it
-# alone.
+# the cycle-accurate simulator), plus the metamorphic invariants, and
+# the exactness oracle of SPR*'s pruned router search (every sink
+# search on the corpus and the twelve kernels costs what the unpruned
+# search costs) — under the race detector. Already part of `race`; this
+# target runs it alone.
 check-diff:
 	$(GO) test -race ./internal/difftest/ ./internal/verify/ ./internal/dfgen/
+	$(GO) test -race -run 'TestPrunedSearchMatchesUnpruned' ./internal/spr/
 
 # The SAT mapper and portfolio contracts: the CDCL solver against
 # brute-force enumeration, the CNF encoding + CEGAR loop against the
-# legality oracle, the 200-graph SAT-vs-SPR* differential (SAT II never
-# worse where both succeed), and the portfolio's winner-identity and
-# cancellation semantics — under the race detector.
+# legality oracle, the 200-graph SAT-vs-SPR* differential (where both
+# succeed, SAT II is never worse than SPR*'s but by one II lost to an
+# exhausted refinement or conflict budget, on at most two graphs; an
+# unsat without refinements is an encoding bug), and the portfolio's
+# winner-identity and cancellation semantics — under the race detector.
 check-sat:
 	$(GO) test -race ./internal/sat/ ./internal/satmap/
 	$(GO) test -race -run 'TestDifferentialSAT|TestDifferentialPortfolio' ./internal/difftest/

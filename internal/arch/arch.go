@@ -59,7 +59,11 @@ type CGRA struct {
 	neighbors     [][]int
 	clusterPEs    [][]int
 	memPEs        []int
+	minElapsed    []uint8 // p*NumPEs+q -> MinElapsed(p, q)
 }
+
+// Unreachable is MinElapsed of a PE pair with no directed link path.
+const Unreachable = 255
 
 // New builds a CGRA from a configuration. The PE grid must divide
 // evenly into the cluster grid.
@@ -187,6 +191,33 @@ func (g *CGRA) buildIndexes() {
 			g.memPEs = append(g.memPEs, pe.ID)
 		}
 	}
+	// One BFS per source PE over the directed links.
+	g.minElapsed = make([]uint8, n*n)
+	hops := make([]int, n)
+	queue := make([]int, 0, n)
+	for src := 0; src < n; src++ {
+		for i := range hops {
+			hops[i] = -1
+		}
+		hops[src] = 0
+		queue = append(queue[:0], src)
+		for i := 0; i < len(queue); i++ {
+			p := queue[i]
+			for _, q := range g.neighbors[p] {
+				if hops[q] < 0 {
+					hops[q] = hops[p] + 1
+					queue = append(queue, q)
+				}
+			}
+		}
+		row := g.minElapsed[src*n : (src+1)*n]
+		for q, h := range hops {
+			row[q] = Unreachable
+			if h >= 0 {
+				row[q] = uint8(min(max(0, h-1), Unreachable-1))
+			}
+		}
+	}
 }
 
 // NumPEs returns the total PE count.
@@ -241,6 +272,16 @@ func (g *CGRA) PEDistance(a, b int) int {
 	pa, pb := g.PEs[a], g.PEs[b]
 	return abs(pa.Row-pb.Row) + abs(pa.Col-pb.Col)
 }
+
+// MinElapsed returns the fewest cycles a value produced on PE p must
+// wait before an FU of PE q can consume it: max(0, hops-1) over the
+// shortest directed link path of hops links, since a value leaves on
+// its first wire in the production cycle and is consumed in the cycle
+// its last wire arrives. It is Unreachable when no path exists. An
+// express link is one hop, so MinElapsed can lie below
+// PEDistance(p, q)-1. Values saturate at Unreachable-1, where they stay
+// lower bounds.
+func (g *CGRA) MinElapsed(p, q int) int { return int(g.minElapsed[p*len(g.PEs)+q]) }
 
 // InfeasibleMII is the sentinel the II lower bounds return when no II
 // can work: memory operations with no memory-capable PE to run on.

@@ -2,6 +2,7 @@ package arch
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -170,6 +171,72 @@ func TestClusterDistance(t *testing.T) {
 	if d := g.ClusterDistance(2, 2); d != 0 {
 		t.Fatalf("self distance = %d", d)
 	}
+}
+
+// TestMinElapsedIsDirected builds a three-PE line from its JSON
+// description, keeps only its left-to-right wires and checks that the
+// table follows the links' direction: 0 reaches 2 over two hops, while
+// nothing reaches back.
+func TestMinElapsedIsDirected(t *testing.T) {
+	g, err := ReadJSON(strings.NewReader(`{"name":"line","rows":1,"cols":3,"clusterRows":1,"clusterCols":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.MinElapsed(2, 0); got != 1 {
+		t.Fatalf("both-way line: MinElapsed(2, 0) = %d, want 1", got)
+	}
+	var oneWay []Link
+	for _, l := range g.Links {
+		if l.To > l.From {
+			oneWay = append(oneWay, l)
+		}
+	}
+	g.Links, g.memPEs = oneWay, nil
+	g.buildIndexes()
+	for _, tc := range []struct{ p, q, want int }{
+		{0, 0, 0}, {0, 1, 0}, {0, 2, 1}, {1, 2, 0},
+		{1, 0, Unreachable}, {2, 0, Unreachable}, {2, 1, Unreachable},
+	} {
+		if got := g.MinElapsed(tc.p, tc.q); got != tc.want {
+			t.Errorf("one-way line: MinElapsed(%d, %d) = %d, want %d", tc.p, tc.q, got, tc.want)
+		}
+	}
+}
+
+// TestMinElapsedUndercutsManhattan shows why PEDistance cannot bound a
+// route's cycles: on a mesh alone the two agree, but an express link
+// crosses three columns in one hop.
+func TestMinElapsedUndercutsManhattan(t *testing.T) {
+	mesh := Preset4x4()
+	for p := 0; p < mesh.NumPEs(); p++ {
+		for q := 0; q < mesh.NumPEs(); q++ {
+			if got, want := mesh.MinElapsed(p, q), max(0, mesh.PEDistance(p, q)-1); got != want {
+				t.Fatalf("4x4 mesh: MinElapsed(%d, %d) = %d, want %d", p, q, got, want)
+			}
+		}
+	}
+	g := Preset16x16()
+	under := 0
+	for p := 0; p < g.NumPEs(); p++ {
+		for q := 0; q < g.NumPEs(); q++ {
+			me, manhattan := g.MinElapsed(p, q), max(0, g.PEDistance(p, q)-1)
+			if me > manhattan {
+				t.Fatalf("16x16: MinElapsed(%d, %d) = %d above the mesh bound %d", p, q, me, manhattan)
+			}
+			if me < manhattan {
+				under++
+			}
+		}
+	}
+	for _, l := range g.Links {
+		if l.InterCluster && g.PEDistance(l.From, l.To) > 1 && g.MinElapsed(l.From, l.To) != 0 {
+			t.Fatalf("express link %d->%d: MinElapsed = %d, want 0", l.From, l.To, g.MinElapsed(l.From, l.To))
+		}
+	}
+	if under == 0 {
+		t.Fatal("16x16: no PE pair where the express links beat PEDistance-1")
+	}
+	t.Logf("16x16: %d of %d PE pairs need fewer cycles than PEDistance-1", under, g.NumPEs()*g.NumPEs())
 }
 
 func buildDFG(nodes, memOps int) *dfg.Graph {

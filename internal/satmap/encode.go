@@ -12,9 +12,6 @@ import (
 // groups use the sequential (Sinz ladder) encoding with n-1 aux vars.
 const pairwiseMax = 6
 
-// unreachable marks PE pairs with no directed link path.
-const unreachable = 1 << 20
-
 // encoder holds the variable layout and clause emitter for one
 // (DFG, arch, II) instance.
 //
@@ -36,11 +33,10 @@ type encoder struct {
 	ii     int
 	window int
 
-	asap       []int
-	cand       [][]int // node -> sorted candidate PEs
-	producer   []bool  // node has >= 1 outgoing DFG edge
-	minElapsed [][]int // pe x pe minimal route elapsed cycles
-	maxNeed    int     // max finite minElapsed over all pairs
+	asap     []int
+	cand     [][]int // node -> sorted candidate PEs
+	producer []bool  // node has >= 1 outgoing DFG edge
+	maxNeed  int     // 1 + the largest finite arch.MinElapsed
 
 	pVar [][]int
 	sVar [][]int
@@ -117,7 +113,15 @@ func newEncoder(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options, i
 	for _, de := range d.Edges {
 		e.producer[de.From] = true
 	}
-	e.minElapsed, e.maxNeed = computeMinElapsed(a)
+	// Reachability clauses are emitted for delta < maxNeed, so that the
+	// worst finite pair is still constrained.
+	for p := 0; p < a.NumPEs(); p++ {
+		for q := 0; q < a.NumPEs(); q++ {
+			if me := a.MinElapsed(p, q); me != arch.Unreachable && me >= e.maxNeed {
+				e.maxNeed = me + 1
+			}
+		}
+	}
 
 	// Allocate the fixed variable families.
 	next := 1
@@ -375,7 +379,7 @@ func (e *encoder) build(ctx context.Context) (*sat.Solver, error) {
 		// Statically unreachable PE pairs can never carry this edge.
 		for ci, pu := range e.cand[u] {
 			for cj, pw := range e.cand[w] {
-				if e.minElapsed[pu][pw] >= unreachable {
+				if e.a.MinElapsed(pu, pw) == arch.Unreachable {
 					add(sat.NegLit(e.pVar[u][ci]), sat.NegLit(e.pVar[w][cj]))
 				}
 			}
@@ -398,7 +402,7 @@ func (e *encoder) build(ctx context.Context) (*sat.Solver, error) {
 					}
 					all := true
 					for cj, pw := range e.cand[w] {
-						if e.minElapsed[pu][pw] <= delta {
+						if e.a.MinElapsed(pu, pw) <= delta {
 							lits = append(lits, sat.PosLit(e.pVar[w][cj]))
 						} else {
 							all = false
@@ -489,61 +493,4 @@ func (e *encoder) diversifyPhases(s *sat.Solver, round int) {
 			s.SetPhase(id, next())
 		}
 	}
-}
-
-// computeMinElapsed BFSes the directed PE link graph and converts hop
-// counts into minimal route elapsed cycles: a k-hop link path leaves in
-// the production cycle and is consumed in its arrival cycle, so it
-// takes k-1 cycles (same-PE transfers take 0). The second return is
-// the smallest bound past which every connected pair is reachable.
-func computeMinElapsed(a *arch.CGRA) ([][]int, int) {
-	n := a.NumPEs()
-	adj := make([][]int, n)
-	seen := make(map[[2]int]bool)
-	for _, l := range a.Links {
-		key := [2]int{l.From, l.To}
-		if seen[key] || l.From == l.To {
-			continue
-		}
-		seen[key] = true
-		adj[l.From] = append(adj[l.From], l.To)
-	}
-	out := make([][]int, n)
-	maxNeed := 0
-	for src := 0; src < n; src++ {
-		dist := make([]int, n)
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[src] = 0
-		queue := []int{src}
-		for len(queue) > 0 {
-			p := queue[0]
-			queue = queue[1:]
-			for _, q := range adj[p] {
-				if dist[q] < 0 {
-					dist[q] = dist[p] + 1
-					queue = append(queue, q)
-				}
-			}
-		}
-		row := make([]int, n)
-		for q := 0; q < n; q++ {
-			switch {
-			case dist[q] < 0:
-				row[q] = unreachable
-			case dist[q] <= 1:
-				row[q] = 0 // same PE, or a direct link consumed same-cycle
-			default:
-				row[q] = dist[q] - 1
-			}
-			if row[q] < unreachable && row[q] > maxNeed {
-				maxNeed = row[q]
-			}
-		}
-		out[src] = row
-	}
-	// Reachability clauses are emitted for delta < maxNeed+1 so that
-	// delta == maxNeed (the worst finite pair) is still constrained.
-	return out, maxNeed + 1
 }

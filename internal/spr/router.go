@@ -235,6 +235,13 @@ func (st *state) firstRevisit(route []int32) int {
 // the epoch-stamped wrap penalties accumulated by routeSink's retry
 // loop (false on the common first try, so the relax loop pays
 // nothing).
+//
+// A successor state whose remaining cycles cannot cover the link
+// distance to the consumer's PE (arch.MinElapsed) lies on no path to
+// the target and is never pushed. Every predecessor of a state that
+// reaches the target reaches it too, so the pruning is exact: the
+// target's cost is the unpruned search's, though equal-cost ties may
+// break differently, as the heap holds other entries.
 func (st *state) searchSink(sig *signal, i int, hasWrap bool) ([]int32, bool) {
 	s := sig.sinks[i]
 	if s.delta < 0 || s.delta > st.maxDelta {
@@ -243,12 +250,13 @@ func (st *state) searchSink(sig *signal, i int, hasWrap bool) ([]int32, bool) {
 	lat := st.d.Nodes[sig.src].Op.Latency()
 	srcPE := st.placePE[sig.src]
 	start := int32(st.g.ResNode(srcPE, st.placeT[sig.src]+lat))
-	target := int32(st.g.FUNode(st.placePE[s.consumer], st.placeT[s.consumer]))
+	q := st.placePE[s.consumer]
+	target := int32(st.g.FUNode(q, st.placeT[s.consumer]))
 
 	// Does the signal prefer the express inter-cluster links? The paper
 	// prioritises inter-cluster DFG edges and back edges for them.
 	prefer := st.d.Edges[s.edge].Dist > 0 ||
-		st.a.ClusterOf(srcPE) != st.a.ClusterOf(st.placePE[s.consumer])
+		st.a.ClusterOf(srcPE) != st.a.ClusterOf(q)
 
 	width := st.maxDelta + 1
 	st.cur++
@@ -266,6 +274,7 @@ func (st *state) searchSink(sig *signal, i int, hasWrap bool) ([]int32, bool) {
 	// relaxation count stays in a register until the single flush below.
 	// The congestion step is nodeCost inlined over the same locals.
 	g := st.g
+	a, kinds, atPE := st.a, g.Kinds, st.atPE
 	scratch := st.scratch
 	occBits := st.occBits
 	rcArr := st.rc
@@ -306,6 +315,25 @@ func (st *state) searchSink(sig *signal, i int, hasWrap bool) ([]int32, bool) {
 				}
 				nc = c
 			} else {
+				// Cycles still needed from e.To: a register, read port or
+				// result can drive a wire out of x this cycle, a write
+				// port's value is readable next cycle, and a wire is
+				// consumed on arrival or forwarded next cycle.
+				x := int(atPE[e.To])
+				need := a.MinElapsed(x, q)
+				switch kinds[e.To] {
+				case mrrg.KindWPort:
+					need++
+				case mrrg.KindLink:
+					if x == q {
+						need = 0
+					} else {
+						need++
+					}
+				}
+				if ne+need > s.delta {
+					continue
+				}
 				var step float64
 				if occBits[ns>>6]&(1<<(uint(ns)&63)) != 0 {
 					step = 0.01 // the signal already owns this phase

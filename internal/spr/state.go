@@ -125,6 +125,11 @@ type state struct {
 	cur     int32
 	pq      pqueue
 
+	// atPE is, per MRRG node, the PE a value held there acts from next:
+	// a wire's receiving PE, any other node's own. searchSink's
+	// reachability prune measures the remaining distance from it.
+	atPE []int32
+
 	// Per-phase occupancy bitset over the same state indexing as the
 	// Dijkstra scratch, materialised for the one signal currently being
 	// routed (occSig): bit set = occSig occupies that (node, elapsed)
@@ -211,6 +216,13 @@ func newState(d *dfg.Graph, a *arch.CGRA, ii int, opts *Options) (*state, error)
 	st.visitStamp = make([]int32, g.NumNodes)
 	st.wrapPen = make([]float64, g.NumNodes)
 	st.wrapStamp = make([]int32, g.NumNodes)
+	st.atPE = append([]int32(nil), g.PEOf...)
+	for n := range st.atPE {
+		if li := g.LinkOf(n); li >= 0 {
+			_, to := g.LinkEnds(li)
+			st.atPE[n] = int32(to)
+		}
+	}
 	return st, nil
 }
 
