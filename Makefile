@@ -4,7 +4,7 @@ GO ?= go
 # nightly CI job raises it (see .github/workflows/ci.yml).
 FUZZTIME ?= 10s
 
-.PHONY: check layering build test vet race check-fault check-service check-journal check-diff check-obs check-overhead check-bits check-sat check-load check-cluster docs fuzz
+.PHONY: check layering run-names build test vet race check-fault check-service check-journal check-diff check-obs check-overhead check-bits check-sat check-load check-cluster docs fuzz
 
 # The repository's verification gate: formatting + godoc contract, vet,
 # build everything, then the full test suite with the race detector
@@ -22,7 +22,7 @@ FUZZTIME ?= 10s
 # contracts, the load/soak SLO suite and the fleet/cluster contracts
 # all run there, once — so the targets stay as named slices for local
 # use instead of running again here.
-check: docs layering vet build race check-overhead check-bits
+check: docs layering run-names vet build race check-overhead check-bits
 
 # The layering guard: everything downstream of a mapping (simulator,
 # configuration generator, renderer) and the oracle that judges it must
@@ -35,6 +35,17 @@ layering:
 	if [ -n "$$bad" ]; then echo "layering: a mapping consumer links" $$bad; exit 1; fi
 	@bad=$$($(GO) list -deps ./internal/wire | grep 'panorama/internal/' | grep -v 'internal/wire$$'); \
 	if [ -n "$$bad" ]; then echo "layering: internal/wire is a stdlib-only leaf but links" $$bad; exit 1; fi
+
+# The -run guard: every alternative of every `-run '...'` pattern in
+# this Makefile that is a plain test name must be the prefix of some
+# `func Test...` in the repository, so deleting or renaming a test can
+# never silently empty one of the check-* slices below.
+run-names:
+	@bad=; for alt in $$(grep -o "\-run '[^']*'" Makefile | sed -e "s/^-run '//" -e "s/'$$//" | \
+		tr '|' '\n' | grep -E '^Test[A-Za-z0-9_]*$$' | sort -u); do \
+		grep -rqE "^func $$alt" --include='*_test.go' --exclude-dir=.bench_build . || bad="$$bad $$alt"; \
+	done; \
+	if [ -n "$$bad" ]; then echo "run-names: no func Test... matches -run alternative(s):$$bad"; exit 1; fi
 
 # The documentation contract: everything gofmt-clean, and every
 # exported symbol in the audited packages carries a doc comment

@@ -7,11 +7,11 @@
 // With -journal-dir the daemon is crash-safe: every accepted job is
 // recorded in a write-ahead journal, and on startup unfinished jobs
 // are replayed and re-enqueued (completed ones resolve from the result
-// cache, so nothing runs twice). Failed attempts retry with
-// exponential backoff, over-budget jobs step down to the cheaper
-// mapper rung, a watchdog cancels and retries stalled runs, and a
-// service-level breaker degrades and then sheds admissions when the
-// rolling failure rate spikes.
+// cache, so nothing runs twice). Every job runs the mapper its request
+// names. Failed attempts retry with exponential backoff, over-budget
+// jobs fail with 504, a watchdog cancels and retries stalled runs, and
+// a service-level breaker sheds admissions when the rolling failure
+// rate spikes.
 //
 // Usage:
 //

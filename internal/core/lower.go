@@ -37,35 +37,30 @@ func (s SATLower) Map(ctx context.Context, d *dfg.Graph, a *arch.CGRA, allowed [
 }
 
 // LowerSpec describes a lower-level mapper in the table: its wire
-// name, the next rung of the service's degradation ladder, and a
-// factory binding the deterministic seed.
+// name and a factory binding the deterministic seed.
 type LowerSpec struct {
 	// Name is the mapper's key ("spr", "ultrafast", "sat",
 	// "portfolio"); MapByName also accepts it with PanPrefix for the
 	// guided pipeline.
 	Name string
-	// Degrade names the mapper the retry ladder falls back to after a
-	// budget failure; "" means this is the last rung.
-	Degrade string
 	// New constructs the mapper. Construction must be cheap; seed
 	// makes the mapper's search deterministic where it applies.
 	New func(seed int64) Lower
 }
 
-// lowerSpecs is the mapper table, in ladder order: portfolio → spr →
-// ultrafast, with sat degrading into spr (a SAT budget failure usually
-// means the instance wants a heuristic, not a bigger budget).
+// lowerSpecs is the mapper table; its order is the order of
+// LowerNames and MapperNames.
 var lowerSpecs = []LowerSpec{
-	{Name: "spr", Degrade: "ultrafast", New: func(seed int64) Lower {
+	{Name: "spr", New: func(seed int64) Lower {
 		return SPRLower{Options: spr.Options{Seed: seed}}
 	}},
-	{Name: "ultrafast", Degrade: "", New: func(int64) Lower {
+	{Name: "ultrafast", New: func(int64) Lower {
 		return UltraFastLower{Options: ultrafast.Options{}}
 	}},
-	{Name: "sat", Degrade: "spr", New: func(seed int64) Lower {
+	{Name: "sat", New: func(seed int64) Lower {
 		return SATLower{Options: satmap.Options{Seed: seed}}
 	}},
-	{Name: "portfolio", Degrade: "spr", New: NewPortfolioLower},
+	{Name: "portfolio", New: NewPortfolioLower},
 }
 
 // LowerNames returns the mapper names in table order.
@@ -95,18 +90,6 @@ func NewLowerByName(name string, seed int64) (Lower, error) {
 		return nil, fmt.Errorf("core: unknown lower mapper %q (valid: %v)", name, LowerNames())
 	}
 	return spec.New(seed), nil
-}
-
-// DegradeOf returns the next rung of the degradation ladder below
-// name, or "" when there is none (unknown names included). A guided
-// "pan-" name degrades to the guided form of its target: the pipeline
-// shape is preserved, only the lowerer gets cheaper.
-func DegradeOf(name string) string {
-	spec, guided, _ := lookupMapper(name)
-	if guided && spec.Degrade != "" {
-		return PanPrefix + spec.Degrade
-	}
-	return spec.Degrade
 }
 
 // PanPrefix marks the guided Panorama pipeline in a mapper name:

@@ -44,31 +44,6 @@ func TestLowerRegistryBuiltins(t *testing.T) {
 	}
 }
 
-func TestDegradeLadder(t *testing.T) {
-	steps := map[string]string{
-		"portfolio": "spr",
-		"sat":       "spr",
-		"spr":       "ultrafast",
-		"ultrafast": "",
-		"bogus":     "",
-	}
-	for from, want := range steps {
-		if got := DegradeOf(from); got != want {
-			t.Fatalf("DegradeOf(%q) = %q, want %q", from, got, want)
-		}
-	}
-	// The ladder must terminate from every registered rung.
-	for _, n := range LowerNames() {
-		hops := 0
-		for cur := n; cur != ""; cur = DegradeOf(cur) {
-			hops++
-			if hops > len(LowerNames()) {
-				t.Fatalf("degrade ladder from %q does not terminate", n)
-			}
-		}
-	}
-}
-
 // TestMapperNamesTracksRegistry: the accepted names are derived from
 // the table — every mapper in bare and "pan-" form, in table order,
 // and CheckMapper accepts exactly those.
@@ -91,9 +66,6 @@ func TestMapperNamesTracksRegistry(t *testing.T) {
 		if err := CheckMapper(m); !errors.As(err, &um) || um.Name != m || !reflect.DeepEqual(um.Valid, want) {
 			t.Errorf("CheckMapper(%q) = %v, want an UnknownMapperError listing the names", m, err)
 		}
-	}
-	if DegradeOf("pan-sat") != "pan-spr" || DegradeOf("pan-ultrafast") != "" {
-		t.Fatal("a guided name must degrade to the guided form of its target")
 	}
 }
 

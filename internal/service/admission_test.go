@@ -73,7 +73,7 @@ type admissionResult struct {
 	HasJob      bool
 	Fingerprint string
 
-	Submitted, Rejected, Hits, Misses, Coalesced, Degraded, Shed int64
+	Submitted, Rejected, Hits, Misses, Coalesced, Shed int64
 
 	Kinds map[string]int
 	// IDs is how many job IDs the submission consumed.
@@ -100,8 +100,7 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 		srv     *Server
 		url     string
 		started chan struct{}
-		probeFP string // fingerprint the probe resolves to at full strength
-		degrFP  string // ... and one rung down the degrade ladder
+		probeFP string // fingerprint the probe resolves to
 	}
 	// occupy wedges the single worker on the blocker job.
 	occupy := func(t *testing.T, e *env) {
@@ -117,12 +116,9 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	trip := func(e *env, failures, successes int) {
+	trip := func(e *env, failures int) {
 		for i := 0; i < failures; i++ {
 			e.srv.breaker.record(true)
-		}
-		for i := 0; i < successes; i++ {
-			e.srv.breaker.record(false)
 		}
 	}
 
@@ -158,18 +154,9 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 			name: "breaker shed",
 			setup: func(t *testing.T, e *env) {
 				occupy(t, e)
-				trip(e, 4, 0)
+				trip(e, 4)
 			},
 			want: admissionResult{Status: 503, RetryAfter: true, ErrClass: "shedding", Shed: 1},
-		},
-		{
-			name: "breaker degrade, degraded-key hit",
-			setup: func(t *testing.T, e *env) {
-				occupy(t, e)
-				trip(e, 2, 2)
-				e.srv.cache.Put(Entry{Fingerprint: e.degrFP, Summary: stub})
-			},
-			want: admissionResult{Status: 200, Cache: "hit", JobStatus: JobDone, Submitted: 1, Hits: 1, Degraded: 1},
 		},
 		{
 			name:  "draining",
@@ -218,7 +205,7 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 				srv, err := New(Options{
 					Workers: 1, QueueSize: 1, RetryBase: -1,
 					JournalDir: jdir, JournalNoSync: true,
-					BreakerWindow: 4, BreakerDegrade: 0.5, BreakerShed: 0.8,
+					BreakerWindow: 4, BreakerShed: 0.8,
 					Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 						e.started <- struct{}{}
 						select {
@@ -238,7 +225,6 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				e.probeFP = res.fingerprint
-				e.degrFP = res.withMapper(core.DegradeOf(res.mapper)).fingerprint
 				tc.setup(t, e)
 
 				body := tc.body
@@ -280,7 +266,6 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 					Hits:       st1.CacheHits - st0.CacheHits,
 					Misses:     st1.CacheMisses - st0.CacheMisses,
 					Coalesced:  st1.Coalesced - st0.Coalesced,
-					Degraded:   st1.Degraded - st0.Degraded,
 					Shed:       st1.Shed - st0.Shed,
 					Kinds:      kindsSince(kinds0),
 					IDs:        ids1 - ids0,

@@ -6,46 +6,41 @@ import "sync"
 // rolling failure rate of executed jobs.
 type breakerState int
 
+// The values are the panorama_service_breaker_state gauge's; shedding
+// is 2 so that alerts written against == 2 keep their meaning.
 const (
 	// breakerOK admits work normally.
-	breakerOK breakerState = iota
-	// breakerDegrade admits new work on the next-cheaper mapper rung.
-	breakerDegrade
+	breakerOK breakerState = 0
 	// breakerShed refuses new work (503 + Retry-After).
-	breakerShed
+	breakerShed breakerState = 2
 )
 
 func (s breakerState) String() string {
-	switch s {
-	case breakerDegrade:
-		return "degrade"
-	case breakerShed:
+	if s == breakerShed {
 		return "shed"
 	}
 	return "ok"
 }
 
 // breaker tracks the outcome of the last window executions in a ring.
-// Two thresholds stage the response: past degradeAt the service
-// degrades new admissions to the cheaper mapper (serving worse answers
-// beats serving none), past shedAt it sheds load outright. Recovery is
-// implicit — successes push failures out of the window. The breaker
-// only judges with at least half a window of samples, so a single
-// early failure can never trip it.
+// Past shedAt the service sheds new work outright; it never swaps in a
+// cheaper mapper, so every answer comes from the mapper its request
+// named. Recovery is implicit — successes push failures out of the
+// window. The breaker only judges with at least half a window of
+// samples, so a single early failure can never trip it.
 type breaker struct {
-	mu        sync.Mutex
-	ring      []bool // true = failure
-	n, idx    int    // samples seen (≤ len(ring)), next write slot
-	fails     int
-	degradeAt float64
-	shedAt    float64
+	mu     sync.Mutex
+	ring   []bool // true = failure
+	n, idx int    // samples seen (≤ len(ring)), next write slot
+	fails  int
+	shedAt float64
 }
 
-// newBreaker sizes the rolling window; thresholds are failure-rate
-// fractions in (0, 1]. A nil breaker (disabled) always reports
+// newBreaker sizes the rolling window; shedAt is a failure-rate
+// fraction in (0, 1]. A nil breaker (disabled) always reports
 // breakerOK.
-func newBreaker(window int, degradeAt, shedAt float64) *breaker {
-	return &breaker{ring: make([]bool, window), degradeAt: degradeAt, shedAt: shedAt}
+func newBreaker(window int, shedAt float64) *breaker {
+	return &breaker{ring: make([]bool, window), shedAt: shedAt}
 }
 
 // record folds one terminal job outcome into the window.
@@ -79,12 +74,8 @@ func (b *breaker) state() breakerState {
 	if b.n < len(b.ring)/2 || b.n == 0 {
 		return breakerOK
 	}
-	rate := float64(b.fails) / float64(b.n)
-	switch {
-	case rate >= b.shedAt:
+	if float64(b.fails)/float64(b.n) >= b.shedAt {
 		return breakerShed
-	case rate >= b.degradeAt:
-		return breakerDegrade
 	}
 	return breakerOK
 }

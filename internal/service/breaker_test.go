@@ -20,7 +20,7 @@ func TestBreakerStates(t *testing.T) {
 		t.Fatal("nil breaker must report rate 0")
 	}
 
-	b := newBreaker(4, 0.5, 0.8)
+	b := newBreaker(4, 0.8)
 	if b.state() != breakerOK {
 		t.Fatal("empty breaker must report ok")
 	}
@@ -34,8 +34,8 @@ func TestBreakerStates(t *testing.T) {
 	}
 	b.record(false)
 	b.record(false)
-	if got := b.state(); got != breakerDegrade {
-		t.Fatalf("2/4 failures: state %v rate %v, want degrade", got, b.failureRate())
+	if got := b.state(); got != breakerOK {
+		t.Fatalf("2/4 failures, under the shed threshold: state %v rate %v, want ok", got, b.failureRate())
 	}
 	// Successes push the failures out of the ring: full recovery.
 	for i := 0; i < 4; i++ {
@@ -44,10 +44,9 @@ func TestBreakerStates(t *testing.T) {
 	if b.state() != breakerOK || b.failureRate() != 0 {
 		t.Fatalf("after 4 successes: state %v rate %v, want ok/0", b.state(), b.failureRate())
 	}
-	for _, s := range []breakerState{breakerOK, breakerDegrade, breakerShed} {
-		if s.String() == "" {
-			t.Fatalf("state %d has no name", s)
-		}
+	// The gauge values alerts are written against: 0 ok, 2 shedding.
+	if breakerOK != 0 || breakerShed != 2 || breakerOK.String() != "ok" || breakerShed.String() != "shed" {
+		t.Fatalf("states %d=%s %d=%s, want 0=ok 2=shed", breakerOK, breakerOK, breakerShed, breakerShed)
 	}
 }
 
@@ -105,58 +104,5 @@ func TestBreakerShedsLoad(t *testing.T) {
 	rr.Body.Close()
 	if rr.StatusCode != http.StatusOK {
 		t.Fatalf("cached result while shedding: status %d, want 200", rr.StatusCode)
-	}
-}
-
-// In the degrade band the service admits new work on the cheaper
-// mapper rung instead of shedding it.
-func TestBreakerDegradesAdmissions(t *testing.T) {
-	srv, err := New(Options{
-		Workers:        1,
-		MaxAttempts:    1,
-		RetryBase:      -1,
-		BreakerWindow:  4,
-		BreakerDegrade: 0.5,
-		BreakerShed:    0.9,
-		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
-			if job.Seed <= 2 {
-				return core.Summary{}, errors.New("backend flaky")
-			}
-			return core.Summary{Kernel: "ok", Success: true, MII: 1, II: 1}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown(context.Background())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Successes first: two early failures in an empty window would read
-	// as rate 1.0 and shed instead of landing in the degrade band.
-	for _, seed := range []int{3, 4, 1, 2} {
-		body := `{"kernel":"fir","scale":0.25,"arch":"8x8","mapper":"ultrafast","seed":` + string(rune('0'+seed)) + `,"wait":true}`
-		code, _ := postMap(t, ts.URL, body)
-		want := http.StatusOK
-		if seed <= 2 {
-			want = http.StatusInternalServerError
-		}
-		if code != want {
-			t.Fatalf("seed %d: status %d, want %d", seed, code, want)
-		}
-	}
-	if st := srv.Stats(); st.BreakerState != "degrade" {
-		t.Fatalf("breakerState=%q rate=%v, want degrade", st.BreakerState, st.BreakerFailureRate)
-	}
-	// A pan-spr request is admitted on the pan-ultrafast rung.
-	code, v := postMap(t, ts.URL, `{"kernel":"fir","scale":0.25,"arch":"8x8","mapper":"pan-spr","seed":5,"wait":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("degraded admission: status %d", code)
-	}
-	if v.Mapper != "pan-ultrafast" {
-		t.Fatalf("degraded admission ran mapper %q, want pan-ultrafast", v.Mapper)
-	}
-	if st := srv.Stats(); st.Degraded == 0 {
-		t.Fatal("admission degrade not counted")
 	}
 }

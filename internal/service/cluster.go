@@ -91,12 +91,12 @@ func (s *Server) shouldForward(job *Job) (string, bool) {
 	return owner, true
 }
 
-// forwardRequest rebuilds the wire request for a job so the owner
-// resolves it to the same fingerprint: the graph as canonical DFG
-// JSON, the architecture as a full description, and the total budget
-// as timeoutMS. Peers must share the non-Total budget defaults (fleet
-// configuration contract, see DEPLOYMENT.md) or fingerprints diverge
-// and the fleet degrades to per-node caching.
+// forwardRequest rebuilds the wire request for a job so an owner on
+// the same CodeVersion resolves it to the same fingerprint: the graph
+// as canonical DFG JSON, the architecture as a full description, and
+// the total budget as timeoutMS. An owner on another CodeVersion
+// resolves it to another fingerprint, and forwardAttempt refuses its
+// answer.
 func forwardRequest(job *Job) ([]byte, error) {
 	dfgJSON, err := json.Marshal(job.req.graph)
 	if err != nil {
@@ -128,7 +128,7 @@ func forwardRequest(job *Job) ([]byte, error) {
 func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (core.Summary, error, bool) {
 	job.disableForward()
 
-	tr := job.startTrace(job.Mapper)
+	tr := job.startTrace()
 	sp := tr.Root().Child("cluster.forward")
 	sp.Set("peer", owner)
 	defer tr.Root().End()
@@ -160,6 +160,12 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 	}
 
 	switch {
+	case status == http.StatusOK && view.Result != nil && view.Fingerprint != job.Fingerprint:
+		// An owner on another CodeVersion computed a different key; its
+		// result must not be cached under ours.
+		log.Printf("service: job %s: owner %s answered fingerprint %s, want %s; running locally",
+			job.ID, owner, view.Fingerprint, job.Fingerprint)
+		return unhandled("fingerprint-mismatch")
 	case status == http.StatusOK && view.Result != nil:
 		sp.Set("outcome", "ok")
 		sp.Set("remoteJob", view.ID)
@@ -174,7 +180,7 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 		// A typed remote failure is a real outcome, not a peer problem:
 		// propagate it through the same taxonomy a local run would use,
 		// salvaging any partial summary. The retry ladder then re-runs
-		// (or degrades) locally.
+		// locally or fails the job.
 		sp.Set("outcome", "remote-"+view.Error.Class)
 		sp.End()
 		s.met.forwarded.Inc()

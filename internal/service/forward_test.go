@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -71,13 +72,20 @@ func newPeerPair(t *testing.T, runB RunFunc) *peerPair {
 // side of the ring.
 func (p *peerPair) requestOwnedBy(t *testing.T, owner string, startSeed int64) (string, string) {
 	t.Helper()
+	return requestOwnedBy(t, p.srvA, p.clA, owner, "ultrafast", startSeed)
+}
+
+// requestOwnedBy scans seeds (from startSeed up) for a request on
+// mapper whose fingerprint, as srv resolves it, cl places on owner.
+func requestOwnedBy(t *testing.T, srv *Server, cl *cluster.Cluster, owner, mapper string, startSeed int64) (string, string) {
+	t.Helper()
 	for seed := startSeed; seed < startSeed+200; seed++ {
-		body := fmt.Sprintf(`{"kernel":"fir","scale":0.1,"arch":"4x4","mapper":"ultrafast","seed":%d,"wait":true}`, seed)
-		res, err := p.srvA.resolve(&Request{Kernel: "fir", Scale: 0.1, Arch: "4x4", Mapper: "ultrafast", Seed: seed})
+		body := fmt.Sprintf(`{"kernel":"fir","scale":0.1,"arch":"4x4","mapper":%q,"seed":%d,"wait":true}`, mapper, seed)
+		res, err := srv.resolve(&Request{Kernel: "fir", Scale: 0.1, Arch: "4x4", Mapper: mapper, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.clA.Owner(res.fingerprint) == owner {
+		if cl.Owner(res.fingerprint) == owner {
 			return body, res.fingerprint
 		}
 	}
@@ -233,6 +241,75 @@ func TestForwardRemoteTypedError(t *testing.T) {
 	}
 	if !p.clA.Healthy(p.tsB.URL) {
 		t.Error("typed remote failure tripped the peer breaker")
+	}
+}
+
+// A budget failure on the owner is the fleet's answer: the origin
+// reports 504, and no peer caches anything under the fingerprint —
+// neither the origin from the forward response nor the owner from a
+// gossip fill of the origin's entry.
+func TestForwardNeverCachesAnotherMappersResult(t *testing.T) {
+	p := newPeerPair(t, func(ctx context.Context, job *Job) (core.Summary, error) {
+		if job.Mapper == "pan-spr" {
+			return core.Summary{}, failure.Stage("lower", fmt.Errorf("spr: %w", failure.ErrBudget))
+		}
+		return core.Summary{Kernel: "cheaper", Success: true, MII: 1, II: 9}, nil
+	})
+	body, fp := requestOwnedBy(t, p.srvA, p.clA, p.tsB.URL, "pan-spr", 1) // B owns it; submit to A
+
+	code, view := postMap(t, p.tsA.URL, body)
+	if code != http.StatusGatewayTimeout || view.Error == nil || view.Error.Class != failure.ClassBudget {
+		t.Fatalf("forwarded over-budget map: status %d view %+v, want 504 class budget", code, view)
+	}
+	if _, ok := p.srvA.Cache().Get(fp); ok {
+		t.Fatal("origin cached a result under the pan-spr fingerprint")
+	}
+	// One gossip round from the owner (the loop is off, so set the
+	// per-peer probe timeout a round uses).
+	p.srvB.opts.GossipInterval = 5 * time.Second
+	p.srvB.gossipRound()
+	if _, ok := p.srvB.Cache().Get(fp); ok {
+		t.Fatal("owner gossip-filled a result under the pan-spr fingerprint")
+	}
+}
+
+// A 200 whose fingerprint is not the job's (an owner on another
+// CodeVersion keys the same request differently) is not this job's
+// answer: the origin runs the job itself and counts the fallback.
+func TestForwardFingerprintMismatchRunsLocally(t *testing.T) {
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(JobView{ID: "j-other", Fingerprint: "other-code-version", Mapper: "ultrafast",
+			Status: JobDone, Result: &core.Summary{Kernel: "ran-on-fake", Success: true}})
+	}))
+	defer fake.Close()
+	var execs atomic.Int64
+	cl := cluster.New(cluster.Config{FailThreshold: 1})
+	srv, err := New(Options{Workers: 1, QueueSize: 4, RetryBase: -1, Cluster: cl,
+		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
+			execs.Add(1)
+			return core.Summary{Kernel: "ran-locally", Success: true}, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { srv.Shutdown(context.Background()); ts.Close() }()
+	cl.Configure(ts.URL, []string{ts.URL, fake.URL})
+	body, fp := requestOwnedBy(t, srv, cl, fake.URL, "ultrafast", 1)
+
+	code, view := postMap(t, ts.URL, body)
+	if code != http.StatusOK || view.Result == nil || view.Result.Kernel != "ran-locally" {
+		t.Fatalf("mismatched forward: status %d view %+v, want the local result", code, view)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("local executions = %d, want 1", n)
+	}
+	if e, ok := srv.Cache().Get(fp); !ok || e.Summary.Kernel != "ran-locally" {
+		t.Fatalf("cache under %s: %+v (present %v), want the local result", fp, e.Summary, ok)
+	}
+	if st := srv.Stats(); st.ClusterFallback != 1 || st.ClusterForwarded != 0 {
+		t.Errorf("stats fallback=%d forwarded=%d, want 1/0", st.ClusterFallback, st.ClusterForwarded)
 	}
 }
 

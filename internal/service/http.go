@@ -42,7 +42,6 @@ type JobView struct {
 	Result      *core.Summary `json:"result,omitempty"`
 	Error       *ErrorInfo    `json:"error,omitempty"`
 	Attempts    int           `json:"attempts,omitempty"`
-	RunMapper   string        `json:"runMapper,omitempty"` // set when degraded below Mapper
 	QueuedMS    float64       `json:"queuedMS,omitempty"`
 	RunMS       float64       `json:"runMS,omitempty"`
 }
@@ -59,9 +58,6 @@ func (j *Job) View() JobView {
 		Status:      j.status,
 		Result:      j.summary,
 		Attempts:    j.attempts,
-	}
-	if j.degraded {
-		v.RunMapper = j.runMapper
 	}
 	if j.err != nil {
 		v.Error = &ErrorInfo{

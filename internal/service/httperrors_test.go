@@ -282,7 +282,7 @@ func TestHTTPShedAndDrainPaths(t *testing.T) {
 		Workers: 1, QueueSize: 8, Run: run,
 		RetryAfter: 2 * time.Second,
 		// A tiny window with shed at any failure: two failed jobs trip it.
-		BreakerWindow: 2, BreakerDegrade: 0.4, BreakerShed: 0.5,
+		BreakerWindow: 2, BreakerShed: 0.5,
 		MaxAttempts: 1, RetryBase: -1,
 	})
 	if err != nil {
@@ -291,8 +291,7 @@ func TestHTTPShedAndDrainPaths(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Trip the breaker. (The degrade rung also fails, so the window
-	// fills with failures regardless of mapper.)
+	// Trip the breaker.
 	for seed := 1; seed <= 2; seed++ {
 		body := fmt.Sprintf(`{"kernel":"fir","seed":%d,"wait":true}`, seed)
 		if code, _ := postMap(t, ts.URL, body); code == http.StatusAccepted {

@@ -205,10 +205,9 @@ func referenceKey(g *dfg.Graph, a *arch.CGRA, mapper string, seed int64, budgets
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// Key, resolve and the retry ladder's withMapper against the reference,
-// on the twelve kernels x two scales x the four presets x a bare and a
-// guided mapper, with the server's default budgets and with a request's
-// own.
+// Key and resolve against the reference, on the twelve kernels x two
+// scales x the four presets x a bare and a guided mapper, with the
+// server's default budgets and with a request's own.
 func TestKeyMatchesReference(t *testing.T) {
 	srv := stubServer(t)
 	budgets := core.Budgets{Total: 1500 * time.Millisecond}
@@ -238,13 +237,6 @@ func TestKeyMatchesReference(t *testing.T) {
 					if got := Key(fresh, a, mapper, seed, budgets); got != referenceKey(fresh, a, mapper, seed, budgets) {
 						t.Fatalf("%s@%g %s %s: Key on an unfrozen graph with budgets %s differs from the reference", spec.Name, scale, preset, mapper, got)
 					}
-					next := core.DegradeOf(mapper)
-					if next == "" {
-						continue
-					}
-					if got, want := res.withMapper(next).fingerprint, referenceKey(fresh, a, next, seed, core.Budgets{}); got != want {
-						t.Fatalf("%s@%g %s: withMapper(%s) %s, reference %s", spec.Name, scale, preset, next, got, want)
-					}
 				}
 			}
 		}
@@ -262,16 +254,13 @@ func TestResolveAllocs(t *testing.T) {
 	}
 	srv := stubServer(t)
 	req := Request{Kernel: "fir", Scale: 0.25, Arch: "8x8", Mapper: "pan-ultrafast", Seed: 7}
-	res := mustResolve(t, srv, req)
+	mustResolve(t, srv, req) // warms the memo
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := srv.resolve(&req); err != nil {
 			t.Fatal(err)
 		}
 	}); n > maxResolveAllocs {
 		t.Fatalf("a memoised resolve allocates %.0f times, want <= %d (building a graph or a CGRA is hundreds)", n, maxResolveAllocs)
-	}
-	if n := testing.AllocsPerRun(200, func() { res.withMapper("ultrafast") }); n > maxResolveAllocs {
-		t.Fatalf("a retry-ladder step allocates %.0f times, want <= %d", n, maxResolveAllocs)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // leaves behind is exact: a miss and its hit; a coalesce onto a blocked
 // job; a batch with every item disposition (hit, coalesced, enqueued,
 // dup, error); a queue-full rejection of a single submission and of a
-// whole batch; one terminal failure per class — the budget failure
-// degrading a rung first, the unclassified one retrying first; and a
+// whole batch; one terminal failure per class — the budget failure on
+// its only attempt, the unclassified one retrying first; and a
 // job stream, a resumed job stream and a batch stream read to their
 // end. The caller owns the returned server and listener.
 func runMetricsScenario(t *testing.T) (*Server, *httptest.Server) {

@@ -42,7 +42,6 @@ var metricszFamilies = []string{
 	"panorama_service_cache_misses_total",
 	"panorama_service_coalesced_total",
 	"panorama_service_completed_total",
-	"panorama_service_degraded_total",
 	"panorama_service_draining",
 	"panorama_service_executed_total",
 	"panorama_service_failed_total",
@@ -179,13 +178,12 @@ func TestStatsMatchRegistry(t *testing.T) {
 		"panorama_cluster_peers":                                   float64(st.ClusterPeers),
 		"panorama_cluster_peers_down":                              float64(st.ClusterPeersDown),
 		"panorama_service_breaker_failure_rate":                    st.BreakerFailureRate,
-		"panorama_service_breaker_state":                           map[string]float64{"ok": 0, "degrade": 1, "shed": 2}[st.BreakerState],
+		"panorama_service_breaker_state":                           map[string]float64{"ok": 0, "shed": 2}[st.BreakerState],
 		"panorama_service_cache_entries":                           float64(st.CacheEntries),
 		"panorama_service_cache_hits_total":                        float64(st.CacheHits),
 		"panorama_service_cache_misses_total":                      float64(st.CacheMisses),
 		"panorama_service_coalesced_total":                         float64(st.Coalesced),
 		"panorama_service_completed_total":                         float64(st.Completed),
-		"panorama_service_degraded_total":                          float64(st.Degraded),
 		"panorama_service_draining":                                draining,
 		"panorama_service_executed_total":                          float64(st.Executed),
 		`panorama_service_failed_total{class="budget"}`:            float64(st.FailedBudget),
@@ -232,7 +230,7 @@ func TestStatsMatchRegistry(t *testing.T) {
 		}
 	}
 	// The scenario is only a check if it moved the numbers it compares.
-	if st.CacheHits == 0 || st.Coalesced == 0 || st.Rejected == 0 || st.Retried == 0 || st.Degraded == 0 ||
+	if st.CacheHits == 0 || st.Coalesced == 0 || st.Rejected == 0 || st.Retried == 0 ||
 		st.FailedBudget*st.FailedCancel*st.FailedInfeasib*st.FailedOther == 0 ||
 		st.BatchItemsHit*st.BatchItemsCoalesced*st.BatchItemsDup*st.BatchItemsEnqueued*st.BatchItemsError == 0 ||
 		st.SSEResumed == 0 || st.ClusterMapMS == 0 || st.BreakerFailureRate == 0 {

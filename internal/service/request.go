@@ -119,14 +119,3 @@ func (s *Server) resolve(req *Request) (*resolved, error) {
 		webhook:     req.Webhook,
 	}, nil
 }
-
-// withMapper clones the resolved request onto a different mapper,
-// recomputing the fingerprint (a different mapper is a different
-// computation; the graph's own fingerprint is memoised, so this is one
-// small hash).
-func (r *resolved) withMapper(m string) *resolved {
-	c := *r
-	c.mapper = m
-	c.fingerprint = Key(c.graph, c.arch, m, c.seed, c.budgets)
-	return &c
-}

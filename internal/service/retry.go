@@ -5,35 +5,10 @@ import (
 	"math/rand"
 	"time"
 
-	"panorama/internal/core"
 	"panorama/internal/failure"
 )
 
-// decision is what the retry policy chose for a failed execution
-// attempt.
-type decision int
-
-const (
-	// decideFail ends the job with its error.
-	decideFail decision = iota
-	// decideRetry re-runs the job after a backoff.
-	decideRetry
-	// decideDegrade re-runs the job once on the next-cheaper mapper
-	// rung after a backoff.
-	decideDegrade
-)
-
-func (d decision) String() string {
-	switch d {
-	case decideRetry:
-		return "retry"
-	case decideDegrade:
-		return "degrade"
-	}
-	return "fail"
-}
-
-// retryDecision classifies a failed attempt against the failure
+// shouldRetry classifies a failed attempt against the failure
 // taxonomy:
 //
 //   - watchdog trips (a stalled worker, surfacing as a cancellation)
@@ -41,10 +16,8 @@ func (d decision) String() string {
 //   - ErrInfeasible never retries — the instance admits no solution
 //     and re-running proves nothing;
 //   - caller cancellations never retry — nobody is waiting;
-//   - ErrBudget retries once at the next rung of the degrade ladder
-//     (core.DegradeOf: the cheaper mapper fits the same budget), and
-//     fails when the job is already degraded or has nowhere cheaper to
-//     go;
+//   - ErrBudget never retries — the one clock aborts, and a re-run on
+//     the same mapper would hit the same budget;
 //   - ErrLowerFailed is deterministic (every ladder rung failed hard)
 //     and never retries;
 //   - panics and unclassified errors are treated as transient — worker
@@ -52,28 +25,18 @@ func (d decision) String() string {
 //
 // attempt is the 1-based attempt that just failed; maxAttempts bounds
 // the total (attempt budget, not retry count).
-func retryDecision(err error, attempt, maxAttempts int, mapper string, degraded, watchdog bool) decision {
+func shouldRetry(err error, attempt, maxAttempts int, watchdog bool) bool {
 	if err == nil || attempt >= maxAttempts {
-		// A degrade is still worth one over-budget attempt only when
-		// the budget allows another run at all.
-		return decideFail
+		return false
 	}
 	switch {
 	case watchdog:
-		return decideRetry
-	case failure.IsCancelled(err):
-		return decideFail
-	case failure.IsInfeasible(err):
-		return decideFail
-	case failure.IsBudget(err):
-		if !degraded && core.DegradeOf(mapper) != "" {
-			return decideDegrade
-		}
-		return decideFail
-	case errors.Is(err, failure.ErrLowerFailed):
-		return decideFail
+		return true
+	case failure.IsCancelled(err), failure.IsInfeasible(err), failure.IsBudget(err),
+		errors.Is(err, failure.ErrLowerFailed):
+		return false
 	default:
-		return decideRetry
+		return true
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,8 +17,7 @@ import (
 )
 
 // The retry classifier over every failure type of the taxonomy: each
-// class must map to exactly the documented retry/no-retry/degrade
-// decision.
+// class must map to exactly the documented retry/no-retry decision.
 func TestRetryDecisionTable(t *testing.T) {
 	transient := errors.New("worker exploded")
 	panicErr := failure.NewPanic(2, "boom", []byte("stack"))
@@ -26,65 +26,30 @@ func TestRetryDecisionTable(t *testing.T) {
 		err      error
 		attempt  int
 		max      int
-		mapper   string
-		degraded bool
 		watchdog bool
-		want     decision
+		want     bool
 	}{
-		{name: "nil error", err: nil, attempt: 1, max: 3, mapper: "pan-spr", want: decideFail},
-		{name: "transient retries", err: transient, attempt: 1, max: 3, mapper: "pan-spr", want: decideRetry},
-		{name: "transient at attempt cap", err: transient, attempt: 3, max: 3, mapper: "pan-spr", want: decideFail},
-		{name: "staged transient retries", err: failure.Stage("lower", transient), attempt: 1, max: 3, mapper: "spr", want: decideRetry},
-		{name: "panic retries", err: panicErr, attempt: 1, max: 3, mapper: "pan-spr", want: decideRetry},
-		{name: "staged panic retries", err: failure.Stage("clustermap", panicErr), attempt: 2, max: 3, mapper: "pan-spr", want: decideRetry},
-		{name: "watchdog trip retries", err: fmt.Errorf("run: %w", context.Canceled), attempt: 1, max: 3, mapper: "pan-spr", watchdog: true, want: decideRetry},
-		{name: "watchdog at attempt cap", err: context.Canceled, attempt: 3, max: 3, mapper: "pan-spr", watchdog: true, want: decideFail},
-		{name: "caller cancellation fails", err: failure.Stage("lower", fmt.Errorf("ctx: %w", failure.ErrCancelled)), attempt: 1, max: 3, mapper: "pan-spr", want: decideFail},
-		{name: "raw context.Canceled fails", err: context.Canceled, attempt: 1, max: 3, mapper: "pan-spr", want: decideFail},
-		{name: "infeasible never retries", err: failure.ErrInfeasible, attempt: 1, max: 3, mapper: "pan-spr", want: decideFail},
-		{name: "staged infeasible never retries", err: failure.Stage("clustermap", fmt.Errorf("no ζ: %w", failure.ErrInfeasible)), attempt: 1, max: 3, mapper: "pan-spr", want: decideFail},
-		{name: "budget degrades pan-spr", err: failure.ErrBudget, attempt: 1, max: 3, mapper: "pan-spr", want: decideDegrade},
-		{name: "budget degrades spr", err: failure.Stage("lower", fmt.Errorf("t: %w", failure.ErrBudget)), attempt: 1, max: 3, mapper: "spr", want: decideDegrade},
-		{name: "deadline counts as budget", err: context.DeadlineExceeded, attempt: 1, max: 3, mapper: "pan-spr", want: decideDegrade},
-		{name: "budget with no cheaper rung fails", err: failure.ErrBudget, attempt: 1, max: 3, mapper: "ultrafast", want: decideFail},
-		{name: "budget degrades only once", err: failure.ErrBudget, attempt: 2, max: 3, mapper: "pan-ultrafast", degraded: true, want: decideFail},
-		{name: "budget at attempt cap fails", err: failure.ErrBudget, attempt: 3, max: 3, mapper: "pan-spr", want: decideFail},
-		{name: "lower-failed is deterministic", err: fmt.Errorf("%w: every rung", failure.ErrLowerFailed), attempt: 1, max: 3, mapper: "pan-spr", want: decideFail},
+		{name: "nil error", err: nil, attempt: 1, max: 3, want: false},
+		{name: "transient retries", err: transient, attempt: 1, max: 3, want: true},
+		{name: "transient at attempt cap", err: transient, attempt: 3, max: 3, want: false},
+		{name: "staged transient retries", err: failure.Stage("lower", transient), attempt: 1, max: 3, want: true},
+		{name: "panic retries", err: panicErr, attempt: 1, max: 3, want: true},
+		{name: "staged panic retries", err: failure.Stage("clustermap", panicErr), attempt: 2, max: 3, want: true},
+		{name: "watchdog trip retries", err: fmt.Errorf("run: %w", context.Canceled), attempt: 1, max: 3, watchdog: true, want: true},
+		{name: "watchdog at attempt cap", err: context.Canceled, attempt: 3, max: 3, watchdog: true, want: false},
+		{name: "caller cancellation fails", err: failure.Stage("lower", fmt.Errorf("ctx: %w", failure.ErrCancelled)), attempt: 1, max: 3, want: false},
+		{name: "raw context.Canceled fails", err: context.Canceled, attempt: 1, max: 3, want: false},
+		{name: "infeasible never retries", err: failure.ErrInfeasible, attempt: 1, max: 3, want: false},
+		{name: "staged infeasible never retries", err: failure.Stage("clustermap", fmt.Errorf("no ζ: %w", failure.ErrInfeasible)), attempt: 1, max: 3, want: false},
+		{name: "budget fails", err: failure.ErrBudget, attempt: 1, max: 3, want: false},
+		{name: "staged budget fails", err: failure.Stage("lower", fmt.Errorf("t: %w", failure.ErrBudget)), attempt: 1, max: 3, want: false},
+		{name: "deadline counts as budget", err: context.DeadlineExceeded, attempt: 1, max: 3, want: false},
+		{name: "budget at attempt cap fails", err: failure.ErrBudget, attempt: 3, max: 3, want: false},
+		{name: "lower-failed is deterministic", err: fmt.Errorf("%w: every rung", failure.ErrLowerFailed), attempt: 1, max: 3, want: false},
 	}
 	for _, c := range cases {
-		got := retryDecision(c.err, c.attempt, c.max, c.mapper, c.degraded, c.watchdog)
-		if got != c.want {
-			t.Errorf("%s: retryDecision = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestDegradeMapperLadder(t *testing.T) {
-	// The ladder comes from the core registry: portfolio → spr →
-	// ultrafast, sat → spr, with "pan-" preserved across the step.
-	for m, want := range map[string]string{
-		"pan-portfolio": "pan-spr",
-		"portfolio":     "spr",
-		"pan-sat":       "pan-spr",
-		"sat":           "spr",
-		"pan-spr":       "pan-ultrafast",
-		"spr":           "ultrafast",
-		"pan-ultrafast": "",
-		"ultrafast":     "",
-		"bogus":         "",
-	} {
-		if got := core.DegradeOf(m); got != want {
-			t.Errorf("core.DegradeOf(%q) = %q, want %q", m, got, want)
-		}
-	}
-	// Every accepted request mapper must reach the bottom of the ladder
-	// in finitely many steps — a cycle would retry forever.
-	for _, m := range core.MapperNames() {
-		hops := 0
-		for cur := m; cur != ""; cur = core.DegradeOf(cur) {
-			if hops++; hops > len(core.MapperNames()) {
-				t.Fatalf("degrade ladder from %q does not terminate", m)
-			}
+		if got := shouldRetry(c.err, c.attempt, c.max, c.watchdog); got != c.want {
+			t.Errorf("%s: shouldRetry = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -140,18 +105,23 @@ func TestRetryTransientFaultRecovers(t *testing.T) {
 	}
 }
 
-// An over-budget guided run steps down to the UltraFast rung — and the
-// degraded result must be cached under the degraded key, never under
-// the original fingerprint.
-func TestBudgetDegradesToCheaperMapper(t *testing.T) {
+// An over-budget run fails with 504 and class budget on its first
+// attempt: the service never swaps in a cheaper mapper, and an abort
+// is never cached.
+func TestBudgetFailsWithoutStepDown(t *testing.T) {
+	var mu sync.Mutex
+	var mappers []string
 	srv, err := New(Options{
 		Workers:   1,
 		RetryBase: -1,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
-			if job.currentMapper() == "pan-spr" {
+			mu.Lock()
+			mappers = append(mappers, job.Mapper)
+			mu.Unlock()
+			if job.Mapper == "pan-spr" {
 				return core.Summary{}, failure.Stage("clustermap", fmt.Errorf("sweep: %w", failure.ErrBudget))
 			}
-			return core.Summary{Kernel: "degraded", Success: true, MII: 1, II: 3}, nil
+			return core.Summary{Kernel: "cheaper", Success: true, MII: 1, II: 3}, nil
 		},
 	})
 	if err != nil {
@@ -162,23 +132,19 @@ func TestBudgetDegradesToCheaperMapper(t *testing.T) {
 	defer ts.Close()
 
 	code, v := postMap(t, ts.URL, `{"kernel":"fir","scale":0.25,"arch":"8x8","mapper":"pan-spr","seed":1,"wait":true}`)
-	if code != http.StatusOK || v.Status != JobDone {
-		t.Fatalf("status %d view %+v, want a completed job", code, v)
+	if code != http.StatusGatewayTimeout || v.Status != JobFailed || v.Error == nil || v.Error.Class != failure.ClassBudget {
+		t.Fatalf("status %d view %+v, want a 504 budget failure", code, v)
 	}
-	if v.RunMapper != "pan-ultrafast" || v.Attempts != 2 {
-		t.Fatalf("runMapper=%q attempts=%d, want pan-ultrafast/2", v.RunMapper, v.Attempts)
+	if v.Attempts != 1 {
+		t.Fatalf("attempts = %d, want 1", v.Attempts)
 	}
-	if _, ok := srv.Cache().Get(v.Fingerprint); ok {
-		t.Fatal("degraded result cached under the full-strength fingerprint (cache poisoning)")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(mappers) != 1 || mappers[0] != "pan-spr" {
+		t.Fatalf("Run saw mappers %v, want [pan-spr]", mappers)
 	}
-	if st := srv.Stats(); st.Degraded != 1 {
-		t.Fatalf("degraded=%d, want 1", st.Degraded)
-	}
-	// The same request again must recompute (or re-degrade), never hit
-	// the poisoned key.
-	code, v2 := postMap(t, ts.URL, `{"kernel":"fir","scale":0.25,"arch":"8x8","mapper":"pan-spr","seed":1,"wait":true}`)
-	if code != http.StatusOK || v2.Cache == "hit" {
-		t.Fatalf("second submission: status %d cache %q, want a fresh computation", code, v2.Cache)
+	if n := srv.Cache().Len(); n != 0 {
+		t.Fatalf("%d cache entries after a budget abort, want 0", n)
 	}
 }
 

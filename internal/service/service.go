@@ -86,12 +86,10 @@ type Options struct {
 	RetryBase time.Duration
 	// BreakerWindow sizes the rolling window of terminal job outcomes
 	// behind the service breaker (default 16; negative disables).
-	// BreakerDegrade and BreakerShed are the failure-rate fractions at
-	// which new admissions degrade to the cheaper mapper rung
-	// (default 0.5) and are shed with 503 + Retry-After (default 0.8).
-	BreakerWindow  int
-	BreakerDegrade float64
-	BreakerShed    float64
+	// BreakerShed is the failure-rate fraction at which new admissions
+	// are shed with 503 + Retry-After (default 0.8).
+	BreakerWindow int
+	BreakerShed   float64
 
 	// Cluster shards the content-addressed cache across a panoramad
 	// fleet: jobs whose fingerprint another peer owns are forwarded
@@ -151,8 +149,6 @@ type Job struct {
 	finished time.Time
 
 	attempts  int    // executions so far (journal-replayed ones included)
-	runMapper string // mapper of the current attempt ("" = Mapper)
-	degraded  bool   // the retry ladder or breaker stepped the mapper down
 	origin    string // forwarding peer's URL when the job arrived via the ring
 	noForward bool   // this job already spent its one forward hop
 
@@ -181,32 +177,6 @@ func (j *Job) beginAttempt() int {
 	return j.attempts
 }
 
-// currentMapper is the mapper the next attempt runs with — Mapper
-// unless the job was degraded to a cheaper rung.
-func (j *Job) currentMapper() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.runMapper != "" {
-		return j.runMapper
-	}
-	return j.Mapper
-}
-
-// isDegraded reports whether the job already stepped down the ladder.
-func (j *Job) isDegraded() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.degraded
-}
-
-// degradeTo steps the job down to mapper m for its next attempt.
-func (j *Job) degradeTo(m string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.runMapper = m
-	j.degraded = true
-}
-
 // Origin returns the URL of the peer that forwarded this job here (""
 // for jobs submitted by ordinary clients).
 func (j *Job) Origin() string {
@@ -230,20 +200,17 @@ func (j *Job) forwardSpent() bool {
 	return j.noForward
 }
 
-// startTrace opens the trace of job's current attempt and stamps the
-// retry/degrade provenance on its root span: a retried job's trace says
-// which attempt this is and which rung (mapper) it ran on.
-func (j *Job) startTrace(mapper string) *obs.Trace {
+// startTrace opens the trace of job's current attempt and stamps its
+// provenance on the root span: a retried job's trace says which
+// attempt this is and which mapper it ran.
+func (j *Job) startTrace() *obs.Trace {
 	tr := obs.NewTrace(j.ID)
 	j.mu.Lock()
 	j.trace = tr
-	attempts, degraded := j.attempts, j.degraded
+	attempts := j.attempts
 	j.mu.Unlock()
 	tr.Root().Set("attempt", int64(attempts))
-	tr.Root().Set("mapper", mapper)
-	if degraded {
-		tr.Root().Set("degraded", "true")
-	}
+	tr.Root().Set("mapper", j.Mapper)
 	return tr
 }
 
@@ -344,9 +311,6 @@ func New(opts Options) (*Server, error) {
 	if opts.BreakerWindow == 0 {
 		opts.BreakerWindow = 16
 	}
-	if opts.BreakerDegrade <= 0 {
-		opts.BreakerDegrade = 0.5
-	}
 	if opts.BreakerShed <= 0 {
 		opts.BreakerShed = 0.8
 	}
@@ -394,7 +358,7 @@ func New(opts Options) (*Server, error) {
 		gossipStop: make(chan struct{}),
 	}
 	if opts.BreakerWindow > 0 {
-		s.breaker = newBreaker(opts.BreakerWindow, opts.BreakerDegrade, opts.BreakerShed)
+		s.breaker = newBreaker(opts.BreakerWindow, opts.BreakerShed)
 	}
 	s.met = newMetrics(s)
 	s.webhooks = newWebhookNotifier(s.met, opts)
@@ -513,30 +477,9 @@ func (s *Server) admit(reqs []*resolved) ([]Outcome, error) {
 		pending = append(pending, pendingItem{i: i, req: req})
 	}
 
-	if len(pending) > 0 {
-		switch s.breaker.state() {
-		case breakerShed:
-			s.met.shed.Add(int64(len(pending)))
-			return nil, ErrShedding
-		case breakerDegrade:
-			kept := pending[:0]
-			for _, p := range pending {
-				if m := core.DegradeOf(p.req.mapper); m != "" {
-					// Serve a worse answer rather than none: admit the job on
-					// the next-cheaper mapper rung (which gets its own
-					// fingerprint — a degraded result must never answer a
-					// later full-strength request).
-					p.req = p.req.withMapper(m)
-					s.met.degraded.Inc()
-					if e, ok := s.cache.Get(p.req.fingerprint); ok {
-						outs[p.i] = Outcome{Entry: &e}
-						continue
-					}
-				}
-				kept = append(kept, p)
-			}
-			pending = kept
-		}
+	if len(pending) > 0 && s.breaker.state() == breakerShed {
+		s.met.shed.Add(int64(len(pending)))
+		return nil, ErrShedding
 	}
 
 	if s.journal != nil {
@@ -666,7 +609,7 @@ func (s *Server) runJob(job *Job) {
 	for {
 		attempt := job.beginAttempt()
 		s.jlog(journal.Record{Kind: journal.Started, JobID: job.ID, Key: job.Fingerprint,
-			Attempt: attempt, Note: job.currentMapper()})
+			Attempt: attempt, Note: job.Mapper})
 		job.emit(JobRunning)
 
 		sum, err, watchdog := s.runAttempt(job)
@@ -674,18 +617,11 @@ func (s *Server) runJob(job *Job) {
 			s.finish(job, endDone, sum, nil)
 			return
 		}
-		switch retryDecision(err, attempt, s.opts.MaxAttempts, job.currentMapper(), job.isDegraded(), watchdog) {
-		case decideFail:
+		if !shouldRetry(err, attempt, s.opts.MaxAttempts, watchdog) {
 			s.finish(job, endFailed, sum, err)
 			return
-		case decideDegrade:
-			next := core.DegradeOf(job.currentMapper())
-			log.Printf("service: job %s attempt %d over budget; degrading to %s", job.ID, attempt, next)
-			job.degradeTo(next)
-			s.met.degraded.Inc()
-		default:
-			s.met.retried.Inc()
 		}
+		s.met.retried.Inc()
 		if d := backoff(s.opts.RetryBase, attempt); d > 0 {
 			t := time.NewTimer(d)
 			select {
@@ -789,7 +725,7 @@ func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
 	if status == JobDone || sum.Kernel != "" || len(sum.Stages) > 0 {
 		job.summary = &sum // for a failure, the partial result the ladder salvaged
 	}
-	attempts, degraded, mapper := job.attempts, job.degraded, job.runMapper
+	attempts := job.attempts
 	job.mu.Unlock()
 
 	note := ""
@@ -797,22 +733,14 @@ func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
 	case endDone:
 		s.met.completed.Inc()
 		s.met.recordStages(sum)
-		key := job.Fingerprint
-		if degraded {
-			// A degraded run answers a cheaper computation than the one
-			// the fingerprint names; caching it under the original key
-			// would poison future full-strength requests.
-			key = Key(job.req.graph, job.req.arch, mapper, job.Seed, job.Budgets)
-			note = "degraded to " + mapper
-		}
 		// The cache is published before unregister below: admission relies
 		// on that order when it re-checks the cache under s.mu.
-		if perr := s.cache.Put(Entry{Fingerprint: key, Summary: sum}); perr != nil {
+		if perr := s.cache.Put(Entry{Fingerprint: job.Fingerprint, Summary: sum}); perr != nil {
 			// Persistence is best-effort; the in-memory entry serves.
 			log.Printf("service: %v", perr)
 		}
 		s.breaker.record(false)
-		s.rememberFingerprint(key)
+		s.rememberFingerprint(job.Fingerprint)
 	case endFailed:
 		s.met.recordFailure(err)
 		s.met.recordStages(sum)
@@ -866,11 +794,11 @@ func (s *Server) runPipeline(ctx context.Context, job *Job) (core.Summary, error
 	return res.Summarize(), err
 }
 
-// mapJob runs the job's current mapper over its (possibly shared,
-// read-only) graph and architecture and returns the full result,
-// mapping included.
+// mapJob runs the job's mapper over its (possibly shared, read-only)
+// graph and architecture and returns the full result, mapping
+// included.
 func (s *Server) mapJob(ctx context.Context, job *Job) (*core.Result, error) {
-	tr := job.startTrace(job.currentMapper())
+	tr := job.startTrace()
 	ctx = obs.WithSpan(ctx, tr.Root())
 	defer tr.Root().End()
 
@@ -881,7 +809,7 @@ func (s *Server) mapJob(ctx context.Context, job *Job) (*core.Result, error) {
 		Workers:        s.opts.PipelineWorkers,
 		Budgets:        job.Budgets,
 	}
-	return core.MapByName(ctx, req.graph, req.arch, job.currentMapper(), cfg)
+	return core.MapByName(ctx, req.graph, req.arch, job.Mapper, cfg)
 }
 
 // Shutdown stops accepting work, lets queued and in-flight jobs drain,

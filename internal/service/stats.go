@@ -32,7 +32,6 @@ type metrics struct {
 	failed map[string]*obs.Counter
 
 	retried       *obs.Counter // attempts re-run by the retry ladder
-	degraded      *obs.Counter // jobs stepped down to a cheaper mapper
 	shed          *obs.Counter // submissions refused by the breaker
 	requeued      *obs.Counter // jobs handed back to the journal on drain
 	recovered     *obs.Counter // jobs replayed from the journal at startup
@@ -113,7 +112,6 @@ func newMetrics(s *Server) *metrics {
 		misses:              reg.NewCounter("panorama_service_cache_misses_total", "Submissions that required a computation."),
 		coalesced:           reg.NewCounter("panorama_service_coalesced_total", "Submissions attached to an identical in-flight job."),
 		completed:           reg.NewCounter("panorama_service_completed_total", "Executions that returned a clean summary."),
-		degraded:            reg.NewCounter("panorama_service_degraded_total", "Jobs stepped down to a cheaper mapper (retry ladder or admission breaker)."),
 		executed:            reg.NewCounter("panorama_service_executed_total", "Pipeline executions started."),
 		failed:              map[string]*obs.Counter{failure.ClassBudget: failed.With("budget"), failure.ClassCancelled: failed.With("cancelled"), failure.ClassInfeasible: failed.With("infeasible"), "other": failed.With("other")},
 		journalErrors:       reg.NewCounter("panorama_service_journal_append_errors_total", "Job lifecycle records the service failed to journal."),
@@ -140,7 +138,7 @@ func newMetrics(s *Server) *metrics {
 	gauge("panorama_cluster_peers", "Peers on the hash ring, self included (0 standalone).", func() int { return len(s.opts.Cluster.Stats().Peers) })
 	gauge("panorama_cluster_peers_down", "Remote peers currently considered unreachable.", func() int { return s.opts.Cluster.Stats().PeersDown })
 	reg.GaugeFunc("panorama_service_breaker_failure_rate", "Windowed failure fraction behind the service breaker.", s.breaker.failureRate)
-	gauge("panorama_service_breaker_state", "Service breaker state: 0 ok, 1 degrading admissions, 2 shedding load.", func() int { return int(s.breaker.state()) })
+	gauge("panorama_service_breaker_state", "Service breaker state: 0 ok, 2 shedding load.", func() int { return int(s.breaker.state()) })
 	gauge("panorama_service_cache_entries", "Entries in the result cache.", s.cache.Len)
 	gauge("panorama_service_draining", "1 while the server is draining for shutdown, else 0.", func() int {
 		if s.isDraining() {
@@ -208,7 +206,6 @@ type Stats struct {
 	FailedOther    int64
 
 	Retried       int64
-	Degraded      int64
 	Shed          int64
 	Requeued      int64
 	Recovered     int64
@@ -242,7 +239,7 @@ type Stats struct {
 	WebhooksFailed  int64
 	WebhooksDropped int64
 
-	// BreakerState is "ok", "degrade" or "shed"; BreakerFailureRate is
+	// BreakerState is "ok" or "shed"; BreakerFailureRate is
 	// the windowed failure fraction behind it.
 	BreakerState       string
 	BreakerFailureRate float64
@@ -274,7 +271,6 @@ func (s *Server) Stats() Stats {
 		FailedCancel:        st.failed[failure.ClassCancelled].Value(),
 		FailedOther:         st.failed["other"].Value(),
 		Retried:             st.retried.Value(),
-		Degraded:            st.degraded.Value(),
 		Shed:                st.shed.Value(),
 		Requeued:            st.requeued.Value(),
 		Recovered:           st.recovered.Value(),
