@@ -18,8 +18,8 @@ FUZZTIME ?= 10s
 # three also run in plain `go test ./...`) and the full-scale
 # eigensolver oracle (minutes under it). Every `-race` line of the check-* targets below
 # is a subset of `race` — the fault-injection matrix, the service-layer
-# contracts, the crash-safety suite, the SAT mapper + portfolio
-# contracts, the load/soak SLO suite and the fleet/cluster contracts
+# contracts, the crash-safety suite, the SAT mapper contracts, the
+# load/soak SLO suite and the fleet/cluster contracts
 # all run there, once — so the targets stay as named slices for local
 # use instead of running again here.
 check: docs layering run-names vet build race check-overhead check-bits
@@ -93,17 +93,16 @@ check-diff:
 	$(GO) test -race ./internal/difftest/ ./internal/verify/ ./internal/dfgen/
 	$(GO) test -race -run 'TestPrunedSearchMatchesUnpruned' ./internal/spr/
 
-# The SAT mapper and portfolio contracts: the CDCL solver against
-# brute-force enumeration, the CNF encoding + CEGAR loop against the
-# legality oracle, the 200-graph SAT-vs-SPR* differential (where both
+# The SAT mapper contracts: the CDCL solver against brute-force
+# enumeration, the CNF encoding + CEGAR loop against the legality
+# oracle, and the 200-graph SAT-vs-SPR* differential (where both
 # succeed, SAT II is never worse than SPR*'s but by one II lost to an
 # exhausted refinement or conflict budget, on at most two graphs; an
-# unsat without refinements is an encoding bug), and the portfolio's
-# winner-identity and cancellation semantics — under the race detector.
+# unsat without refinements is an encoding bug) — under the race
+# detector.
 check-sat:
 	$(GO) test -race ./internal/sat/ ./internal/satmap/
-	$(GO) test -race -run 'TestDifferentialSAT|TestDifferentialPortfolio' ./internal/difftest/
-	$(GO) test -race -run 'TestPortfolio' ./internal/core/
+	$(GO) test -race -run 'TestDifferentialSAT' ./internal/difftest/
 
 # Native fuzzing, one budgeted run per target. The committed corpora
 # under */testdata/fuzz seed exploration and replay as regression tests

@@ -25,7 +25,7 @@ import (
 func main() {
 	var (
 		full     = flag.Bool("full", false, "paper-scale configuration (16x16, full kernels; slow)")
-		table    = flag.String("table", "", "regenerate one table: 1a, 1b or race (portfolio mapper race)")
+		table    = flag.String("table", "", "regenerate one table: 1a or 1b")
 		figure   = flag.String("figure", "", "regenerate one figure: 5, 7, 8 or 9")
 		ablation = flag.Bool("ablations", false, "run the ablation suite")
 		seed     = flag.Int64("seed", 1, "random seed")
@@ -100,16 +100,6 @@ func main() {
 				return err
 			}
 			fmt.Print(bench.RenderTable1b(rows))
-			return nil
-		})
-	}
-	if runAll || *table == "race" {
-		section("Mapper race: solo members vs portfolio", func() error {
-			rows, err := bench.RaceTable(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.RenderRaceTable(rows))
 			return nil
 		})
 	}

@@ -52,8 +52,8 @@ var requests = []string{
 	`{"mapper":"spr"}`,
 	`{"kernel":"fir","arch":"4x4","mapper":"sat","seed":7}`,
 	`{"kernel":"cordic","mapper":"pan-sat","seed":3,"timeoutMS":8000}`,
-	`{"kernel":"fir","scale":0.25,"arch":"8x8","mapper":"portfolio","seed":1,"wait":true}`,
-	`{"kernel":"latnrm","mapper":"pan-portfolio"}`,
+	`{"kernel":"fir","scale":0.25,"arch":"8x8","mapper":"sat","seed":1,"wait":true}`,
+	`{"kernel":"latnrm","mapper":"pan-ultrafast"}`,
 	`{"mapper":"nonesuch"}`,
 }
 

@@ -162,9 +162,6 @@ func run() int {
 	}
 	fmt.Printf("mapped at II=%d (MII %d, QoM %.2f) in %v\n",
 		res.Lower.II, res.Lower.MII, res.Lower.QoM, elapsed.Round(time.Millisecond))
-	if res.Lower.Winner != "" {
-		fmt.Printf("portfolio winner: %s\n", res.Lower.Winner)
-	}
 	if res.Partition != nil {
 		fmt.Printf("clustering: K=%d, Inter-E=%d, Intra-E=%d, IF=%.2f (zeta=%d)\n",
 			res.Partition.K, res.Partition.InterE, res.Partition.IntraE, res.Partition.IF, res.ClusterMap.Zeta1)

@@ -45,9 +45,6 @@ type LowerResult struct {
 	MII     int
 	II      int
 	QoM     float64
-	// Winner names the member mapper that produced this result when it
-	// came out of a portfolio race ("" for solo mappers).
-	Winner string
 	// Mapping is the concrete mapping, exactly as the mapper returned it
 	// (nil when the mapper failed), so callers can verify.Check what the
 	// pipeline actually produced and, when it is routed, simulate it or

@@ -16,9 +16,6 @@ type Summary struct {
 	MII     int     `json:"mii"`
 	II      int     `json:"ii,omitempty"`
 	QoM     float64 `json:"qom,omitempty"`
-	// Winner names the portfolio member that produced the mapping
-	// (portfolio runs only; empty for solo mappers).
-	Winner string `json:"winner,omitempty"`
 
 	// Guidance reports how much of the cluster restriction survived:
 	// "guided", "relaxed" or "fallback" (GuidanceLabel).
@@ -50,7 +47,6 @@ func (r *Result) Summarize() Summary {
 		MII:          r.Lower.MII,
 		II:           r.Lower.II,
 		QoM:          r.Lower.QoM,
-		Winner:       r.Lower.Winner,
 		Guidance:     r.GuidanceLabel(),
 		Candidates:   r.Candidates,
 		ClusteringMS: ms(r.ClusteringTime),

@@ -1,8 +1,10 @@
 package difftest
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -128,12 +130,12 @@ func TestDifferentialPipeline(t *testing.T) {
 // every kind of lowerer and hands res.Lower.Mapping, unconverted, to
 // everything downstream of a mapping. A routed result — whichever
 // mapper produced it — must replay in the simulator and lower to a
-// configuration program; a crossbar result (UltraFast*, or a portfolio
-// race it won) must be refused with an error naming the model, not
-// crash on its missing routes.
+// configuration program; a crossbar result (UltraFast*) must be
+// refused with an error naming the model, not crash on its missing
+// routes.
 func TestDownstreamTakesAnyMapper(t *testing.T) {
 	g, a := kernels.FIR(0.05), arch.Preset8x8()
-	for _, name := range []string{"spr", "pan-spr", "sat", "portfolio", "ultrafast"} {
+	for _, name := range []string{"spr", "pan-spr", "sat", "ultrafast"} {
 		bare, pan := strings.CutPrefix(name, "pan-")
 		lower, err := core.NewLowerByName(bare, 1)
 		if err != nil {
@@ -150,7 +152,7 @@ func TestDownstreamTakesAnyMapper(t *testing.T) {
 			continue
 		}
 		m := res.Lower.Mapping
-		if name != "portfolio" && (m.Model == verify.ModelCrossbar) != (name == "ultrafast") {
+		if (m.Model == verify.ModelCrossbar) != (name == "ultrafast") {
 			t.Errorf("%s: unexpected %s-model mapping", name, m.Model)
 		}
 		_, simErr := sim.Execute(g, a, m, SimIters)
@@ -222,26 +224,33 @@ func TestMetamorphicFingerprint(t *testing.T) {
 	}
 }
 
-// TestMetamorphicDeterminism re-runs both mappers on the same input
-// with the same seed and demands byte-identical mappings, the property
-// the service's content-addressed cache is built on.
+// TestMetamorphicDeterminism maps every corpus graph with every
+// registered mapper twice with the same seed, once at GOMAXPROCS 1 and
+// once at 2, and demands identical results: a mapping is a function of
+// (graph, fabric, seed) alone, whatever the scheduler does — the
+// property the service's content-addressed cache is built on.
 func TestMetamorphicDeterminism(t *testing.T) {
 	a := arch.Preset4x4()
-	for i := 0; i < 20; i++ {
-		seed, p := CorpusParams(i * 11)
-		d := dfgen.Generate(seed, p)
-		r1, err1 := spr.Map(d, a, spr.Options{Seed: seed})
-		r2, err2 := spr.Map(d, a, spr.Options{Seed: seed})
-		if err1 != nil || err2 != nil {
-			t.Fatalf("corpus %d: %v / %v", i*11, err1, err2)
-		}
-		if !reflect.DeepEqual(r1.Mapping, r2.Mapping) {
-			t.Fatalf("corpus %d: SPR* is not deterministic for a fixed seed", i*11)
-		}
-		u1, _ := ultrafast.Map(d, a, ultrafast.Options{})
-		u2, _ := ultrafast.Map(d, a, ultrafast.Options{})
-		if !reflect.DeepEqual(u1.Mapping, u2.Mapping) {
-			t.Fatalf("corpus %d: UltraFast* is not deterministic", i*11)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, name := range core.LowerNames() {
+		for i := 0; i < 20; i++ {
+			seed, p := CorpusParams(i * 11)
+			d := dfgen.Generate(seed, p)
+			var runs [2]core.LowerResult
+			for j, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				lw, err := core.NewLowerByName(name, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if runs[j], err = lw.Map(context.Background(), d, a, nil); err != nil {
+					t.Fatalf("%s corpus %d at GOMAXPROCS %d: %v", name, i*11, procs, err)
+				}
+			}
+			if !reflect.DeepEqual(runs[0], runs[1]) {
+				t.Errorf("%s corpus %d: GOMAXPROCS 1 mapped at II %d, GOMAXPROCS 2 at II %d, or to another mapping",
+					name, i*11, runs[0].II, runs[1].II)
+			}
 		}
 	}
 }

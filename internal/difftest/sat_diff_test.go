@@ -1,12 +1,9 @@
 package difftest
 
 import (
-	"context"
-	"reflect"
 	"testing"
 
 	"panorama/internal/arch"
-	"panorama/internal/core"
 	"panorama/internal/dfgen"
 	"panorama/internal/satmap"
 	"panorama/internal/spr"
@@ -93,48 +90,4 @@ func TestDifferentialSAT(t *testing.T) {
 			t.Errorf("SAT solved only %d/%d corpus graphs; budget or encoding regression", solved, CorpusSize)
 		}
 	})
-}
-
-// TestDifferentialPortfolio races the default portfolio over corpus
-// graphs and pins the selection contract: the winner's mapping must be
-// byte-identical to that member running solo with the same seed, so
-// the race selects among deterministic searches without perturbing
-// them. Run under -race this also exercises the concurrent
-// cancellation paths.
-func TestDifferentialPortfolio(t *testing.T) {
-	a := arch.Preset4x4()
-	for i := 0; i < 40; i++ {
-		idx := i * 5
-		seed, p := CorpusParams(idx)
-		d := dfgen.Generate(seed, p)
-		res, err := core.NewPortfolioLower(seed).Map(context.Background(), d, a, nil)
-		if err != nil {
-			t.Fatalf("corpus %d: %v", idx, err)
-		}
-		if !res.Success {
-			t.Errorf("corpus %d: portfolio failed (MII=%d)", idx, res.MII)
-			continue
-		}
-		if res.Winner == "" {
-			t.Fatalf("corpus %d: success without a winner", idx)
-		}
-		solo, err := core.NewLowerByName(res.Winner, seed)
-		if err != nil {
-			t.Fatalf("corpus %d: %v", idx, err)
-		}
-		sres, err := solo.Map(context.Background(), d, a, nil)
-		if err != nil {
-			t.Fatalf("corpus %d: solo %s: %v", idx, res.Winner, err)
-		}
-		if !sres.Success || sres.II != res.II {
-			t.Errorf("corpus %d: solo %s II %d vs race II %d", idx, res.Winner, sres.II, res.II)
-			continue
-		}
-		if !reflect.DeepEqual(res.Mapping, sres.Mapping) {
-			t.Errorf("corpus %d: race result differs from solo %s at II %d", idx, res.Winner, res.II)
-		}
-		if err := Verify(d, a, res.Mapping, nil); err != nil {
-			t.Errorf("corpus %d: %v", idx, err)
-		}
-	}
 }

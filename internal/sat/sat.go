@@ -150,9 +150,9 @@ func New(nVars int, opts Options) *Solver {
 		varInc:   1.0,
 		opts:     opts,
 	}
-	// Seed-derived initial phases: a splitmix64 bit per variable keeps
-	// the search deterministic for a fixed seed while letting callers
-	// diversify restarts across portfolio members.
+	// Seed-derived initial phases: a splitmix64 bit per variable makes
+	// the first decisions, and so the whole search, a function of the
+	// seed; another seed starts the search from other phases.
 	x := uint64(opts.Seed) + 0x9e3779b97f4a7c15
 	for v := 1; v <= nVars; v++ {
 		x += 0x9e3779b97f4a7c15

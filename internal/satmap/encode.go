@@ -56,7 +56,8 @@ type encoder struct {
 // status ("infeasible") instead of an encoder when some node has no
 // candidate PE under the memory/cluster restriction. It polls ctx
 // between layout phases: on large fabrics the layout itself costs
-// milliseconds, and a cancelled portfolio race must not pay for it.
+// milliseconds, and a caller whose deadline fired or whose client went
+// away must not pay for it.
 func newEncoder(ctx context.Context, d *dfg.Graph, a *arch.CGRA, opts Options, ii int) (*encoder, string, error) {
 	e := &encoder{
 		d:      d,
@@ -258,8 +259,8 @@ func (e *encoder) estimateClauses(ctx context.Context) (int, error) {
 }
 
 // build constructs the solver and emits every eager clause family. It
-// polls ctx between clause groups so a cancelled caller (a lost
-// portfolio race, a dead client) never waits out a large emission.
+// polls ctx between clause groups so a cancelled caller (a service
+// deadline, a dead client) never waits out a large emission.
 func (e *encoder) build(ctx context.Context) (*sat.Solver, error) {
 	s := sat.New(e.nVars, sat.Options{Seed: e.seed, MaxConflicts: e.budget})
 	// The y/z consequence vars are biased false so first models don't

@@ -8,11 +8,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"panorama/internal/core"
+	"panorama/internal/journal"
 	"panorama/internal/wire"
 )
 
@@ -466,5 +469,74 @@ func TestCrashRecoveryReplaysV1Payload(t *testing.T) {
 		if _, err := decodeJobPayload(bad); err == nil {
 			t.Fatalf("version %d payload accepted", v)
 		}
+	}
+}
+
+// A job journaled under a mapper name this build no longer registers
+// (the retired portfolio) is the upgrade path of a mapper's deletion:
+// recovery must neither run nor keep it, must cancel it in the journal
+// with the unreadable-payload note, and a second restart must replay
+// nothing.
+func TestCrashRecoveryCancelsRetiredMapper(t *testing.T) {
+	jdir := filepath.Join(t.TempDir(), "journal")
+	req := mustResolve(t, stubServer(t), Request{Kernel: "fir", Scale: 0.1, Arch: "4x4", Mapper: "spr", Seed: 1})
+	req.mapper = "portfolio"
+	blob, err := encodeJobPayload(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jn, err := journal.Open(jdir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000001"
+	if err := jn.Append(journal.Record{Kind: journal.Submitted, JobID: id, Key: req.fingerprint, Blob: blob}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var runs atomic.Int32
+	restart := func() *Server {
+		srv, err := New(Options{Workers: 1, JournalDir: jdir, JournalNoSync: true,
+			Run: func(ctx context.Context, job *Job) (core.Summary, error) {
+				runs.Add(1)
+				return core.Summary{}, nil
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+
+	before := journalKinds()
+	srv := restart()
+	if _, ok := srv.Job(id); ok || srv.Stats().Recovered != 0 {
+		t.Fatalf("job naming a retired mapper was recovered (%d recovered)", srv.Stats().Recovered)
+	}
+	srv.Shutdown(context.Background())
+	if got := kindsSince(before); !reflect.DeepEqual(got, map[string]int{"cancelled": 1}) {
+		t.Fatalf("recovery appended %v, want one cancelled record", got)
+	}
+	segs, err := filepath.Glob(filepath.Join(jdir, "*.pjrn"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("journal segments %v (%v), want one", segs, err)
+	}
+	if data, err := os.ReadFile(segs[0]); err != nil || !bytes.Contains(data, []byte("unreadable payload on recovery")) {
+		t.Fatalf("no cancelled record with the unreadable-payload note in %s (%v)", segs[0], err)
+	}
+
+	before = journalKinds()
+	srv = restart()
+	if n := srv.Stats().Recovered; n != 0 {
+		t.Fatalf("second restart recovered %d jobs, want 0", n)
+	}
+	srv.Shutdown(context.Background())
+	if got := kindsSince(before); len(got) != 0 {
+		t.Fatalf("second restart appended %v, want nothing", got)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("Run called %d times for a job naming a retired mapper", n)
 	}
 }

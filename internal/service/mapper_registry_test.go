@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -70,9 +71,10 @@ func TestEveryRegisteredMapperResolves(t *testing.T) {
 	}
 }
 
-// TestUnknownMapper400ListsValidNames: an unknown mapper must come
-// back as a typed 400 whose error carries class "unknown-mapper" and
-// the full list of accepted names.
+// TestUnknownMapper400ListsValidNames: an unknown mapper — made up, or
+// the retired portfolio in either form — must come back as a typed 400
+// whose error carries class "unknown-mapper" and the full list of
+// accepted names, the registry's three mappers bare and guided.
 func TestUnknownMapper400ListsValidNames(t *testing.T) {
 	srv, err := New(Options{Workers: 1,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
@@ -85,59 +87,32 @@ func TestUnknownMapper400ListsValidNames(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/map", "application/json",
-		strings.NewReader(`{"kernel":"fir","mapper":"magic"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	var out struct {
-		Error ErrorInfo `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Error.Class != "unknown-mapper" {
-		t.Fatalf("class %q, want unknown-mapper", out.Error.Class)
-	}
-	if !strings.Contains(out.Error.Message, "magic") {
-		t.Fatalf("message %q does not name the rejected mapper", out.Error.Message)
-	}
 	want := core.MapperNames()
-	if len(out.Error.Valid) != len(want) {
-		t.Fatalf("valid list %v, want %v", out.Error.Valid, want)
+	if len(want) != 6 {
+		t.Fatalf("core.MapperNames() = %v, want 6 names", want)
 	}
-	for i := range want {
-		if out.Error.Valid[i] != want[i] {
-			t.Fatalf("valid list %v, want %v", out.Error.Valid, want)
+	for _, name := range []string{"magic", "portfolio", "pan-portfolio"} {
+		resp, err := http.Post(ts.URL+"/v1/map", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"kernel":"fir","mapper":%q}`, name)))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestServicePortfolioEndToEnd runs the real pipeline with the
-// portfolio mapper: the response must carry a successful summary with
-// the winning member recorded.
-func TestServicePortfolioEndToEnd(t *testing.T) {
-	srv, err := New(Options{Workers: 1, QueueSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown(context.Background())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	body := `{"kernel":"fir","scale":0.3,"arch":"4x4","mapper":"portfolio","seed":1,"wait":true}`
-	code, v := postMap(t, ts.URL, body)
-	if code != http.StatusOK {
-		t.Fatalf("status %d (%+v)", code, v)
-	}
-	if v.Result == nil || !v.Result.Success {
-		t.Fatalf("portfolio run did not map: %+v", v)
-	}
-	if v.Result.Winner == "" {
-		t.Fatalf("summary does not record the winning member: %+v", v.Result)
+		var out struct {
+			Error ErrorInfo `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || out.Error.Class != "unknown-mapper" {
+			t.Errorf("%s: status %d class %q, want 400 unknown-mapper", name, resp.StatusCode, out.Error.Class)
+		}
+		if !strings.Contains(out.Error.Message, fmt.Sprintf("%q", name)) {
+			t.Errorf("%s: message %q does not name the rejected mapper", name, out.Error.Message)
+		}
+		if !reflect.DeepEqual(out.Error.Valid, want) {
+			t.Errorf("%s: valid list %v, want %v", name, out.Error.Valid, want)
+		}
 	}
 }
