@@ -4,7 +4,7 @@ GO ?= go
 # nightly CI job raises it (see .github/workflows/ci.yml).
 FUZZTIME ?= 10s
 
-.PHONY: check layering run-names build test vet race check-fault check-service check-journal check-diff check-obs check-overhead check-bits check-sat check-load check-cluster docs fuzz
+.PHONY: check layering run-names build test vet race check-fault check-service check-journal check-diff check-obs check-overhead check-bits check-ii check-sat check-load check-cluster docs fuzz
 
 # The repository's verification gate: formatting + godoc contract, vet,
 # build everything, then the full test suite with the race detector
@@ -15,14 +15,15 @@ FUZZTIME ?= 10s
 # instrumentation allocates: TestResolveAllocs in internal/service,
 # TestTransferProbeDoesNotAllocate and
 # TestMapAllocationsDoNotScaleWithAttempts in internal/ultrafast — all
-# three also run in plain `go test ./...`) and the full-scale
-# eigensolver oracle (minutes under it). Every `-race` line of the check-* targets below
+# three also run in plain `go test ./...`), the full-scale
+# eigensolver oracle (minutes under it) and the II ensemble golden
+# (192 mapper runs; it skips under the detector). Every `-race` line of the check-* targets below
 # is a subset of `race` — the fault-injection matrix, the service-layer
 # contracts, the crash-safety suite, the SAT mapper contracts, the
 # load/soak SLO suite and the fleet/cluster contracts
 # all run there, once — so the targets stay as named slices for local
 # use instead of running again here.
-check: docs layering run-names vet build race check-overhead check-bits
+check: docs layering run-names vet build race check-overhead check-bits check-ii
 
 # The layering guard: everything downstream of a mapping (simulator,
 # configuration generator, renderer) and the oracle that judges it must
@@ -80,6 +81,15 @@ check-overhead:
 # four under the race detector, where the test stops at quick scale.
 check-bits:
 	$(GO) test -run 'TestSymmetricEigenMatchesReferenceBitForBit' ./internal/linalg/
+
+# The II ensemble: SPR* and Pan-SPR* map the twelve kernels at quick
+# scale on 8x8 with seeds 1-8, and the sorted II list per kernel, the
+# II totals and the relaxations must equal
+# internal/bench/testdata/ii_ensemble.golden. A minute of CPU, half
+# that on two CPUs; it runs in plain `go test ./...` and skips under
+# -race and -short.
+check-ii:
+	$(GO) test -run 'TestIIEnsembleGolden' ./internal/bench/
 
 # The property-based differential harness: both lower-level mappers and
 # the full pipeline over the seeded random-DFG corpus, every successful

@@ -20,7 +20,7 @@ import (
 	"panorama/internal/verify"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/identity.golden from this tree's results")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files of the tests that run (identity.golden, ii_ensemble.golden) from this tree's results")
 
 // mappingHash is the content address of a mapping — II, placement and
 // routes — computed as the benchmark computes it, so a hash here reads
@@ -165,9 +165,16 @@ func TestIdentityGolden(t *testing.T) {
 			row, res.MII, res.II, hashOf(row, res.Success, res.Mapping), placements)
 	}
 
-	const path = "testdata/identity.golden"
+	compareGolden(t, "testdata/identity.golden", got.String())
+}
+
+// compareGolden compares got with the golden file at path, line by
+// line, and lists every drifted line; with -update it rewrites the file
+// instead.
+func compareGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -176,10 +183,10 @@ func TestIdentityGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() == string(want) {
+	if got == string(want) {
 		return
 	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	var drift strings.Builder
 	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
 		var g, w string
