@@ -17,6 +17,10 @@ var (
 		"Simulated-annealing moves accepted across all SPR* attempts.")
 	mRelax = obs.NewCounter("panorama_spr_relaxations_total",
 		"Router Dijkstra edge relaxations examined across all SPR* attempts.")
+	mUnroutedSinks = obs.NewCounter("panorama_spr_unrouted_sinks_total",
+		"Router sink searches (with their wrap retries) that left the sink unrouted across all SPR* attempts.")
+	mUnroutedRelax = obs.NewCounter("panorama_spr_unrouted_relaxations_total",
+		"Router edge relaxations spent by the sink searches that left their sink unrouted.")
 )
 
 // flush publishes one attempt's locally-accumulated search effort to
@@ -36,9 +40,13 @@ func (st *state) flush(span *obs.Span, att *AttemptStats) {
 	mSAMoves.Add(int64(st.saMoves))
 	mSAAccepts.Add(int64(st.saAccepts))
 	mRelax.Add(st.relax)
+	mUnroutedSinks.Add(int64(st.unroutedSinks))
+	mUnroutedRelax.Add(st.unroutedRelax)
 	span.Add("pathfinder.iterations", int64(st.pfIters))
 	span.Add("pathfinder.ripups", int64(st.ripups))
 	span.Add("sa.moves", int64(st.saMoves))
 	span.Add("sa.accepts", int64(st.saAccepts))
 	span.Add("router.relaxations", st.relax)
+	span.Add("router.unrouted_sinks", int64(st.unroutedSinks))
+	span.Add("router.unrouted_relaxations", st.unroutedRelax)
 }

@@ -192,6 +192,17 @@ func (st *state) nodeCost(sig *signal, n int32, elapsed int) float64 {
 // temporary penalty and the search repeats, steering long waits into
 // split parks across several registers.
 func (st *state) routeSink(sig *signal, i int) bool {
+	relax0 := st.relax
+	if st.tryRouteSink(sig, i) {
+		return true
+	}
+	st.unroutedSinks++
+	st.unroutedRelax += st.relax - relax0
+	return false
+}
+
+// tryRouteSink is routeSink's search-and-retry loop.
+func (st *state) tryRouteSink(sig *signal, i int) bool {
 	st.beginRouting(sig)
 	st.wrapCur++
 	hasWrap := false

@@ -115,6 +115,9 @@ type state struct {
 	saAccepts int   // annealing moves accepted
 	relax     int64 // Dijkstra edge relaxations examined while routing
 
+	unroutedSinks int   // routeSink calls that left their sink unrouted
+	unroutedRelax int64 // the relaxations those calls spent
+
 	fail       int    // DFG node that broke initial placement (-1 = none)
 	failReason string // human-readable diagnosis
 
