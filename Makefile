@@ -14,8 +14,9 @@ FUZZTIME ?= 10s
 # (they compare wall times), the allocation-count guards (the detector's
 # instrumentation allocates: TestResolveAllocs in internal/service,
 # TestTransferProbeDoesNotAllocate and
-# TestMapAllocationsDoNotScaleWithAttempts in internal/ultrafast — all
-# three also run in plain `go test ./...`), the full-scale
+# TestMapAllocationsDoNotScaleWithAttempts in internal/ultrafast,
+# TestSearchSinkDoesNotAllocate in internal/spr — all four also run in
+# plain `go test ./...`), the full-scale
 # eigensolver oracle (minutes under it) and the II ensemble golden
 # (192 mapper runs; it skips under the detector). Every `-race` line of the check-* targets below
 # is a subset of `race` — the fault-injection matrix, the service-layer
@@ -74,7 +75,7 @@ check-obs: check-overhead
 # detector — the checks `race` does not subsume.
 check-overhead:
 	$(GO) test -run 'TestNoopOverhead|TestTraceOverheadBounded|TestStageSpansSumToWallTime' ./internal/core/
-	$(GO) test -run 'TestResolveAllocs|TestTransferProbeDoesNotAllocate|TestMapAllocationsDoNotScaleWithAttempts' ./internal/service/ ./internal/ultrafast/
+	$(GO) test -run 'TestResolveAllocs|TestTransferProbeDoesNotAllocate|TestMapAllocationsDoNotScaleWithAttempts|TestSearchSinkDoesNotAllocate' ./internal/service/ ./internal/ultrafast/ ./internal/spr/
 
 # The eigensolver's bit-for-bit oracle on the benchmark's full-scale
 # Laplacians (n = 448..480): a quarter of a minute as built here, over
@@ -95,9 +96,10 @@ check-ii:
 # the full pipeline over the seeded random-DFG corpus, every successful
 # mapping re-checked by the legality oracle (and, for routed mappings,
 # the cycle-accurate simulator), plus the metamorphic invariants, and
-# the exactness oracle of SPR*'s pruned router search (every sink
-# search on the corpus and the twelve kernels costs what the unpruned
-# search costs) — under the race detector. Already part of `race`; this
+# the exactness oracle of SPR*'s pruned A* router search (every sink
+# search on the corpus and the twelve kernels costs what the plain
+# Dijkstra search costs, and the A* bound holds along its routes) —
+# under the race detector. Already part of `race`; this
 # target runs it alone.
 check-diff:
 	$(GO) test -race ./internal/difftest/ ./internal/verify/ ./internal/dfgen/

@@ -267,7 +267,11 @@ func (g *CGRA) ClusterDistance(a, b int) int {
 	return abs(ar-br) + abs(ac-bc)
 }
 
-// PEDistance returns the Manhattan distance between two PEs.
+// PEDistance returns the Manhattan distance between two PEs: the
+// hops a value takes over the mesh alone. It bounds nothing — every
+// mapper bounds timings with MinElapsed, which sees the express links
+// and the wires' direction. Its one use is SPR*'s placement cost,
+// which prices an express hop by the mesh hops it saves.
 func (g *CGRA) PEDistance(a, b int) int {
 	pa, pb := g.PEs[a], g.PEs[b]
 	return abs(pa.Row-pb.Row) + abs(pa.Col-pb.Col)
@@ -280,8 +284,24 @@ func (g *CGRA) PEDistance(a, b int) int {
 // its last wire arrives. It is Unreachable when no path exists. An
 // express link is one hop, so MinElapsed can lie below
 // PEDistance(p, q)-1. Values saturate at Unreachable-1, where they stay
-// lower bounds.
+// lower bounds. It is the one distance of the fabric: SPR*'s placement
+// bound and its router's prune, and SAT*'s encoding, all read it.
 func (g *CGRA) MinElapsed(p, q int) int { return int(g.minElapsed[p*len(g.PEs)+q]) }
+
+// KeepLinks returns a copy of the fabric that keeps only the links
+// keep accepts, with every table rebuilt over them: a fabric with
+// one-way or missing wires, which no preset builds, for the readers of
+// MinElapsed to be tested on.
+func (g *CGRA) KeepLinks(keep func(Link) bool) *CGRA {
+	c := &CGRA{Config: g.Config, PEs: g.PEs, peClusterRows: g.peClusterRows, peClusterCols: g.peClusterCols}
+	for _, l := range g.Links {
+		if keep(l) {
+			c.Links = append(c.Links, l)
+		}
+	}
+	c.buildIndexes()
+	return c
+}
 
 // InfeasibleMII is the sentinel the II lower bounds return when no II
 // can work: memory operations with no memory-capable PE to run on.

@@ -176,7 +176,7 @@ func TestClusterDistance(t *testing.T) {
 // TestMinElapsedIsDirected builds a three-PE line from its JSON
 // description, keeps only its left-to-right wires and checks that the
 // table follows the links' direction: 0 reaches 2 over two hops, while
-// nothing reaches back.
+// nothing reaches back. The line it copied keeps both directions.
 func TestMinElapsedIsDirected(t *testing.T) {
 	g, err := ReadJSON(strings.NewReader(`{"name":"line","rows":1,"cols":3,"clusterRows":1,"clusterCols":1}`))
 	if err != nil {
@@ -185,21 +185,17 @@ func TestMinElapsedIsDirected(t *testing.T) {
 	if got := g.MinElapsed(2, 0); got != 1 {
 		t.Fatalf("both-way line: MinElapsed(2, 0) = %d, want 1", got)
 	}
-	var oneWay []Link
-	for _, l := range g.Links {
-		if l.To > l.From {
-			oneWay = append(oneWay, l)
-		}
-	}
-	g.Links, g.memPEs = oneWay, nil
-	g.buildIndexes()
+	oneWay := g.KeepLinks(func(l Link) bool { return l.To > l.From })
 	for _, tc := range []struct{ p, q, want int }{
 		{0, 0, 0}, {0, 1, 0}, {0, 2, 1}, {1, 2, 0},
 		{1, 0, Unreachable}, {2, 0, Unreachable}, {2, 1, Unreachable},
 	} {
-		if got := g.MinElapsed(tc.p, tc.q); got != tc.want {
+		if got := oneWay.MinElapsed(tc.p, tc.q); got != tc.want {
 			t.Errorf("one-way line: MinElapsed(%d, %d) = %d, want %d", tc.p, tc.q, got, tc.want)
 		}
+	}
+	if got := g.MinElapsed(2, 0); got != 1 || len(g.Links) != 2*len(oneWay.Links) {
+		t.Fatalf("KeepLinks changed the fabric it copied: MinElapsed(2, 0) = %d, %d links", got, len(g.Links))
 	}
 }
 

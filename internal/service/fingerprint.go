@@ -16,7 +16,7 @@ import (
 // the mapper stack can alter results for identical inputs;
 // internal/bench/testdata/codeversion.ledger ties each value to the
 // identity golden it was cut at.
-const CodeVersion = 5
+const CodeVersion = 6
 
 // Key computes the canonical content address of one mapping
 // computation: the structural DFG fingerprint, the architecture

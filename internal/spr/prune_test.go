@@ -12,11 +12,11 @@ import (
 	"panorama/internal/kernels"
 )
 
-// searchSinkUnpruned is searchSink without the reachability prune: the
-// plain elapsed-exact Dijkstra the pruned search must agree with on
-// every target cost. It reports whether the target was reached and
-// leaves its cost in the scratch; keep its cost model in step with
-// searchSink's.
+// searchSinkUnpruned is searchSink without the reachability prune and
+// without the A* bound (h ≡ 0): the plain elapsed-exact Dijkstra the
+// production search must agree with on every target cost. It reports
+// whether the target was reached and leaves its cost in the scratch;
+// keep its cost model in step with searchSink's.
 func (st *state) searchSinkUnpruned(sig *signal, i int, hasWrap bool) bool {
 	s := sig.sinks[i]
 	if s.delta < 0 || s.delta > st.maxDelta {
@@ -26,8 +26,7 @@ func (st *state) searchSinkUnpruned(sig *signal, i int, hasWrap bool) bool {
 	srcPE := st.placePE[sig.src]
 	start := int32(st.g.ResNode(srcPE, st.placeT[sig.src]+lat))
 	target := int32(st.g.FUNode(st.placePE[s.consumer], st.placeT[s.consumer]))
-	prefer := st.d.Edges[s.edge].Dist > 0 ||
-		st.a.ClusterOf(srcPE) != st.a.ClusterOf(st.placePE[s.consumer])
+	prefer := st.prefersExpress(sig, s)
 
 	width := st.maxDelta + 1
 	st.cur++
@@ -94,10 +93,42 @@ func (st *state) searchSinkUnpruned(sig *signal, i int, hasWrap bool) bool {
 }
 
 // pruneOracle runs every sink search both ways and tallies the
-// disagreements and the relaxations each side spent.
+// disagreements, the A* bound's violations and the relaxations each
+// side spent.
 type pruneOracle struct {
-	searches, mismatches   int
-	relaxFull, relaxPruned int64
+	searches, mismatches, badBounds int
+	relaxFull, relaxPruned          int64
+}
+
+// checkBound holds searchSink's A* bound to what makes the search
+// exact, on the route the plain Dijkstra just found — an optimal one,
+// so the cost still to pay from each of its states is the target's
+// cost minus the state's: the bound is never above that remaining
+// cost, and it drops across no edge of the route by more than the edge
+// costs (consistency). A bound that overshoots only where no cheaper
+// path competes leaves every target cost intact and passes the cost
+// comparison; it does not pass this.
+func (o *pruneOracle) checkBound(t *testing.T, name string, st *state, sig *signal, i int) {
+	s := sig.sinks[i]
+	h := st.goalBound(sig, s.delta, st.prefersExpress(sig, s))
+	width := int32(st.maxDelta + 1)
+	target := int32(st.g.FUNode(st.placePE[s.consumer], st.placeT[s.consumer]))*width + int32(s.delta)
+	const slack = 1e-9 // float rounding of the differences, far below any step
+	total, next := st.scratch[target].dist, int32(-1)
+	for cs := target; cs != -1; cs = st.scratch[cs].prev {
+		dist, bound := st.scratch[cs].dist, h[cs%width]
+		bad := bound > total-dist+slack
+		if next >= 0 && bound > st.scratch[next].dist-dist+h[next%width]+slack {
+			bad = true
+		}
+		if bad {
+			if o.badBounds++; o.badBounds <= 10 {
+				t.Errorf("%s: signal %d sink %d: bound %v at elapsed %d of %d, cost to go %v",
+					name, sig.src, i, bound, cs%width, s.delta, total-dist)
+			}
+		}
+		next = cs
+	}
 }
 
 // targetCost is the settled cost of sig's sink i after a successful
@@ -118,6 +149,7 @@ func (o *pruneOracle) search(t *testing.T, name string, st *state, sig *signal, 
 	var full float64
 	if okFull {
 		full = st.targetCost(sig, i)
+		o.checkBound(t, name, st, sig, i)
 	}
 	r1 := st.relax
 	route, ok := st.searchSink(sig, i, hasWrap)
@@ -146,7 +178,7 @@ func (o *pruneOracle) exercise(t *testing.T, name string, st *state) {
 	route := func(sig *signal, i int, hasWrap bool) {
 		st.beginRouting(sig)
 		if r, ok := o.search(t, name, st, sig, i, hasWrap); ok && st.firstRevisit(r) < 0 {
-			st.claimRoute(sig, i, r)
+			st.claimRoute(sig, i, st.keepRoute(r))
 		}
 	}
 	for _, sig := range st.signals {
@@ -206,12 +238,14 @@ func placeForOracle(t *testing.T, d *dfg.Graph, a *arch.CGRA, seed int64) *state
 }
 
 // TestPrunedSearchMatchesUnpruned is the exactness oracle of
-// searchSink's reachability prune: over the 200-graph differential
-// corpus on 4x4 and the twelve kernels at quick scale on 8x8, every
-// sink search of the initial route, three negotiation rounds and a
-// wrap-penalised retry must succeed exactly when the unpruned search
-// does, at a bit-identical target cost. Routes may differ on equal-cost
-// ties; costs may not.
+// searchSink, the A* search with the reachability prune: over the
+// 200-graph differential corpus on 4x4 and the twelve kernels at quick
+// scale on 8x8, every sink search of the initial route, three
+// negotiation rounds and a wrap-penalised retry must succeed exactly
+// when the plain Dijkstra (no prune, h ≡ 0) does, at a bit-identical
+// target cost, and the A* bound must be admissible and consistent
+// along every route the Dijkstra finds (checkBound). Routes may differ
+// on equal-cost ties; costs may not.
 func TestPrunedSearchMatchesUnpruned(t *testing.T) {
 	const corpusSize = 200
 	var o pruneOracle
@@ -231,6 +265,6 @@ func TestPrunedSearchMatchesUnpruned(t *testing.T) {
 	if o.searches == 0 || o.relaxPruned == 0 {
 		t.Fatal("the oracle ran no search")
 	}
-	t.Logf("%d searches, %d mismatches; relaxations %d unpruned, %d pruned (%.2fx fewer)",
-		o.searches, o.mismatches, o.relaxFull, o.relaxPruned, float64(o.relaxFull)/float64(o.relaxPruned))
+	t.Logf("%d searches, %d mismatches, %d bound violations; relaxations %d unpruned, %d pruned (%.2fx fewer)",
+		o.searches, o.mismatches, o.badBounds, o.relaxFull, o.relaxPruned, float64(o.relaxFull)/float64(o.relaxPruned))
 }

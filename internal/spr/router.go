@@ -221,10 +221,29 @@ func (st *state) tryRouteSink(sig *signal, i int) bool {
 			hasWrap = true
 			continue
 		}
-		st.claimRoute(sig, i, route)
+		st.claimRoute(sig, i, st.keepRoute(route))
 		return true
 	}
 	return false
+}
+
+// routeChunk is how many route nodes keepRoute allocates at a time.
+const routeChunk = 4096
+
+// keepRoute copies a route out of searchSink's reused path buffer into
+// storage of its own, carved from a chunk of routeChunk nodes: a route
+// is immutable once claimed (annealing keeps and restores snapshots of
+// them), so no slot of a chunk is ever reused, and routing allocates
+// once per chunk rather than once per route.
+func (st *state) keepRoute(route []int32) []int32 {
+	n := len(route)
+	if len(st.routeBuf) < n {
+		st.routeBuf = make([]int32, max(routeChunk, n))
+	}
+	kept := st.routeBuf[:n:n]
+	st.routeBuf = st.routeBuf[n:]
+	copy(kept, route)
+	return kept
 }
 
 // firstRevisit returns the index of the first repeated node in the
@@ -241,18 +260,23 @@ func (st *state) firstRevisit(route []int32) int {
 	return -1
 }
 
-// searchSink runs the elapsed-exact Dijkstra for one sink and returns
-// the cheapest path without claiming it. hasWrap tells it to consult
-// the epoch-stamped wrap penalties accumulated by routeSink's retry
-// loop (false on the common first try, so the relax loop pays
-// nothing).
+// searchSink runs the elapsed-exact A* search for one sink and returns
+// the cheapest path without claiming it, in a buffer the next search
+// reuses (routeSink copies what it claims with keepRoute). hasWrap
+// tells it to consult the epoch-stamped wrap penalties accumulated by
+// routeSink's retry loop (false on the common first try, so the relax
+// loop pays nothing).
 //
 // A successor state whose remaining cycles cannot cover the link
 // distance to the consumer's PE (arch.MinElapsed) lies on no path to
 // the target and is never pushed. Every predecessor of a state that
-// reaches the target reaches it too, so the pruning is exact: the
-// target's cost is the unpruned search's, though equal-cost ties may
-// break differently, as the heap holds other entries.
+// reaches the target reaches it too, so the pruning is exact.
+//
+// The queue is ordered by cost plus goalBound's lower bound on the
+// cost still to come, which is consistent: the target is settled at
+// the plain Dijkstra's cost. Neither the prune nor the bound changes
+// that cost, though equal-cost ties may break differently, as the heap
+// holds other entries.
 func (st *state) searchSink(sig *signal, i int, hasWrap bool) ([]int32, bool) {
 	s := sig.sinks[i]
 	if s.delta < 0 || s.delta > st.maxDelta {
@@ -263,11 +287,8 @@ func (st *state) searchSink(sig *signal, i int, hasWrap bool) ([]int32, bool) {
 	start := int32(st.g.ResNode(srcPE, st.placeT[sig.src]+lat))
 	q := st.placePE[s.consumer]
 	target := int32(st.g.FUNode(q, st.placeT[s.consumer]))
-
-	// Does the signal prefer the express inter-cluster links? The paper
-	// prioritises inter-cluster DFG edges and back edges for them.
-	prefer := st.d.Edges[s.edge].Dist > 0 ||
-		st.a.ClusterOf(srcPE) != st.a.ClusterOf(q)
+	prefer := st.prefersExpress(sig, s)
+	h := st.goalBound(sig, s.delta, prefer)
 
 	width := st.maxDelta + 1
 	st.cur++
@@ -276,7 +297,7 @@ func (st *state) searchSink(sig *signal, i int, hasWrap bool) ([]int32, bool) {
 	startState := start*int32(width) + 0
 	startCost := st.nodeCost(sig, start, 0)
 	st.scratch[startState] = dnode{dist: startCost, prev: -1, stamp: st.cur}
-	st.pq.push(startCost, startState)
+	st.pq.push(startCost+h[0], startState)
 
 	targetState := target*int32(width) + int32(s.delta)
 
@@ -296,17 +317,18 @@ func (st *state) searchSink(sig *signal, i int, hasWrap bool) ([]int32, bool) {
 	var relax int64
 
 	for !pq.empty() {
-		c, cs := pq.pop()
-		if sc := &scratch[cs]; sc.stamp == -cur || c > sc.dist {
+		f, cs := pq.pop()
+		elapsed := int(cs % int32(width))
+		sc := &scratch[cs]
+		if sc.stamp == -cur || f > sc.dist+h[elapsed] {
 			continue // already settled (negated stamp) or stale entry
-		} else {
-			sc.stamp = -cur
 		}
+		sc.stamp = -cur
 		if cs == targetState {
 			break
 		}
+		c := sc.dist
 		node := cs / int32(width)
-		elapsed := int(cs % int32(width))
 		for _, e := range g.Succs(node) {
 			relax++
 			ne := elapsed
@@ -374,7 +396,7 @@ func (st *state) searchSink(sig *signal, i int, hasWrap bool) ([]int32, bool) {
 			}
 			if sc.stamp != cur || nc < sc.dist {
 				*sc = dnode{dist: nc, prev: cs, stamp: cur}
-				pq.push(nc, ns)
+				pq.push(nc+h[ne], ns)
 			}
 		}
 	}
@@ -382,19 +404,69 @@ func (st *state) searchSink(sig *signal, i int, hasWrap bool) ([]int32, bool) {
 	if st.scratch[targetState].stamp != -st.cur {
 		return nil, false
 	}
-	// Reconstruct.
-	var route []int32
+	route := st.path[:0]
 	for cs := targetState; cs != -1; cs = st.scratch[cs].prev {
 		route = append(route, cs/int32(width))
-		if st.scratch[cs].prev == -1 {
-			break
-		}
 	}
-	// reverse
 	for a, b := 0, len(route)-1; a < b; a, b = a+1, b-1 {
 		route[a], route[b] = route[b], route[a]
 	}
+	st.path = route
 	return route, true
+}
+
+// prefersExpress reports whether sig's sink s prefers the express
+// inter-cluster links, which then cost it half, not 1.6 times, a
+// step: the paper prioritises inter-cluster DFG edges and back edges
+// for them.
+func (st *state) prefersExpress(sig *signal, s sink) bool {
+	return st.d.Edges[s.edge].Dist > 0 ||
+		st.a.ClusterOf(st.placePE[sig.src]) != st.a.ClusterOf(st.placePE[s.consumer])
+}
+
+// goalBound fills and returns st.bound[:delta+1] with searchSink's A*
+// heuristic for sig's sink of slack delta: bound[e] is a lower bound on
+// the cost a path from any state at elapsed e still pays to reach the
+// target at elapsed delta.
+//
+// Elapsed only grows, by one per Adv edge, and every Adv edge enters a
+// routing node that costs its step; the FU is entered without
+// advancing, for free. So such a path enters each level e' in
+// (e, delta) exactly once, and pays there at least the level's least
+// step: 1 (congestion and history only raise it), halved on an express
+// link the signal prefers, so 0.5 when prefer and 1 otherwise; and
+// 0.01, halved to 0.005, where the signal already owns a state at that
+// level. Wrap penalties only add. bound[e] sums those least steps, and
+// every edge costs at least the drop in bound across it, so the bound
+// is consistent as well as admissible. Level delta itself, entered
+// the same way, is left out: counting it is exact too, but its
+// equal-cost tie-breaks raise the II ensemble's totals
+// (internal/bench/testdata/ii_ensemble.golden) from 247 to 254 for
+// SPR* and from 301 to 303 for Pan-SPR*.
+func (st *state) goalBound(sig *signal, delta int, prefer bool) []float64 {
+	least := 1.0
+	if prefer {
+		least = 0.5
+	}
+	h := st.bound[:delta+1]
+	for e := range h {
+		h[e] = least
+	}
+	width := int32(st.maxDelta + 1)
+	for _, c := range sig.claims {
+		if e := int(c.state % width); e <= delta {
+			h[e] = 0.005
+		}
+	}
+	sum := 0.0
+	for e := delta; e >= 0; e-- {
+		m := h[e]
+		h[e] = sum
+		if e < delta {
+			sum += m
+		}
+	}
+	return h
 }
 
 // routeSignal rips up and reroutes every sink of the signal. Unrouted

@@ -128,6 +128,14 @@ type state struct {
 	cur     int32
 	pq      pqueue
 
+	// bound is searchSink's A* heuristic per elapsed level (goalBound),
+	// path the route it reconstructs, and routeBuf the rest of the chunk
+	// keepRoute carves claimed routes from: all reused, so a search
+	// allocates nothing.
+	bound    []float64
+	path     []int32
+	routeBuf []int32
+
 	// atPE is, per MRRG node, the PE a value held there acts from next:
 	// a wire's receiving PE, any other node's own. searchSink's
 	// reachability prune measures the remaining distance from it.
@@ -215,6 +223,7 @@ func newState(d *dfg.Graph, a *arch.CGRA, ii int, opts *Options) (*state, error)
 
 	states := g.NumNodes * (st.maxDelta + 1)
 	st.scratch = make([]dnode, states)
+	st.bound = make([]float64, st.maxDelta+1)
 	st.occBits = make([]uint64, (states+63)/64)
 	st.visitStamp = make([]int32, g.NumNodes)
 	st.wrapPen = make([]float64, g.NumNodes)
@@ -419,12 +428,12 @@ func (st *state) bestCandidate(v int, random bool) (int, int, bool) {
 }
 
 // placementCost estimates the routing cost of putting v at (pe, t):
-// distance plus waiting slack to every placed neighbour. This is SPR's
-// local view — the cost only sees already-placed neighbours, which is
-// precisely the narrow perspective Panorama's higher-level guidance
-// compensates for (paper §2). A small same-PE tie-breaker avoids
-// degenerate stacking on PE 0. feasible=false when some placed
-// neighbour is physically unreachable within its slack.
+// distance plus waiting slack to every placed neighbour (edgeCost).
+// This is SPR's local view — the cost only sees already-placed
+// neighbours, which is precisely the narrow perspective Panorama's
+// higher-level guidance compensates for (paper §2). A small same-PE
+// tie-breaker avoids degenerate stacking on PE 0. feasible=false when
+// the router could not reach some placed neighbour within its slack.
 func (st *state) placementCost(v, pe, t int) (float64, bool) {
 	cost := 0.02 * float64(st.opsOnPE[pe])
 	if st.opts.placementJitter > 0 {
@@ -450,12 +459,11 @@ func (st *state) placementCost(v, pe, t int) (float64, bool) {
 			continue
 		}
 		delta := t + e.Dist*st.ii - st.placeT[p] - st.d.Nodes[p].Op.Latency()
-		d := st.a.PEDistance(st.placePE[p], pe)
-		minD := maxInt(0, d-1)
-		if delta < minD || delta > st.maxDelta {
+		c, ok := st.edgeCost(st.placePE[p], pe, delta)
+		if !ok {
 			return 0, false
 		}
-		cost += float64(d) + 0.3*float64(delta-minD)
+		cost += c
 	}
 	for _, ei := range st.d.OutEdges(v) {
 		e := st.d.Edges[ei]
@@ -464,12 +472,11 @@ func (st *state) placementCost(v, pe, t int) (float64, bool) {
 			continue
 		}
 		delta := st.placeT[w] + e.Dist*st.ii - t - st.d.Nodes[v].Op.Latency()
-		d := st.a.PEDistance(pe, st.placePE[w])
-		minD := maxInt(0, d-1)
-		if delta < minD || delta > st.maxDelta {
+		c, ok := st.edgeCost(pe, st.placePE[w], delta)
+		if !ok {
 			return 0, false
 		}
-		cost += float64(d) + 0.3*float64(delta-minD)
+		cost += c
 	}
 	// Self-recurrence (v -> v with dist>0): delta depends only on t.
 	for _, ei := range st.d.OutEdges(v) {
@@ -483,6 +490,26 @@ func (st *state) placementCost(v, pe, t int) (float64, bool) {
 		}
 	}
 	return cost, true
+}
+
+// edgeCost prices one DFG edge whose value leaves PE p and is consumed
+// on PE q delta cycles after it is produced. The bound is the router's:
+// a delta below arch.MinElapsed(p, q) is unroutable, and so is an
+// unreachable pair at any delta. Between different PEs the cost is the
+// hops of the fastest path, MinElapsed+1, plus 0.75 of the cycles that
+// path's express links save over the mesh (PEDistance): express links
+// are few, six per cluster pair, and a placement that leans on them
+// crowds them. Slack beyond the bound costs 0.3 a cycle of waiting.
+func (st *state) edgeCost(p, q, delta int) (float64, bool) {
+	me := st.a.MinElapsed(p, q)
+	if me == arch.Unreachable || delta < me || delta > st.maxDelta {
+		return 0, false
+	}
+	hop := 0.0
+	if p != q {
+		hop = float64(me + 1)
+	}
+	return hop + 0.75*(float64(st.a.PEDistance(p, q))-hop) + 0.3*float64(delta-me), true
 }
 
 func (st *state) place(v, pe, t int) {
