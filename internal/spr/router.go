@@ -184,7 +184,8 @@ func (st *state) nodeCost(sig *signal, n int32, elapsed int) float64 {
 // routeSink finds a path for sig's sink i: from the producer's result
 // register at its availability slot to the consumer's FU node, taking
 // exactly delta cycles. Returns false when no physically valid path
-// exists in the MRRG.
+// exists in the MRRG, or every retry wraps, and then counts the call
+// and the relaxations it spent as unrouted.
 //
 // A candidate path that revisits an MRRG node has wrapped the modulo
 // schedule (the value would hold one resource for more than II cycles
@@ -193,23 +194,13 @@ func (st *state) nodeCost(sig *signal, n int32, elapsed int) float64 {
 // split parks across several registers.
 func (st *state) routeSink(sig *signal, i int) bool {
 	relax0 := st.relax
-	if st.tryRouteSink(sig, i) {
-		return true
-	}
-	st.unroutedSinks++
-	st.unroutedRelax += st.relax - relax0
-	return false
-}
-
-// tryRouteSink is routeSink's search-and-retry loop.
-func (st *state) tryRouteSink(sig *signal, i int) bool {
 	st.beginRouting(sig)
 	st.wrapCur++
 	hasWrap := false
 	for try := 0; try < 6; try++ {
 		route, ok := st.searchSink(sig, i, hasWrap)
 		if !ok {
-			return false
+			break
 		}
 		if dup := st.firstRevisit(route); dup >= 0 {
 			n := route[dup]
@@ -224,6 +215,8 @@ func (st *state) tryRouteSink(sig *signal, i int) bool {
 		st.claimRoute(sig, i, st.keepRoute(route))
 		return true
 	}
+	st.unroutedSinks++
+	st.unroutedRelax += st.relax - relax0
 	return false
 }
 
