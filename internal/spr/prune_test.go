@@ -117,12 +117,10 @@ func (o *pruneOracle) checkBound(t *testing.T, name string, st *state, sig *sign
 	total, next := st.scratch[target].dist, int32(-1)
 	for cs := target; cs != -1; cs = st.scratch[cs].prev {
 		dist, bound := st.scratch[cs].dist, h[cs%width]
-		bad := bound > total-dist+slack
-		if next >= 0 && bound > st.scratch[next].dist-dist+h[next%width]+slack {
-			bad = true
-		}
-		if bad {
-			if o.badBounds++; o.badBounds <= 10 {
+		if bound > total-dist+slack ||
+			next >= 0 && bound > st.scratch[next].dist-dist+h[next%width]+slack {
+			o.badBounds++
+			if o.badBounds <= 10 {
 				t.Errorf("%s: signal %d sink %d: bound %v at elapsed %d of %d, cost to go %v",
 					name, sig.src, i, bound, cs%width, s.delta, total-dist)
 			}
