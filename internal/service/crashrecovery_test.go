@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -360,10 +361,18 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the first job never started")
 	}
-	close(release)
+	// The drain must begin while that job still holds the worker:
+	// released first, the job could finish and the worker run the
+	// queued jobs before Shutdown marks the server draining.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := srv1.Shutdown(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- srv1.Shutdown(ctx) }()
+	for !srv1.isDraining() {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-drained; err != nil {
 		t.Fatalf("graceful drain: %v", err)
 	}
 
