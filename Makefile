@@ -16,9 +16,9 @@ FUZZTIME ?= 10s
 # TestTransferProbeDoesNotAllocate and
 # TestMapAllocationsDoNotScaleWithAttempts in internal/ultrafast,
 # TestSearchSinkDoesNotAllocate in internal/spr — all four also run in
-# plain `go test ./...`), the full-scale
-# eigensolver oracle (minutes under it) and the II ensemble golden
-# (192 mapper runs; it skips under the detector). Every `-race` line of the check-* targets below
+# plain `go test ./...`), the full-scale eigensolver oracle (minutes
+# under it) and the II ensemble golden (192 mapper runs; it skips
+# under the detector). Every `-race` line of the check-* targets below
 # is a subset of `race` — the fault-injection matrix, the service-layer
 # contracts, the crash-safety suite, the SAT mapper contracts, the
 # load/soak SLO suite and the fleet/cluster contracts
