@@ -150,7 +150,6 @@ check-fault:
 # run) — all under the race detector.
 check-service:
 	$(GO) test -race ./internal/service/ ./internal/dfg/
-	$(GO) test -race -run 'TestMapSummaryUsesCache|TestCompareCachedMatchesFresh' ./internal/bench/
 
 # The load/soak SLO suite: ≥200 mixed single/batch/SSE operations
 # open-loop at the real pipeline with zero failures and exactly-once

@@ -19,7 +19,6 @@ import (
 
 	"panorama/internal/bench"
 	"panorama/internal/obs"
-	"panorama/internal/service"
 )
 
 func main() {
@@ -31,7 +30,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		workers  = flag.Int("j", 0, "worker pool size for the harness (0 = one per CPU, 1 = serial)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per configuration, e.g. 2m (0 = unbounded); a run that exceeds it keeps its table row, marked (timeout)")
-		cacheDir = flag.String("cache-dir", "", "persistent result cache shared with panorama/panoramad; configurations repeated across figures or invocations map once")
 		traceOut = flag.String("trace-out", "", "write the whole harness's span tree as JSON to this file (one subtree per section)")
 	)
 	flag.Parse()
@@ -43,14 +41,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 	cfg.Timeout = *timeout
-	if *cacheDir != "" {
-		cache, err := service.NewCache(0, *cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: cache: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.Cache = cache
-	}
 	smallName, bigName := "4x4", "8x8"
 	if *full {
 		smallName, bigName = "9x9", "16x16"

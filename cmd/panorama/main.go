@@ -226,15 +226,15 @@ func run() int {
 }
 
 // reportCached prints a result served from the persistent cache in the
-// shape of a fresh run, plus where the time originally went, and
-// returns the process exit code.
+// shape of a fresh run — nothing ran, so there is no time to report —
+// and returns the process exit code.
 func reportCached(s core.Summary) int {
 	if !s.Success {
-		fmt.Printf("cache hit: mapping FAILED (MII %d) in the original run (%.0fms)\n", s.MII, s.TotalMS)
+		fmt.Printf("cache hit: mapping FAILED (MII %d); served from the cache, nothing ran\n", s.MII)
 		return 2
 	}
-	fmt.Printf("cache hit: mapped at II=%d (MII %d, QoM %.2f); original run took %.0fms (clustering %.0f, clustermap %.0f, lower %.0f)\n",
-		s.II, s.MII, s.QoM, s.TotalMS, s.ClusteringMS, s.ClusterMapMS, s.LowerMS)
+	fmt.Printf("cache hit: mapped at II=%d (MII %d, QoM %.2f); served from the cache, nothing ran\n",
+		s.II, s.MII, s.QoM)
 	if s.PartitionK > 0 {
 		fmt.Printf("clustering: K=%d (guidance: %s)\n", s.PartitionK, s.Guidance)
 	}

@@ -19,7 +19,6 @@ import (
 	"panorama/internal/dfg"
 	"panorama/internal/kernels"
 	"panorama/internal/obs"
-	"panorama/internal/service"
 	"panorama/internal/spr"
 	"panorama/internal/ultrafast"
 )
@@ -49,15 +48,6 @@ type Config struct {
 	// rather than aborting the whole harness, so row counts stay
 	// stable whatever times out.
 	Timeout time.Duration
-
-	// Cache, when non-nil, is the shared content-addressed result
-	// cache consulted before (and filled after) every pipeline run the
-	// comparison tables make, so configurations repeated across tables
-	// — or across harness invocations, with a disk-backed cache — map
-	// once (see mapSummary). Tables built from cached rows are
-	// byte-identical to uncached ones: the pipeline is deterministic
-	// per fingerprint.
-	Cache *service.Cache
 
 	// TraceSpan, when non-nil, is the parent span every configuration
 	// run records under (one "config" child per kernel×mapper×arch run,

@@ -18,8 +18,7 @@ func EffortSnapshot() map[string]float64 {
 // RenderEffort renders the metric deltas between two EffortSnapshots
 // as the per-section effort appendix cmd/experiments prints under each
 // table: every panorama_* counter and histogram sum/count that moved,
-// sorted by name. An empty string means nothing moved (e.g. every
-// configuration was a cache hit).
+// sorted by name. An empty string means nothing moved.
 func RenderEffort(before, after map[string]float64) string {
 	keys := make([]string, 0, len(after))
 	for k := range after {

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"strings"
 
+	"panorama/internal/arch"
 	"panorama/internal/core"
+	"panorama/internal/dfg"
+	"panorama/internal/obs"
 	"panorama/internal/power"
 	"panorama/internal/spectral"
 )
@@ -109,26 +112,46 @@ func compare(cfg Config, lower core.Lower) ([]CompareRow, error) {
 			return CompareRow{}, err
 		}
 		row := CompareRow{Kernel: name}
-		base, err := cfg.mapSummary(ctx, g, a, lower, false)
+		base, err := cfg.mapRun(ctx, g, a, lower, false)
 		row.BaseStatus = status(ctx, err)
 		if err == nil {
-			row.MII = base.MII
-			row.BaseII = base.II
-			row.BaseQoM = base.QoM
-			row.BaseSec = base.TotalMS / 1000
+			row.MII = base.Lower.MII
+			row.BaseII = base.Lower.II
+			row.BaseQoM = base.Lower.QoM
+			row.BaseSec = base.TotalTime().Seconds()
 		}
-		pan, err := cfg.mapSummary(ctx, g, a, lower, true)
+		pan, err := cfg.mapRun(ctx, g, a, lower, true)
 		row.PanStatus = status(ctx, err)
 		if err == nil {
-			row.MII = pan.MII
-			row.PanII = pan.II
-			row.PanQoM = pan.QoM
-			row.PanSec = pan.TotalMS / 1000
-			row.Relaxed = pan.Relaxed()
-			row.FellBack = pan.FellBack()
+			row.MII = pan.Lower.MII
+			row.PanII = pan.Lower.II
+			row.PanQoM = pan.Lower.QoM
+			row.PanSec = pan.TotalTime().Seconds()
+			row.Relaxed = pan.Relaxed
+			row.FellBack = pan.FellBack
 		}
 		return row, nil
 	})
+}
+
+// mapRun runs one kernel×arch×mapper configuration — the unit of work
+// every comparison table is built from — under its own "config" span.
+// Every call runs the pipeline: Figures 7 and 9 report the run's
+// compile time, which no cached result could supply.
+func (c Config) mapRun(ctx context.Context, g *dfg.Graph, a *arch.CGRA, lower core.Lower, pan bool) (*core.Result, error) {
+	mapper := lower.Name()
+	if pan {
+		mapper = core.PanPrefix + mapper
+	}
+	ctx, sp := obs.StartSpan(ctx, "config")
+	sp.Set("kernel", g.Name)
+	sp.Set("arch", a.Name)
+	sp.Set("mapper", mapper)
+	defer sp.End()
+	if pan {
+		return core.MapPanoramaCtx(ctx, g, a, lower, c.panoramaConfig())
+	}
+	return core.MapBaselineCtx(ctx, g, a, lower)
 }
 
 // RenderCompare formats Figure 7 / Figure 9 rows with summary ratios.
@@ -208,13 +231,13 @@ func Figure8(cfg Config) ([]Fig8Row, error) {
 			if archPick == "small" {
 				a = small
 			}
-			sum, err := cfg.mapSummary(ctx, g, a, lower, pan)
-			if err != nil || !sum.Success {
+			res, err := cfg.mapRun(ctx, g, a, lower, pan)
+			if err != nil || !res.Lower.Success {
 				return 0, err
 			}
 			return model.Efficiency(
 				power.Arch{PEs: a.NumPEs(), Clusters: a.NumClusters()},
-				power.MappingStats{Ops: g.NumNodes(), II: sum.II},
+				power.MappingStats{Ops: g.NumNodes(), II: res.Lower.II},
 				100)
 		}
 		if row.SmallBase, err = eff("small", false); err != nil {

@@ -108,10 +108,11 @@ type Budgets struct {
 
 // StageRecord is one pipeline stage's provenance entry. The JSON form
 // is part of the service wire format (see Summary), so the field tags
-// are stable.
+// are stable; Wall is measured on the Result only and never crosses a
+// wire.
 type StageRecord struct {
 	Stage string        `json:"stage"`          // "clustering", "clustermap", "lower"
-	Wall  time.Duration `json:"wallNS"`         // wall-clock spent in the stage
+	Wall  time.Duration `json:"-"`              // wall-clock spent in the stage
 	Note  string        `json:"note,omitempty"` // what the stage settled for ("", "3 candidates", rung name, ...)
 }
 

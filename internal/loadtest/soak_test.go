@@ -76,22 +76,6 @@ func mapOnce(t *testing.T, base string, it Item) service.JobView {
 	return jv
 }
 
-// normalizeSummary zeroes the wall-clock fields — the only part of a
-// deterministic mapping that varies run to run — and marshals the rest,
-// so two runs of the same spec can be compared byte for byte.
-func normalizeSummary(t *testing.T, s core.Summary) []byte {
-	t.Helper()
-	s.ClusteringMS, s.ClusterMapMS, s.LowerMS, s.TotalMS = 0, 0, 0, 0
-	for i := range s.Stages {
-		s.Stages[i].Wall = 0
-	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		t.Fatalf("marshal summary: %v", err)
-	}
-	return data
-}
-
 // TestSoakMixedLoad drives ≥200 mixed single/batch/SSE operations
 // open-loop at the real pipeline and asserts the service SLOs: zero
 // failed operations, every fingerprint executed at most once despite
@@ -155,8 +139,8 @@ func TestSoakMixedLoad(t *testing.T) {
 
 	// Byte-identity: replaying sampled specs against the loaded server
 	// (cache hits now) and against a fresh solo server must yield the
-	// same summary once wall times are zeroed — concurrency and load
-	// must not change the answer.
+	// same marshalled summary — concurrency and load must not change
+	// the answer, and a summary carries no wall time.
 	solo, err := NewHarness(soakOptions())
 	if err != nil {
 		t.Fatalf("solo NewHarness: %v", err)
@@ -169,7 +153,11 @@ func TestSoakMixedLoad(t *testing.T) {
 	for i, it := range samples {
 		loaded := mapOnce(t, h.URL(), it)
 		fresh := mapOnce(t, solo.URL(), it)
-		got, want := normalizeSummary(t, *loaded.Result), normalizeSummary(t, *fresh.Result)
+		got, gerr := json.Marshal(loaded.Result)
+		want, werr := json.Marshal(fresh.Result)
+		if gerr != nil || werr != nil {
+			t.Fatalf("marshal summaries: %v, %v", gerr, werr)
+		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("sample %d (%s): summary under load differs from solo run\nload: %s\nsolo: %s",
 				i, loaded.Fingerprint, got, want)

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Default is the process-wide metrics registry. Package-level metric
@@ -136,34 +135,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 // NewCounterVec registers a labelled counter family on Default.
 func NewCounterVec(name, help string, labels ...string) *CounterVec {
 	return Default.NewCounterVec(name, help, labels...)
-}
-
-// SecondsCounter accumulates durations for a *_seconds_total family: it
-// stores integer nanoseconds, so Add is one atomic add like Counter's,
-// and samples float seconds.
-type SecondsCounter struct{ ns atomic.Int64 }
-
-// Add adds d (non-negative, as for Counter.Add).
-func (c *SecondsCounter) Add(d time.Duration) { c.ns.Add(int64(d)) }
-
-// Value returns the accumulated duration.
-func (c *SecondsCounter) Value() time.Duration { return time.Duration(c.ns.Load()) }
-
-func (c *SecondsCounter) sample() []float64 {
-	return []float64{float64(c.ns.Load()) / float64(time.Second)}
-}
-
-// SecondsCounterVec is a SecondsCounter family with labels.
-type SecondsCounterVec struct{ f *family }
-
-// With returns the child for the given label values.
-func (v *SecondsCounterVec) With(vals ...string) *SecondsCounter {
-	return v.f.child(vals, func() metric { return &SecondsCounter{} }).(*SecondsCounter)
-}
-
-// NewSecondsCounterVec registers a labelled SecondsCounter family.
-func (r *Registry) NewSecondsCounterVec(name, help string, labels ...string) *SecondsCounterVec {
-	return &SecondsCounterVec{f: r.register(name, help, "counter", labels)}
 }
 
 // GaugeFunc registers a label-less callback gauge: fn is called on

@@ -119,20 +119,6 @@ func TestGaugeFuncMayScrapeItsRegistry(t *testing.T) {
 	}
 }
 
-func TestSecondsCounterSamplesSeconds(t *testing.T) {
-	r := NewRegistry()
-	vec := r.NewSecondsCounterVec("obstest_stage_seconds_total", "durations", "stage")
-	c := vec.With("lower")
-	c.Add(40 * time.Millisecond)
-	c.Add(120 * time.Millisecond)
-	if c.Value() != 160*time.Millisecond {
-		t.Fatalf("accumulated %v, want 160ms", c.Value())
-	}
-	if v := r.Snapshot()[`obstest_stage_seconds_total{stage="lower"}`]; v != 0.16 {
-		t.Fatalf("sampled %g, want 0.16 seconds", v)
-	}
-}
-
 // The scrape round trip: parsing WriteProm's output yields exactly
 // Snapshot — same keys, same values, histograms as _sum/_count with
 // their buckets dropped.
@@ -140,7 +126,6 @@ func TestParsePromRoundTripsSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("obstest_rt_total", "plain").Add(5)
 	r.NewCounterVec("obstest_rt_labelled_total", "labelled", "site", "kind").With(`a "quoted" site`, "x y").Add(2)
-	r.NewSecondsCounterVec("obstest_rt_seconds_total", "float-valued", "stage").With("lower").Add(1234567 * time.Microsecond)
 	r.GaugeFunc("obstest_rt_gauge", "gauge", func() float64 { return 0.375 })
 	r.NewHistogram("obstest_rt_hist", "plain histogram", IIBuckets).Observe(4)
 	hv := r.NewHistogramVec("obstest_rt_seconds", "labelled histogram", TimeBuckets, "stage")
@@ -161,8 +146,8 @@ func TestParsePromRoundTripsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := r.Snapshot()
-	if len(want) != 9 {
-		t.Fatalf("snapshot has %d series, want 9: %v", len(want), want)
+	if len(want) != 8 {
+		t.Fatalf("snapshot has %d series, want 8: %v", len(want), want)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ParseProm(WriteProm) != Snapshot\n got  %v\n want %v", got, want)

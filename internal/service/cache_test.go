@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +17,7 @@ import (
 	"panorama/internal/arch"
 	"panorama/internal/core"
 	"panorama/internal/kernels"
+	"panorama/internal/wire"
 )
 
 func entry(fp string, ii int) Entry {
@@ -97,13 +103,13 @@ func TestCacheDiskPersistence(t *testing.T) {
 	}
 }
 
-// TestBareSPRRunCachesItsStageTimes pins what `panorama -mapper spr
+// TestBareSPRRunCachesATimelessSummary pins what `panorama -mapper spr
 // -cache-dir D` stores under the fingerprint panoramad serves from the
 // same directory: a baseline run through the lowering registry, whose
-// summary carries the lower stage's wall time and provenance record.
-// (The CLI once wrapped a direct spr.MapCtx call in a synthetic result
-// and cached zeros, so the next run reported "original run took 0ms".)
-func TestBareSPRRunCachesItsStageTimes(t *testing.T) {
+// summary keeps the lower stage's provenance record but no wall time —
+// the entry is a pure function of its fingerprint. Summarize copies the
+// stage records, so the Result's own Provenance keeps its time.
+func TestBareSPRRunCachesATimelessSummary(t *testing.T) {
 	g, a := kernels.FIR(0.1), arch.Preset4x4()
 	lower, err := core.NewLowerByName("spr", 1)
 	if err != nil {
@@ -130,13 +136,81 @@ func TestBareSPRRunCachesItsStageTimes(t *testing.T) {
 	if !ok {
 		t.Fatal("entry not loaded from disk")
 	}
-	sum := e.Summary
-	if sum.LowerMS <= 0 || sum.TotalMS < sum.LowerMS {
-		t.Errorf("stage times lost: lowerMS=%v totalMS=%v", sum.LowerMS, sum.TotalMS)
+	if want := res.Summarize(); !reflect.DeepEqual(e.Summary, want) {
+		t.Fatalf("disk entry differs from the run's summary:\n got %+v\nwant %+v", e.Summary, want)
 	}
-	if len(sum.Stages) != 1 || sum.Stages[0].Stage != "lower" || sum.Stages[0].Wall <= 0 {
-		t.Errorf("want one timed lower stage record, got %+v", sum.Stages)
+	st := e.Summary.Stages
+	if len(st) != 1 || st[0].Stage != "lower" || st[0].Note == "" || st[0].Wall != 0 {
+		t.Errorf("want one untimed lower stage record with its note, got %+v", st)
 	}
+	if len(res.Provenance.Stages) != 1 || res.Provenance.Stages[0].Wall <= 0 {
+		t.Errorf("Summarize wiped the Result's own stage time: %+v", res.Provenance.Stages)
+	}
+}
+
+// TestCacheEntryIsAPureFunctionOfItsKey maps one request on two fresh
+// servers whose pipelines use a different number of workers: the cache
+// entry each writes and the result each returns must be the same
+// bytes, so peers that map one fingerprint agree on its entry and a
+// hit returns nothing that depends on the run that made it.
+func TestCacheEntryIsAPureFunctionOfItsKey(t *testing.T) {
+	const body = `{"kernel":"fir","scale":0.1,"arch":"4x4","mapper":"pan-ultrafast","seed":1,"wait":true}`
+	var entries, results [2][]byte
+	for i, workers := range []int{1, 2} {
+		srv, err := New(Options{Workers: 1, QueueSize: 4, PipelineWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Shutdown(context.Background())
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		code, v := postMap(t, ts.URL, body)
+		if code != http.StatusOK || v.Result == nil || !v.Result.Success {
+			t.Fatalf("PipelineWorkers %d: status %d, view %+v", workers, code, v)
+		}
+		e, ok := srv.Cache().Get(v.Fingerprint)
+		if !ok {
+			t.Fatalf("PipelineWorkers %d: no cache entry for %s", workers, v.Fingerprint)
+		}
+		if entries[i], err = e.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		if results[i], err = json.Marshal(v.Result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(entries[0], entries[1]) {
+		t.Errorf("cache entries differ between runs:\n%x\n%x", entries[0], entries[1])
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Errorf("results differ between runs:\n%s\n%s", results[0], results[1])
+	}
+}
+
+// v1Entry spells e in the retired version-1 PCEN layout, which also
+// carried four wall-time floats after QoM and a wall-time varint in
+// every stage record.
+func v1Entry(e Entry) []byte {
+	s := &e.Summary
+	buf := append([]byte(entryMagic), 1)
+	buf = wire.AppendString(buf, e.Fingerprint)
+	buf = wire.AppendString(buf, s.Kernel)
+	buf = append(buf, 1) // Success: every entry spelled here succeeded
+	for _, v := range []int{s.MII, s.II, s.Candidates, s.PartitionK} {
+		buf = binary.AppendVarint(buf, int64(v))
+	}
+	for _, f := range []float64{s.QoM, 1.5, 0.5, 12.25, 14.25} {
+		buf = wire.AppendFloat(buf, f)
+	}
+	buf = wire.AppendString(buf, s.Guidance)
+	buf = wire.AppendString(buf, s.BudgetStage)
+	buf = binary.AppendUvarint(buf, uint64(len(s.Stages)))
+	for _, st := range s.Stages {
+		buf = wire.AppendString(buf, st.Stage)
+		buf = binary.AppendVarint(buf, int64(12250*time.Microsecond))
+		buf = wire.AppendString(buf, st.Note)
+	}
+	return buf
 }
 
 func TestCacheLoadSkipsCorruptAndForeignFiles(t *testing.T) {
@@ -148,13 +222,19 @@ func TestCacheLoadSkipsCorruptAndForeignFiles(t *testing.T) {
 	if err := c.Put(entry("good", 2)); err != nil {
 		t.Fatal(err)
 	}
-	// A corrupt file, a file whose name disagrees with its content, and
-	// a foreign file must not break startup or leak entries.
-	if err := os.WriteFile(filepath.Join(dir, "corrupt.bin"), []byte("PCEN\x01truncated"), 0o644); err != nil {
+	// A corrupt file, a file whose name disagrees with its content, a
+	// well-formed entry in the retired v1 layout and a foreign file must
+	// not break startup or leak entries.
+	if err := os.WriteFile(filepath.Join(dir, "corrupt.bin"), []byte("PCEN\x02truncated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(filepath.Join(dir, "good.bin"))
 	if err := os.WriteFile(filepath.Join(dir, "renamed.bin"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := entry("old", 4)
+	old.Summary.Stages = []core.StageRecord{{Stage: "lower", Note: "guided"}}
+	if err := os.WriteFile(filepath.Join(dir, "old.bin"), v1Entry(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("not a cache entry"), 0o644); err != nil {
@@ -179,13 +259,16 @@ func TestCacheLoadSkipsCorruptAndForeignFiles(t *testing.T) {
 	if _, ok := c2.Get("good"); !ok {
 		t.Fatal("good entry lost")
 	}
+	if _, ok := c2.Get("old"); ok {
+		t.Fatal("a v1 entry was served; it must be skipped and recomputed")
+	}
 	if c2.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (corrupt/foreign files must be skipped)", c2.Len())
 	}
-	// Skips are counted and surfaced: corrupt.bin, renamed.bin and the
-	// truncated entry. README is never a candidate.
-	if got := c2.LoadSkipped(); got != 3 {
-		t.Fatalf("LoadSkipped = %d, want 3", got)
+	// Skips are counted and surfaced: corrupt.bin, renamed.bin, old.bin
+	// and the truncated entry. README is never a candidate.
+	if got := c2.LoadSkipped(); got != 4 {
+		t.Fatalf("LoadSkipped = %d, want 4", got)
 	}
 	if c.LoadSkipped() != 0 {
 		t.Fatal("a cache that loaded nothing must report 0 skips")

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/binary"
-	"time"
 
 	"panorama/internal/core"
 	"panorama/internal/wire"
@@ -10,29 +9,31 @@ import (
 
 // Binary codec for cache entries: the persisted form of one mapping
 // result under the content-addressed cache directory. The layout
-// (version 1) is
+// (version 2) is
 //
 //	magic "PCEN", version byte
 //	fingerprint: uvarint length, raw bytes
 //	summary, fields in declaration order:
 //	  Kernel string, Success byte, MII/II/Candidates/PartitionK as
-//	  zigzag varints, QoM + the four wall-time floats as little-endian
-//	  IEEE-754 bits, Guidance and BudgetStage strings, then uvarint
-//	  stage count and per stage (Stage string, zigzag varint WallNS,
-//	  Note string)
+//	  zigzag varints, QoM as little-endian IEEE-754 bits, Guidance and
+//	  BudgetStage strings, then uvarint stage count and per stage
+//	  (Stage string, Note string)
 //
-// Strings are uvarint length + raw bytes throughout. The entry's cache
-// identity is the fingerprint alone — the codec only changes how the
-// bytes at that address are spelled, never the address.
+// Strings are uvarint length + raw bytes throughout. The entry holds
+// no wall time, so it is a pure function of its fingerprint; a v1 file
+// (which did) fails the header check, is skipped at load and is
+// recomputed on its first miss. The entry's cache identity is the
+// fingerprint alone — the codec only changes how the bytes at that
+// address are spelled, never the address.
 const (
 	entryMagic   = "PCEN"
-	entryVersion = 1
+	entryVersion = 2
 )
 
 // MarshalBinary encodes the entry in the versioned varint wire format.
 func (e *Entry) MarshalBinary() ([]byte, error) {
 	s := &e.Summary
-	buf := make([]byte, 0, 96+len(e.Fingerprint)+len(s.Kernel)+16*len(s.Stages))
+	buf := make([]byte, 0, 64+len(e.Fingerprint)+len(s.Kernel)+16*len(s.Stages))
 	buf = append(buf, entryMagic...)
 	buf = append(buf, entryVersion)
 	buf = wire.AppendString(buf, e.Fingerprint)
@@ -48,16 +49,11 @@ func (e *Entry) MarshalBinary() ([]byte, error) {
 	buf = binary.AppendVarint(buf, int64(s.Candidates))
 	buf = binary.AppendVarint(buf, int64(s.PartitionK))
 	buf = wire.AppendFloat(buf, s.QoM)
-	buf = wire.AppendFloat(buf, s.ClusteringMS)
-	buf = wire.AppendFloat(buf, s.ClusterMapMS)
-	buf = wire.AppendFloat(buf, s.LowerMS)
-	buf = wire.AppendFloat(buf, s.TotalMS)
 	buf = wire.AppendString(buf, s.Guidance)
 	buf = wire.AppendString(buf, s.BudgetStage)
 	buf = binary.AppendUvarint(buf, uint64(len(s.Stages)))
 	for _, st := range s.Stages {
 		buf = wire.AppendString(buf, st.Stage)
-		buf = binary.AppendVarint(buf, int64(st.Wall))
 		buf = wire.AppendString(buf, st.Note)
 	}
 	return buf, nil
@@ -80,16 +76,12 @@ func (e *Entry) UnmarshalBinary(data []byte) error {
 	s.Candidates = int(r.Varint())
 	s.PartitionK = int(r.Varint())
 	s.QoM = r.Float()
-	s.ClusteringMS = r.Float()
-	s.ClusterMapMS = r.Float()
-	s.LowerMS = r.Float()
-	s.TotalMS = r.Float()
 	s.Guidance = r.String()
 	s.BudgetStage = r.String()
-	if nStages := r.Count("stage", 3); nStages > 0 {
+	if nStages := r.Count("stage", 2); nStages > 0 {
 		s.Stages = make([]core.StageRecord, nStages)
 		for i := range s.Stages {
-			s.Stages[i] = core.StageRecord{Stage: r.String(), Wall: time.Duration(r.Varint()), Note: r.String()}
+			s.Stages[i] = core.StageRecord{Stage: r.String(), Note: r.String()}
 		}
 	}
 	if err := r.Done(); err != nil {

@@ -3,7 +3,6 @@ package service
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"panorama/internal/core"
 )
@@ -14,22 +13,18 @@ func fullEntry() Entry {
 	return Entry{
 		Fingerprint: "pan1:abcdef0123456789",
 		Summary: core.Summary{
-			Kernel:       "conv2d",
-			Success:      true,
-			MII:          3,
-			II:           4,
-			QoM:          0.75,
-			Guidance:     "guided",
-			Candidates:   5,
-			PartitionK:   4,
-			ClusteringMS: 12.5,
-			ClusterMapMS: 3.25,
-			LowerMS:      840.125,
-			TotalMS:      855.875,
+			Kernel:     "conv2d",
+			Success:    true,
+			MII:        3,
+			II:         4,
+			QoM:        0.75,
+			Guidance:   "guided",
+			Candidates: 5,
+			PartitionK: 4,
 			Stages: []core.StageRecord{
-				{Stage: "clustering", Wall: 12500 * time.Microsecond},
-				{Stage: "clustermap", Wall: 3250 * time.Microsecond, Note: "ilp"},
-				{Stage: "lower", Wall: 840125 * time.Microsecond, Note: "guided aborted"},
+				{Stage: "clustering"},
+				{Stage: "clustermap", Note: "ilp"},
+				{Stage: "lower", Note: "guided aborted"},
 			},
 			BudgetStage: "lower",
 		},
@@ -97,7 +92,7 @@ func TestEntryCodecRejectsBadHeader(t *testing.T) {
 // receiver.
 func TestEntryCodecFailureLeavesReceiverUntouched(t *testing.T) {
 	back := fullEntry()
-	if err := back.UnmarshalBinary([]byte("PCEN\x01bogus")); err == nil {
+	if err := back.UnmarshalBinary([]byte("PCEN\x02bogus")); err == nil {
 		t.Fatal("bogus payload accepted")
 	}
 	if !reflect.DeepEqual(back, fullEntry()) {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"panorama/internal/core"
 	"panorama/internal/failure"
@@ -31,9 +30,8 @@ func runMetricsScenario(t *testing.T) (*Server, *httptest.Server) {
 			close(blocked)
 			<-gate
 		case 3:
-			// The partial summary a failed run salvaged still counts its
-			// stage time.
-			return core.Summary{Kernel: "stub", Stages: []core.StageRecord{{Stage: "clustering", Wall: 10 * time.Millisecond}}},
+			// A failed run salvages a partial summary.
+			return core.Summary{Kernel: "stub", Stages: []core.StageRecord{{Stage: "clustering"}}},
 				failure.Stage("lower", failure.ErrBudget)
 		case 4:
 			return core.Summary{}, failure.ErrCancelled
@@ -43,9 +41,9 @@ func runMetricsScenario(t *testing.T) (*Server, *httptest.Server) {
 			return core.Summary{}, errors.New("boom")
 		}
 		return core.Summary{Kernel: "stub", Success: true, Stages: []core.StageRecord{
-			{Stage: "clustering", Wall: 40 * time.Millisecond},
-			{Stage: "clustermap", Wall: 250 * time.Millisecond},
-			{Stage: "lower", Wall: 160 * time.Millisecond},
+			{Stage: "clustering"},
+			{Stage: "clustermap"},
+			{Stage: "lower"},
 		}}, nil
 	}
 	// Two attempts, no backoff sleep, and a breaker window too wide to

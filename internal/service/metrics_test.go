@@ -53,7 +53,6 @@ var metricszFamilies = []string{
 	"panorama_service_retried_total",
 	"panorama_service_running_jobs",
 	"panorama_service_shed_total",
-	"panorama_service_stage_seconds_total",
 	"panorama_service_submitted_total",
 	"panorama_sse_active_streams",
 	"panorama_sse_events_sent_total",
@@ -163,53 +162,50 @@ func TestStatsMatchRegistry(t *testing.T) {
 		draining = 1
 	}
 	want := map[string]float64{
-		`panorama_batch_items_total{disposition="coalesced"}`:      float64(st.BatchItemsCoalesced),
-		`panorama_batch_items_total{disposition="dup"}`:            float64(st.BatchItemsDup),
-		`panorama_batch_items_total{disposition="enqueued"}`:       float64(st.BatchItemsEnqueued),
-		`panorama_batch_items_total{disposition="error"}`:          float64(st.BatchItemsError),
-		`panorama_batch_items_total{disposition="hit"}`:            float64(st.BatchItemsHit),
-		"panorama_batch_rejected_total":                            float64(st.BatchRejected),
-		"panorama_batch_requests_total":                            float64(st.BatchRequests),
-		"panorama_cluster_forward_fallback_total":                  float64(st.ClusterFallback),
-		"panorama_cluster_forwarded_total":                         float64(st.ClusterForwarded),
-		"panorama_cluster_gossip_fill_total":                       float64(st.ClusterGossipFill),
-		"panorama_cluster_misdirected_total":                       float64(st.ClusterMisdirected),
-		"panorama_cluster_origin_jobs_total":                       float64(st.ClusterOriginJobs),
-		"panorama_cluster_peers":                                   float64(st.ClusterPeers),
-		"panorama_cluster_peers_down":                              float64(st.ClusterPeersDown),
-		"panorama_service_breaker_failure_rate":                    st.BreakerFailureRate,
-		"panorama_service_breaker_state":                           map[string]float64{"ok": 0, "shed": 2}[st.BreakerState],
-		"panorama_service_cache_entries":                           float64(st.CacheEntries),
-		"panorama_service_cache_hits_total":                        float64(st.CacheHits),
-		"panorama_service_cache_misses_total":                      float64(st.CacheMisses),
-		"panorama_service_coalesced_total":                         float64(st.Coalesced),
-		"panorama_service_completed_total":                         float64(st.Completed),
-		"panorama_service_draining":                                draining,
-		"panorama_service_executed_total":                          float64(st.Executed),
-		`panorama_service_failed_total{class="budget"}`:            float64(st.FailedBudget),
-		`panorama_service_failed_total{class="cancelled"}`:         float64(st.FailedCancel),
-		`panorama_service_failed_total{class="infeasible"}`:        float64(st.FailedInfeasib),
-		`panorama_service_failed_total{class="other"}`:             float64(st.FailedOther),
-		"panorama_service_journal_append_errors_total":             float64(st.JournalErrors),
-		"panorama_service_queue_depth":                             float64(st.QueueDepth),
-		"panorama_service_recovered_total":                         float64(st.Recovered),
-		"panorama_service_rejected_total":                          float64(st.Rejected),
-		"panorama_service_requeued_total":                          float64(st.Requeued),
-		"panorama_service_retried_total":                           float64(st.Retried),
-		"panorama_service_running_jobs":                            float64(st.RunningJobs),
-		"panorama_service_shed_total":                              float64(st.Shed),
-		`panorama_service_stage_seconds_total{stage="clustering"}`: st.ClusteringMS / 1000,
-		`panorama_service_stage_seconds_total{stage="clustermap"}`: st.ClusterMapMS / 1000,
-		`panorama_service_stage_seconds_total{stage="lower"}`:      st.LowerMS / 1000,
-		"panorama_service_submitted_total":                         float64(st.Submitted),
-		"panorama_sse_active_streams":                              float64(st.SSEActive),
-		"panorama_sse_events_sent_total":                           float64(st.SSESent),
-		"panorama_sse_resumed_total":                               float64(st.SSEResumed),
-		"panorama_sse_streams_total":                               float64(st.SSEStreams),
-		"panorama_webhook_dropped_total":                           float64(st.WebhooksDropped),
-		"panorama_webhook_failed_total":                            float64(st.WebhooksFailed),
-		"panorama_webhook_retried_total":                           float64(st.WebhooksRetried),
-		"panorama_webhook_sent_total":                              float64(st.WebhooksSent),
+		`panorama_batch_items_total{disposition="coalesced"}`: float64(st.BatchItemsCoalesced),
+		`panorama_batch_items_total{disposition="dup"}`:       float64(st.BatchItemsDup),
+		`panorama_batch_items_total{disposition="enqueued"}`:  float64(st.BatchItemsEnqueued),
+		`panorama_batch_items_total{disposition="error"}`:     float64(st.BatchItemsError),
+		`panorama_batch_items_total{disposition="hit"}`:       float64(st.BatchItemsHit),
+		"panorama_batch_rejected_total":                       float64(st.BatchRejected),
+		"panorama_batch_requests_total":                       float64(st.BatchRequests),
+		"panorama_cluster_forward_fallback_total":             float64(st.ClusterFallback),
+		"panorama_cluster_forwarded_total":                    float64(st.ClusterForwarded),
+		"panorama_cluster_gossip_fill_total":                  float64(st.ClusterGossipFill),
+		"panorama_cluster_misdirected_total":                  float64(st.ClusterMisdirected),
+		"panorama_cluster_origin_jobs_total":                  float64(st.ClusterOriginJobs),
+		"panorama_cluster_peers":                              float64(st.ClusterPeers),
+		"panorama_cluster_peers_down":                         float64(st.ClusterPeersDown),
+		"panorama_service_breaker_failure_rate":               st.BreakerFailureRate,
+		"panorama_service_breaker_state":                      map[string]float64{"ok": 0, "shed": 2}[st.BreakerState],
+		"panorama_service_cache_entries":                      float64(st.CacheEntries),
+		"panorama_service_cache_hits_total":                   float64(st.CacheHits),
+		"panorama_service_cache_misses_total":                 float64(st.CacheMisses),
+		"panorama_service_coalesced_total":                    float64(st.Coalesced),
+		"panorama_service_completed_total":                    float64(st.Completed),
+		"panorama_service_draining":                           draining,
+		"panorama_service_executed_total":                     float64(st.Executed),
+		`panorama_service_failed_total{class="budget"}`:       float64(st.FailedBudget),
+		`panorama_service_failed_total{class="cancelled"}`:    float64(st.FailedCancel),
+		`panorama_service_failed_total{class="infeasible"}`:   float64(st.FailedInfeasib),
+		`panorama_service_failed_total{class="other"}`:        float64(st.FailedOther),
+		"panorama_service_journal_append_errors_total":        float64(st.JournalErrors),
+		"panorama_service_queue_depth":                        float64(st.QueueDepth),
+		"panorama_service_recovered_total":                    float64(st.Recovered),
+		"panorama_service_rejected_total":                     float64(st.Rejected),
+		"panorama_service_requeued_total":                     float64(st.Requeued),
+		"panorama_service_retried_total":                      float64(st.Retried),
+		"panorama_service_running_jobs":                       float64(st.RunningJobs),
+		"panorama_service_shed_total":                         float64(st.Shed),
+		"panorama_service_submitted_total":                    float64(st.Submitted),
+		"panorama_sse_active_streams":                         float64(st.SSEActive),
+		"panorama_sse_events_sent_total":                      float64(st.SSESent),
+		"panorama_sse_resumed_total":                          float64(st.SSEResumed),
+		"panorama_sse_streams_total":                          float64(st.SSEStreams),
+		"panorama_webhook_dropped_total":                      float64(st.WebhooksDropped),
+		"panorama_webhook_failed_total":                       float64(st.WebhooksFailed),
+		"panorama_webhook_retried_total":                      float64(st.WebhooksRetried),
+		"panorama_webhook_sent_total":                         float64(st.WebhooksSent),
 	}
 	for series, v := range want {
 		got, ok := snap[series]
@@ -233,7 +229,7 @@ func TestStatsMatchRegistry(t *testing.T) {
 	if st.CacheHits == 0 || st.Coalesced == 0 || st.Rejected == 0 || st.Retried == 0 ||
 		st.FailedBudget*st.FailedCancel*st.FailedInfeasib*st.FailedOther == 0 ||
 		st.BatchItemsHit*st.BatchItemsCoalesced*st.BatchItemsDup*st.BatchItemsEnqueued*st.BatchItemsError == 0 ||
-		st.SSEResumed == 0 || st.ClusterMapMS == 0 || st.BreakerFailureRate == 0 {
+		st.SSEResumed == 0 || st.BreakerFailureRate == 0 {
 		t.Fatalf("scenario left a compared counter at zero: %+v", st)
 	}
 	if want := float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses); st.CacheHitRate != want {
@@ -251,7 +247,7 @@ func TestServersHaveSeparateMetrics(t *testing.T) {
 	a, err := New(Options{Workers: 1, QueueSize: 4, Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 		close(started)
 		<-release
-		return core.Summary{Kernel: "stub", Success: true, Stages: []core.StageRecord{{Stage: "lower", Wall: 50 * time.Millisecond}}}, nil
+		return core.Summary{Kernel: "stub", Success: true, Stages: []core.StageRecord{{Stage: "lower"}}}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -285,11 +281,10 @@ func TestServersHaveSeparateMetrics(t *testing.T) {
 
 	snapA := a.reg.Snapshot()
 	for series, want := range map[string]float64{
-		"panorama_service_submitted_total":                    1,
-		"panorama_service_executed_total":                     1,
-		"panorama_service_completed_total":                    1,
-		"panorama_service_cache_entries":                      1,
-		`panorama_service_stage_seconds_total{stage="lower"}`: 0.05,
+		"panorama_service_submitted_total": 1,
+		"panorama_service_executed_total":  1,
+		"panorama_service_completed_total": 1,
+		"panorama_service_cache_entries":   1,
 	} {
 		if snapA[series] != want {
 			t.Errorf("A: %s = %g, want %g", series, snapA[series], want)
@@ -504,7 +499,7 @@ func TestDrainFlushesFinalMetrics(t *testing.T) {
 		return core.Summary{
 			Kernel:  "slow",
 			Success: true,
-			Stages:  []core.StageRecord{{Stage: "lower", Wall: 50 * time.Millisecond}},
+			Stages:  []core.StageRecord{{Stage: "lower"}},
 		}, nil
 	}
 	srv, err := New(Options{Workers: 1, QueueSize: 4, Run: run})
@@ -551,7 +546,7 @@ func TestDrainFlushesFinalMetrics(t *testing.T) {
 	}
 
 	// The draining job's terminal counters are flushed: the final
-	// snapshot shows its completion and stage time.
+	// snapshot shows its completion.
 	var sb strings.Builder
 	if err := srv.WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
@@ -559,7 +554,6 @@ func TestDrainFlushesFinalMetrics(t *testing.T) {
 	final := sb.String()
 	for _, want := range []string{
 		"panorama_service_completed_total 1",
-		`panorama_service_stage_seconds_total{stage="lower"} 0.05`,
 		"panorama_service_running_jobs 0",
 		"panorama_service_draining 1",
 	} {

@@ -732,7 +732,6 @@ func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
 	switch how {
 	case endDone:
 		s.met.completed.Inc()
-		s.met.recordStages(sum)
 		// The cache is published before unregister below: admission relies
 		// on that order when it re-checks the cache under s.mu.
 		if perr := s.cache.Put(Entry{Fingerprint: job.Fingerprint, Summary: sum}); perr != nil {
@@ -743,7 +742,6 @@ func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
 		s.rememberFingerprint(job.Fingerprint)
 	case endFailed:
 		s.met.recordFailure(err)
-		s.met.recordStages(sum)
 		s.breaker.record(true)
 		note = failure.ClassOf(err)
 	case endRequeued:

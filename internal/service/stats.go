@@ -3,9 +3,7 @@ package service
 import (
 	"io"
 	"sync/atomic"
-	"time"
 
-	"panorama/internal/core"
 	"panorama/internal/failure"
 	"panorama/internal/obs"
 )
@@ -67,12 +65,6 @@ type metrics struct {
 	reqCoalesced *obs.Histogram
 	reqExecuted  *obs.Histogram
 	reqRejected  *obs.Histogram
-
-	// Cumulative per-stage wall time of executed jobs, from
-	// Result.Provenance.
-	clustering *obs.SecondsCounter
-	clustermap *obs.SecondsCounter
-	lower      *obs.SecondsCounter
 }
 
 // requestBuckets are the panorama_request_seconds bounds: a cache hit is
@@ -90,7 +82,6 @@ func newMetrics(s *Server) *metrics {
 	batchItems := reg.NewCounterVec("panorama_batch_items_total", "Batch items by admission disposition.", "disposition")
 	failed := reg.NewCounterVec("panorama_service_failed_total", "Executions that returned an error, by failure class.", "class")
 	request := reg.NewHistogramVec("panorama_request_seconds", "POST /v1/map latency from decode to response, by disposition (a wait=true request includes the wait).", requestBuckets, "disposition")
-	stage := reg.NewSecondsCounterVec("panorama_service_stage_seconds_total", "Cumulative per-stage wall time of executed jobs.", "stage")
 	m := &metrics{
 		batchItemsCoalesced: batchItems.With("coalesced"),
 		batchItemsDup:       batchItems.With("dup"),
@@ -120,9 +111,6 @@ func newMetrics(s *Server) *metrics {
 		requeued:            reg.NewCounter("panorama_service_requeued_total", "Jobs a draining server handed back to the journal."),
 		retried:             reg.NewCounter("panorama_service_retried_total", "Failed attempts re-run by the retry ladder."),
 		shed:                reg.NewCounter("panorama_service_shed_total", "Submissions refused because the breaker was shedding load."),
-		clustering:          stage.With("clustering"),
-		clustermap:          stage.With("clustermap"),
-		lower:               stage.With("lower"),
 		submitted:           reg.NewCounter("panorama_service_submitted_total", "Accepted submissions (cache hit, coalesced or enqueued)."),
 		sseSent:             reg.NewCounter("panorama_sse_events_sent_total", "Events written to SSE streams."),
 		sseResumed:          reg.NewCounter("panorama_sse_resumed_total", "SSE streams opened with a Last-Event-ID resume cursor."),
@@ -161,19 +149,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		return err
 	}
 	return obs.Default.WriteProm(w)
-}
-
-func (m *metrics) recordStages(sum core.Summary) {
-	for _, rec := range sum.Stages {
-		switch rec.Stage {
-		case "clustering":
-			m.clustering.Add(rec.Wall)
-		case "clustermap":
-			m.clustermap.Add(rec.Wall)
-		case "lower":
-			m.lower.Add(rec.Wall)
-		}
-	}
 }
 
 func (m *metrics) recordFailure(err error) {
@@ -244,10 +219,6 @@ type Stats struct {
 	BreakerState       string
 	BreakerFailureRate float64
 
-	ClusteringMS float64
-	ClusterMapMS float64
-	LowerMS      float64
-
 	Draining bool
 }
 
@@ -299,9 +270,6 @@ func (s *Server) Stats() Stats {
 		WebhooksDropped:     st.webhookDropped.Value(),
 		BreakerState:        s.breaker.state().String(),
 		BreakerFailureRate:  s.breaker.failureRate(),
-		ClusteringMS:        float64(st.clustering.Value()) / float64(time.Millisecond),
-		ClusterMapMS:        float64(st.clustermap.Value()) / float64(time.Millisecond),
-		LowerMS:             float64(st.lower.Value()) / float64(time.Millisecond),
 		Draining:            s.isDraining(),
 	}
 	if n := out.CacheHits + out.CacheMisses; n > 0 {
