@@ -176,7 +176,7 @@ check-cluster:
 # byte-identical results — all under the race detector.
 check-journal:
 	$(GO) test -race ./internal/journal/
-	$(GO) test -race -run 'TestCrashRecovery|TestDrainRequeues|TestRetry|TestBreaker|TestWatchdog|TestJournalAppendFault|TestServiceRunFault' \
+	$(GO) test -race -run 'TestCrashRecovery|TestDrainRequeues|TestRetry|TestFailedJobsNeverCloseAdmission|TestWatchdog|TestJournalAppendFault|TestServiceRunFault' \
 		./internal/service/
 
 build:

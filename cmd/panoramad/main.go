@@ -9,9 +9,9 @@
 // are replayed and re-enqueued (completed ones resolve from the result
 // cache, so nothing runs twice). Every job runs the mapper its request
 // names. Failed attempts retry with exponential backoff, over-budget
-// jobs fail with 504, a watchdog cancels and retries stalled runs, and
-// a service-level breaker sheds admissions when the rolling failure
-// rate spikes.
+// jobs fail with 504, and a watchdog cancels and retries stalled runs.
+// Admission refuses new work only when the queue is full (429) or the
+// daemon is draining (503).
 //
 // Usage:
 //

@@ -361,7 +361,7 @@ func (c *Cluster) Forward(ctx context.Context, peer, path string, body []byte) (
 		return resp.StatusCode, nil, c.peerDown(peer, err)
 	}
 	if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {
-		// Infrastructure-level refusals (a draining or shedding owner)
+		// Infrastructure-level refusals (a draining owner, a bad gateway)
 		// count against health: the origin serves the job locally now
 		// and probes before forwarding there again.
 		return resp.StatusCode, data, c.peerDown(peer, fmt.Errorf("status %d", resp.StatusCode))

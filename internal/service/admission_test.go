@@ -73,7 +73,7 @@ type admissionResult struct {
 	HasJob      bool
 	Fingerprint string
 
-	Submitted, Rejected, Hits, Misses, Coalesced, Shed int64
+	Submitted, Rejected, Hits, Misses, Coalesced int64
 
 	Kinds map[string]int
 	// IDs is how many job IDs the submission consumed.
@@ -116,11 +116,6 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	trip := func(e *env, failures int) {
-		for i := 0; i < failures; i++ {
-			e.srv.breaker.record(true)
-		}
-	}
 
 	cases := []struct {
 		name    string
@@ -149,14 +144,6 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 			body:  blocker,
 			setup: occupy,
 			want:  admissionResult{Status: 202, Cache: "coalesced", JobStatus: JobRunning, HasJob: true, Submitted: 1, Coalesced: 1},
-		},
-		{
-			name: "breaker shed",
-			setup: func(t *testing.T, e *env) {
-				occupy(t, e)
-				trip(e, 4)
-			},
-			want: admissionResult{Status: 503, RetryAfter: true, ErrClass: "shedding", Shed: 1},
 		},
 		{
 			name:  "draining",
@@ -205,7 +192,6 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 				srv, err := New(Options{
 					Workers: 1, QueueSize: 1, RetryBase: -1,
 					JournalDir: jdir, JournalNoSync: true,
-					BreakerWindow: 4, BreakerShed: 0.8,
 					Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 						e.started <- struct{}{}
 						select {
@@ -266,7 +252,6 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 					Hits:       st1.CacheHits - st0.CacheHits,
 					Misses:     st1.CacheMisses - st0.CacheMisses,
 					Coalesced:  st1.Coalesced - st0.Coalesced,
-					Shed:       st1.Shed - st0.Shed,
 					Kinds:      kindsSince(kinds0),
 					IDs:        ids1 - ids0,
 				}

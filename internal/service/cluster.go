@@ -149,7 +149,7 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 	status, data, err := s.opts.Cluster.Forward(ctx, owner, "/v1/map", body)
 	if err != nil {
 		// Transport failure or infrastructure refusal: typed ErrPeerDown
-		// from the cluster layer, already charged to the peer breaker.
+		// from the cluster layer, already charged to the peer's health.
 		log.Printf("service: job %s: %v; running locally", job.ID, err)
 		return unhandled("peer-down")
 	}
@@ -199,10 +199,10 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 }
 
 // gossipLoop periodically probes every remote peer's
-// /v1/cluster/statsz: the probe outcome drives the peer health
-// breaker (a down owner recovers only through a successful probe), and
-// the answer's recent-fingerprint list feeds the opportunistic cache
-// fill. Runs until Shutdown.
+// /v1/cluster/statsz: the probe outcome drives the peer's health in
+// internal/cluster (a down owner recovers only through a successful
+// probe), and the answer's recent-fingerprint list feeds the
+// opportunistic cache fill. Runs until Shutdown.
 func (s *Server) gossipLoop() {
 	defer s.gossipWG.Done()
 	t := time.NewTicker(s.opts.GossipInterval)

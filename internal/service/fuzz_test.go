@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"panorama/internal/core"
+	"panorama/internal/kernels"
 	"panorama/internal/wire"
 )
 
@@ -14,13 +15,15 @@ import (
 // validator with arbitrary JSON. Admission is not exercised (no jobs
 // are enqueued); the properties are that resolve never panics, never
 // accepts a request without a graph, an architecture, and a known
-// mapper, and is deterministic — two resolutions of one request must
-// agree on the cache fingerprint, or the content-addressed cache would
-// return wrong results. Corpus under testdata/fuzz/FuzzServiceRequest;
-// regenerate with `go run ./cmd/gencorpus`.
+// mapper, never builds a kernel graph larger than maxScale allows, and
+// is deterministic — two resolutions of one request must agree on the
+// cache fingerprint, or the content-addressed cache would return wrong
+// results. Corpus under testdata/fuzz/FuzzServiceRequest; regenerate
+// with `go run ./cmd/gencorpus`.
 func FuzzServiceRequest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"kernel":"fir","arch":"4x4","mapper":"ultrafast","seed":7}`))
+	f.Add([]byte(`{"kernel":"fir","scale":5}`))
 	f.Add([]byte(`{"dfg":{"name":"x","nodes":[{"id":0,"op":1}],"edges":[]}}`))
 	s, err := New(Options{})
 	if err != nil {
@@ -40,6 +43,17 @@ func FuzzServiceRequest(f *testing.F) {
 		}
 		if core.CheckMapper(r1.mapper) != nil {
 			t.Fatalf("resolve accepted unknown mapper %q", r1.mapper)
+		}
+		// An accepted kernel's graph is bounded: no scale builds more
+		// than maxScale does.
+		if req.Kernel != "" {
+			spec, err := kernels.ByName(req.Kernel)
+			if err != nil {
+				t.Fatalf("resolve accepted unknown kernel %q", req.Kernel)
+			}
+			if n, limit := len(r1.graph.Nodes), len(spec.Build(maxScale).Nodes); n > limit {
+				t.Fatalf("scale %g built %d nodes, more than the %d at maxScale", req.Scale, n, limit)
+			}
 		}
 		r2, err := s.resolve(&req)
 		if err != nil {

@@ -317,8 +317,8 @@ func resolveErrorInfo(err error) ErrorInfo {
 }
 
 // writeAdmissionError answers a submission admit rejected — 429 +
-// Retry-After for a full queue, 503 while draining, 503 + Retry-After
-// while the breaker sheds — and returns the error class it wrote.
+// Retry-After for a full queue, 503 while draining — and returns the
+// error class it wrote.
 func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) string {
 	status, class, retry := http.StatusInternalServerError, "internal", false
 	switch {
@@ -326,8 +326,6 @@ func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) string {
 		status, class, retry = http.StatusTooManyRequests, "overloaded", true
 	case errors.Is(err, ErrDraining):
 		status, class = http.StatusServiceUnavailable, "draining"
-	case errors.Is(err, ErrShedding):
-		status, class, retry = http.StatusServiceUnavailable, "shedding", true
 	}
 	if retry {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))

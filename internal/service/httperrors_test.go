@@ -68,6 +68,9 @@ func TestHTTPErrorTable(t *testing.T) {
 		class      string
 		wantValid  bool   // error lists accepted values
 		retryAfter string // expected Retry-After header ("" = none)
+		// batchItem also sends body as the item of a one-item batch,
+		// whose item must carry the same class.
+		batchItem bool
 	}{
 		{
 			name: "unknown mapper", method: "POST", path: "/v1/map",
@@ -98,6 +101,11 @@ func TestHTTPErrorTable(t *testing.T) {
 			name: "unknown arch preset", method: "POST", path: "/v1/map",
 			body:   `{"kernel":"fir","arch":"3x3"}`,
 			status: http.StatusBadRequest, class: "bad-request",
+		},
+		{
+			name: "scale above the limit", method: "POST", path: "/v1/map",
+			body:   `{"kernel":"conv2d","scale":1e5}`,
+			status: http.StatusBadRequest, class: "bad-request", batchItem: true,
 		},
 		{
 			name: "oversized body", method: "POST", path: "/v1/map",
@@ -209,6 +217,20 @@ func TestHTTPErrorTable(t *testing.T) {
 					t.Fatalf("error lists no accepted values: %s", data)
 				}
 			}
+			if tc.batchItem {
+				resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(`{"items":[`+tc.body+`]}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var v BatchView
+				if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+					t.Fatalf("batch view: %v", err)
+				}
+				if len(v.Items) != 1 || v.Items[0].Error == nil || v.Items[0].Error.Class != tc.class {
+					t.Fatalf("batch item %+v, want class %q", v.Items, tc.class)
+				}
+			}
 		})
 	}
 }
@@ -271,37 +293,24 @@ func TestHTTPQueueFullPaths(t *testing.T) {
 	}
 }
 
-// The breaker-shed path: force the breaker into shed and both
-// surfaces answer 503 + Retry-After with class "shedding"; draining
-// answers 503 with class "draining" and no Retry-After.
-func TestHTTPShedAndDrainPaths(t *testing.T) {
-	run := func(ctx context.Context, job *Job) (core.Summary, error) {
-		return core.Summary{}, fmt.Errorf("boom: %w", failure.ErrLowerFailed)
-	}
-	srv, err := New(Options{
-		Workers: 1, QueueSize: 8, Run: run,
-		RetryAfter: 2 * time.Second,
-		// A tiny window with shed at any failure: two failed jobs trip it.
-		BreakerWindow: 2, BreakerShed: 0.5,
-		MaxAttempts: 1, RetryBase: -1,
-	})
+// A draining server answers both surfaces 503 with class "draining"
+// and no Retry-After.
+func TestHTTPDrainPath(t *testing.T) {
+	srv, err := New(Options{Workers: 1, QueueSize: 8, Run: func(ctx context.Context, job *Job) (core.Summary, error) {
+		return core.Summary{Kernel: "stub", Success: true}, nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	// Trip the breaker.
-	for seed := 1; seed <= 2; seed++ {
-		body := fmt.Sprintf(`{"kernel":"fir","seed":%d,"wait":true}`, seed)
-		if code, _ := postMap(t, ts.URL, body); code == http.StatusAccepted {
-			t.Fatalf("seed %d: wait=true returned 202", seed)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return srv.Stats().BreakerState == "shed" }, "breaker to shed")
-
 	for _, path := range []string{"/v1/map", "/v1/batch"} {
-		body := `{"kernel":"fir","seed":77}`
+		body := `{"kernel":"fir","seed":78}`
 		if path == "/v1/batch" {
 			body = `{"items":[` + body + `]}`
 		}
@@ -312,52 +321,10 @@ func TestHTTPShedAndDrainPaths(t *testing.T) {
 		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("%s shed: status %d, want 503: %s", path, resp.StatusCode, data)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("%s shed: no Retry-After", path)
-		}
-		var e errorBody
-		if err := json.Unmarshal(data, &e); err != nil {
-			t.Fatal(err)
-		}
-		if e.Error.Class != "shedding" {
-			t.Fatalf("%s shed: class %q", path, e.Error.Class)
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Draining needs an untripped breaker (admission checks the breaker
-	// first): a fresh healthy server mid-shutdown answers 503/draining.
-	srv2, err := New(Options{Workers: 1, QueueSize: 8, Run: func(ctx context.Context, job *Job) (core.Summary, error) {
-		return core.Summary{Kernel: "stub", Success: true}, nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	if err := srv2.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{"/v1/map", "/v1/batch"} {
-		body := `{"kernel":"fir","seed":78}`
-		if path == "/v1/batch" {
-			body = `{"items":[` + body + `]}`
-		}
-		resp, err := http.Post(ts2.URL+path, "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("%s draining: status %d: %s", path, resp.StatusCode, data)
+		}
+		if got := resp.Header.Get("Retry-After"); got != "" {
+			t.Fatalf("%s draining: Retry-After %q, want none", path, got)
 		}
 		var e errorBody
 		if err := json.Unmarshal(data, &e); err != nil {
@@ -366,5 +333,42 @@ func TestHTTPShedAndDrainPaths(t *testing.T) {
 		if e.Error.Class != "draining" {
 			t.Fatalf("%s draining: class %q", path, e.Error.Class)
 		}
+	}
+}
+
+// Failed jobs never close admission: after eight requests that fail —
+// on the real pipeline by a 1 ms budget, on a stub as infeasible — the
+// next ordinary request still runs and answers 200. Such failures are
+// the client's doing and say nothing about the server's health.
+func TestFailedJobsNeverCloseAdmission(t *testing.T) {
+	const ordinary = `{"kernel":"fir","scale":0.1,"arch":"4x4","mapper":"ultrafast","seed":1,"wait":true}`
+	infeasible := func(ctx context.Context, job *Job) (core.Summary, error) {
+		if job.Mapper == "ultrafast" {
+			return core.Summary{Kernel: "stub", Success: true}, nil
+		}
+		return core.Summary{}, fmt.Errorf("stub: %w", failure.ErrInfeasible)
+	}
+	for _, tc := range []struct {
+		name string
+		run  RunFunc
+	}{{"timed out", nil}, {"infeasible", infeasible}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(Options{Run: tc.run})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Shutdown(context.Background())
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			for seed := 1; seed <= 8; seed++ {
+				body := fmt.Sprintf(`{"kernel":"conv2d","scale":0.25,"arch":"8x8","seed":%d,"timeoutMS":1,"wait":true}`, seed)
+				if code, v := postMap(t, ts.URL, body); v.Status != JobFailed {
+					t.Fatalf("seed %d: status %d (%s), want a failed job", seed, code, v.Status)
+				}
+			}
+			if code, v := postMap(t, ts.URL, ordinary); code != http.StatusOK {
+				t.Fatalf("ordinary request after eight failures: status %d (%s), want 200", code, v.Status)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"sync"
 
 	"panorama/internal/arch"
@@ -15,6 +16,13 @@ import (
 // and not an Option: a miss costs one kernel build (tens of
 // microseconds), so nothing a deployment could tune it for.
 const graphMemoCap = 64
+
+// maxScale bounds a client's kernel scale. The graph is built in the
+// HTTP handler, before admission, and grows linearly with scale (conv2d
+// has ≈ 490 nodes per unit), so an unbounded scale would let a 40-byte
+// body ask for gigabytes. At 4 the largest kernel, invertmat, has 3,920
+// nodes and takes 5 ms to build; every scale in use is at most 1.
+const maxScale = 4
 
 type graphKey struct {
 	kernel string
@@ -59,10 +67,13 @@ func (in *inputs) preset(name string) (*arch.CGRA, error) {
 }
 
 // kernelGraph returns the shared frozen graph of a built-in kernel at
-// scale (<= 0 means 1.0, as on the wire).
+// scale (<= 0 means 1.0, as on the wire; above maxScale is an error).
 func (in *inputs) kernelGraph(kernel string, scale float64) (*dfg.Graph, error) {
 	if scale <= 0 {
 		scale = 1.0
+	}
+	if scale > maxScale {
+		return nil, fmt.Errorf("scale %g is above the limit %d", scale, maxScale)
 	}
 	key := graphKey{kernel, scale}
 	in.mu.Lock()

@@ -46,9 +46,8 @@ func runMetricsScenario(t *testing.T) (*Server, *httptest.Server) {
 			{Stage: "lower"},
 		}}, nil
 	}
-	// Two attempts, no backoff sleep, and a breaker window too wide to
-	// judge within the scenario: the failure rate moves, admission doesn't.
-	srv, err := New(Options{Workers: 1, QueueSize: 2, Run: run, MaxAttempts: 2, RetryBase: -1, BreakerWindow: 64})
+	// Two attempts, no backoff sleep.
+	srv, err := New(Options{Workers: 1, QueueSize: 2, Run: run, MaxAttempts: 2, RetryBase: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,6 @@ var metricszFamilies = []string{
 	"panorama_cluster_peers",
 	"panorama_cluster_peers_down",
 	"panorama_request_seconds",
-	"panorama_service_breaker_failure_rate",
-	"panorama_service_breaker_state",
 	"panorama_service_cache_entries",
 	"panorama_service_cache_hits_total",
 	"panorama_service_cache_misses_total",
@@ -52,7 +50,6 @@ var metricszFamilies = []string{
 	"panorama_service_requeued_total",
 	"panorama_service_retried_total",
 	"panorama_service_running_jobs",
-	"panorama_service_shed_total",
 	"panorama_service_submitted_total",
 	"panorama_sse_active_streams",
 	"panorama_sse_events_sent_total",
@@ -176,8 +173,6 @@ func TestStatsMatchRegistry(t *testing.T) {
 		"panorama_cluster_origin_jobs_total":                  float64(st.ClusterOriginJobs),
 		"panorama_cluster_peers":                              float64(st.ClusterPeers),
 		"panorama_cluster_peers_down":                         float64(st.ClusterPeersDown),
-		"panorama_service_breaker_failure_rate":               st.BreakerFailureRate,
-		"panorama_service_breaker_state":                      map[string]float64{"ok": 0, "shed": 2}[st.BreakerState],
 		"panorama_service_cache_entries":                      float64(st.CacheEntries),
 		"panorama_service_cache_hits_total":                   float64(st.CacheHits),
 		"panorama_service_cache_misses_total":                 float64(st.CacheMisses),
@@ -196,7 +191,6 @@ func TestStatsMatchRegistry(t *testing.T) {
 		"panorama_service_requeued_total":                     float64(st.Requeued),
 		"panorama_service_retried_total":                      float64(st.Retried),
 		"panorama_service_running_jobs":                       float64(st.RunningJobs),
-		"panorama_service_shed_total":                         float64(st.Shed),
 		"panorama_service_submitted_total":                    float64(st.Submitted),
 		"panorama_sse_active_streams":                         float64(st.SSEActive),
 		"panorama_sse_events_sent_total":                      float64(st.SSESent),
@@ -229,7 +223,7 @@ func TestStatsMatchRegistry(t *testing.T) {
 	if st.CacheHits == 0 || st.Coalesced == 0 || st.Rejected == 0 || st.Retried == 0 ||
 		st.FailedBudget*st.FailedCancel*st.FailedInfeasib*st.FailedOther == 0 ||
 		st.BatchItemsHit*st.BatchItemsCoalesced*st.BatchItemsDup*st.BatchItemsEnqueued*st.BatchItemsError == 0 ||
-		st.SSEResumed == 0 || st.BreakerFailureRate == 0 {
+		st.SSEResumed == 0 {
 		t.Fatalf("scenario left a compared counter at zero: %+v", st)
 	}
 	if want := float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses); st.CacheHitRate != want {

@@ -17,7 +17,7 @@ import (
 // accepts).
 type Request struct {
 	Kernel string          `json:"kernel,omitempty"`
-	Scale  float64         `json:"scale,omitempty"` // kernel scale factor, default 1.0
+	Scale  float64         `json:"scale,omitempty"` // kernel scale factor, default 1.0, at most 4
 	DFG    json.RawMessage `json:"dfg,omitempty"`
 
 	Arch     string          `json:"arch,omitempty"` // preset: 4x4, 8x8, 9x9, 16x16

@@ -99,7 +99,7 @@ func (d *drainEstimator) hint(backlog int, fallback time.Duration) time.Duration
 	return wait
 }
 
-// retryAfterSeconds is the whole-second Retry-After value for 429/503
+// retryAfterSeconds is the whole-second Retry-After value for 429
 // responses: the drain estimate over the live backlog, falling back to
 // Options.RetryAfter before any completion has been observed.
 func (s *Server) retryAfterSeconds() int {

@@ -19,13 +19,10 @@ import (
 )
 
 // Admission and lifecycle sentinels, mapped onto HTTP status codes by
-// the handler layer (429, 503 and 503 + Retry-After respectively).
+// the handler layer (429 + Retry-After and 503 respectively).
 var (
 	ErrOverloaded = errors.New("service: queue full")
 	ErrDraining   = errors.New("service: shutting down")
-	// ErrShedding rejects a submission because the circuit breaker's
-	// rolling failure rate crossed Options.BreakerShed.
-	ErrShedding = errors.New("service: shedding load")
 )
 
 // RunFunc executes one mapping job and returns its summary. The
@@ -51,7 +48,7 @@ type Options struct {
 	// Budgets is the default budget applied to every job; a request's
 	// timeoutMS overrides Budgets.Total.
 	Budgets core.Budgets
-	// RetryAfter is the Retry-After fallback for 429/503 responses,
+	// RetryAfter is the Retry-After fallback for 429 responses,
 	// used until the drain estimator has observed at least one recent
 	// completion (default 1s).
 	RetryAfter time.Duration
@@ -84,12 +81,6 @@ type Options struct {
 	// RetryBase seeds the exponential retry backoff (default 50ms;
 	// negative disables the sleep entirely).
 	RetryBase time.Duration
-	// BreakerWindow sizes the rolling window of terminal job outcomes
-	// behind the service breaker (default 16; negative disables).
-	// BreakerShed is the failure-rate fraction at which new admissions
-	// are shed with 503 + Retry-After (default 0.8).
-	BreakerWindow int
-	BreakerShed   float64
 
 	// Cluster shards the content-addressed cache across a panoramad
 	// fleet: jobs whose fingerprint another peer owns are forwarded
@@ -255,7 +246,6 @@ type Server struct {
 	reg     *obs.Registry    // this server's metric families (see WriteMetrics)
 	met     *metrics         // the instruments registered on reg
 	journal *journal.Journal // nil without Options.JournalDir
-	breaker *breaker         // nil when disabled
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -308,12 +298,6 @@ func New(opts Options) (*Server, error) {
 	if opts.RetryBase < 0 {
 		opts.RetryBase = 0
 	}
-	if opts.BreakerWindow == 0 {
-		opts.BreakerWindow = 16
-	}
-	if opts.BreakerShed <= 0 {
-		opts.BreakerShed = 0.8
-	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 8 << 20
 	}
@@ -356,9 +340,6 @@ func New(opts Options) (*Server, error) {
 		reg:        obs.NewRegistry(),
 		drain:      newDrainEstimator(),
 		gossipStop: make(chan struct{}),
-	}
-	if opts.BreakerWindow > 0 {
-		s.breaker = newBreaker(opts.BreakerWindow, opts.BreakerShed)
 	}
 	s.met = newMetrics(s)
 	s.webhooks = newWebhookNotifier(s.met, opts)
@@ -449,15 +430,14 @@ func newJob(id string, req *resolved) *Job {
 
 // admit runs one admission decision over the resolved requests (nil
 // slots are items the caller already rejected at resolve time): cache
-// lookup, breaker check, then — under s.mu — coalescing onto identical
-// in-flight jobs, dedup of identical fingerprints within the call, and
-// a bounded enqueue. The decision is atomic: either every request that
-// needs a fresh computation fits the queue — and all of them are
-// journaled and enqueued — or nothing is admitted and the whole call is
-// rejected with ErrOverloaded (ErrShedding/ErrDraining likewise reject
-// it wholesale). Cache hits never reject: they are served even while
-// the breaker sheds or the server drains — they cost nothing and can't
-// fail. POST /v1/map is the one-request case.
+// lookup, then — under s.mu — coalescing onto identical in-flight
+// jobs, dedup of identical fingerprints within the call, and a bounded
+// enqueue. The decision is atomic: either every request that needs a
+// fresh computation fits the queue — and all of them are journaled and
+// enqueued — or nothing is admitted and the whole call is rejected with
+// ErrOverloaded (ErrDraining likewise rejects it wholesale). Cache hits
+// never reject: they are served even while the server drains — they
+// cost nothing and can't fail. POST /v1/map is the one-request case.
 func (s *Server) admit(reqs []*resolved) ([]Outcome, error) {
 	outs := make([]Outcome, len(reqs))
 	type pendingItem struct {
@@ -475,11 +455,6 @@ func (s *Server) admit(reqs []*resolved) ([]Outcome, error) {
 			continue
 		}
 		pending = append(pending, pendingItem{i: i, req: req})
-	}
-
-	if len(pending) > 0 && s.breaker.state() == breakerShed {
-		s.met.shed.Add(int64(len(pending)))
-		return nil, ErrShedding
 	}
 
 	if s.journal != nil {
@@ -738,17 +713,14 @@ func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
 			// Persistence is best-effort; the in-memory entry serves.
 			log.Printf("service: %v", perr)
 		}
-		s.breaker.record(false)
 		s.rememberFingerprint(job.Fingerprint)
 	case endFailed:
 		s.met.recordFailure(err)
-		s.breaker.record(true)
 		note = failure.ClassOf(err)
 	case endRequeued:
 		s.met.requeued.Inc()
 		note = "draining"
 	case endCached:
-		// The breaker sees no sample — nothing ran.
 		s.met.completed.Inc()
 		note = "resolved from cache"
 	case endRecovered:

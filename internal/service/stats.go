@@ -30,7 +30,6 @@ type metrics struct {
 	failed map[string]*obs.Counter
 
 	retried       *obs.Counter // attempts re-run by the retry ladder
-	shed          *obs.Counter // submissions refused by the breaker
 	requeued      *obs.Counter // jobs handed back to the journal on drain
 	recovered     *obs.Counter // jobs replayed from the journal at startup
 	journalErrors *obs.Counter // journal appends that failed
@@ -110,7 +109,6 @@ func newMetrics(s *Server) *metrics {
 		rejected:            reg.NewCounter("panorama_service_rejected_total", "Submissions rejected by admission control (429)."),
 		requeued:            reg.NewCounter("panorama_service_requeued_total", "Jobs a draining server handed back to the journal."),
 		retried:             reg.NewCounter("panorama_service_retried_total", "Failed attempts re-run by the retry ladder."),
-		shed:                reg.NewCounter("panorama_service_shed_total", "Submissions refused because the breaker was shedding load."),
 		submitted:           reg.NewCounter("panorama_service_submitted_total", "Accepted submissions (cache hit, coalesced or enqueued)."),
 		sseSent:             reg.NewCounter("panorama_sse_events_sent_total", "Events written to SSE streams."),
 		sseResumed:          reg.NewCounter("panorama_sse_resumed_total", "SSE streams opened with a Last-Event-ID resume cursor."),
@@ -125,8 +123,6 @@ func newMetrics(s *Server) *metrics {
 	}
 	gauge("panorama_cluster_peers", "Peers on the hash ring, self included (0 standalone).", func() int { return len(s.opts.Cluster.Stats().Peers) })
 	gauge("panorama_cluster_peers_down", "Remote peers currently considered unreachable.", func() int { return s.opts.Cluster.Stats().PeersDown })
-	reg.GaugeFunc("panorama_service_breaker_failure_rate", "Windowed failure fraction behind the service breaker.", s.breaker.failureRate)
-	gauge("panorama_service_breaker_state", "Service breaker state: 0 ok, 2 shedding load.", func() int { return int(s.breaker.state()) })
 	gauge("panorama_service_cache_entries", "Entries in the result cache.", s.cache.Len)
 	gauge("panorama_service_draining", "1 while the server is draining for shutdown, else 0.", func() int {
 		if s.isDraining() {
@@ -160,7 +156,7 @@ func (m *metrics) recordFailure(err error) {
 }
 
 // Stats is the typed in-process snapshot of the server's instruments:
-// the counters plus the instantaneous queue, cache and breaker gauges.
+// the counters plus the instantaneous queue, cache and drain gauges.
 // Scrapers read the same numbers off /metricsz.
 type Stats struct {
 	Submitted int64
@@ -181,7 +177,6 @@ type Stats struct {
 	FailedOther    int64
 
 	Retried       int64
-	Shed          int64
 	Requeued      int64
 	Recovered     int64
 	JournalErrors int64
@@ -214,11 +209,6 @@ type Stats struct {
 	WebhooksFailed  int64
 	WebhooksDropped int64
 
-	// BreakerState is "ok" or "shed"; BreakerFailureRate is
-	// the windowed failure fraction behind it.
-	BreakerState       string
-	BreakerFailureRate float64
-
 	Draining bool
 }
 
@@ -242,7 +232,6 @@ func (s *Server) Stats() Stats {
 		FailedCancel:        st.failed[failure.ClassCancelled].Value(),
 		FailedOther:         st.failed["other"].Value(),
 		Retried:             st.retried.Value(),
-		Shed:                st.shed.Value(),
 		Requeued:            st.requeued.Value(),
 		Recovered:           st.recovered.Value(),
 		JournalErrors:       st.journalErrors.Value(),
@@ -268,8 +257,6 @@ func (s *Server) Stats() Stats {
 		WebhooksRetried:     st.webhookRetried.Value(),
 		WebhooksFailed:      st.webhookFailed.Value(),
 		WebhooksDropped:     st.webhookDropped.Value(),
-		BreakerState:        s.breaker.state().String(),
-		BreakerFailureRate:  s.breaker.failureRate(),
 		Draining:            s.isDraining(),
 	}
 	if n := out.CacheHits + out.CacheMisses; n > 0 {
