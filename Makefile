@@ -77,9 +77,11 @@ check-overhead:
 	$(GO) test -run 'TestNoopOverhead|TestTraceOverheadBounded|TestStageSpansSumToWallTime' ./internal/core/
 	$(GO) test -run 'TestResolveAllocs|TestTransferProbeDoesNotAllocate|TestMapAllocationsDoNotScaleWithAttempts|TestSearchSinkDoesNotAllocate' ./internal/service/ ./internal/ultrafast/ ./internal/spr/
 
-# The eigensolver's bit-for-bit oracle on the benchmark's full-scale
-# Laplacians (n = 448..480): a quarter of a minute as built here, over
-# four under the race detector, where the test stops at quick scale.
+# The eigensolver's bit-for-bit oracle on hand-shaped matrices, the
+# twelve kernels at scales 0.25 and 0.5, and the benchmark's full-scale
+# Laplacians (n = 448..480): about 35 s of test time on two vCPUs,
+# nearly all of it in the reference loops. Under the race detector the
+# test stops after scale 0.25.
 check-bits:
 	$(GO) test -run 'TestSymmetricEigenMatchesReferenceBitForBit' ./internal/linalg/
 
@@ -134,12 +136,13 @@ fuzz:
 # The fault matrix: every failure site (eigensolve, k-means, ILP,
 # greedy, lower mapper) is armed in turn and the pipeline must degrade
 # or abort with the documented typed error; the one wall clock
-# (Budgets.Total) must abort, never settle for a best-so-far — all
-# under the race detector.
+# (Budgets.Total) must abort, never settle for a best-so-far, and the
+# eigensolve must notice a 20 ms deadline within a row of rotations —
+# all under the race detector.
 check-fault:
 	$(GO) test -race ./internal/faultinject/ ./internal/failure/
-	$(GO) test -race -run 'TestFaultMatrix|TestRealBudgets|TestFiredClockNeverYieldsBestSoFar|TestILPToGreedyRung|TestGreedyFailureIsTyped|TestRunRecoversPanics' \
-		./internal/core/ ./internal/clustermap/ ./internal/pool/
+	$(GO) test -race -run 'TestFaultMatrix|TestRealBudgets|TestFiredClockNeverYieldsBestSoFar|TestILPToGreedyRung|TestGreedyFailureIsTyped|TestRunRecoversPanics|TestSymmetricEigenHonoursCtx' \
+		./internal/core/ ./internal/clustermap/ ./internal/pool/ ./internal/linalg/
 
 # The service contracts: exactly-once coalescing under racing clients,
 # deterministic admission control, graceful-shutdown drain, typed

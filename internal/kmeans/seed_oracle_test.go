@@ -1,6 +1,7 @@
 package kmeans_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -35,7 +36,7 @@ func TestSeedingMatchesReferenceOnSpectralEmbeddings(t *testing.T) {
 		if err := g.Freeze(); err != nil {
 			t.Fatal(err)
 		}
-		eig, err := linalg.SymmetricEigen(spectral.Laplacian(g))
+		eig, err := linalg.SymmetricEigen(context.Background(), spectral.Laplacian(g))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,8 +7,9 @@ import (
 )
 
 // SymmetricEigenRef is SymmetricEigen as it stood before its rotation
-// walked contiguous memory, kept verbatim as the bit-for-bit oracle:
-// the same sweeps, thresholds and expressions over At/Set and an
+// walked contiguous memory and before it split the matrix into
+// components, kept verbatim as the bit-for-bit oracle: the same sweeps,
+// thresholds and expressions over At/Set on the whole matrix and an
 // untransposed V.
 func SymmetricEigenRef(m *Matrix) (*EigenResult, error) {
 	if m.Rows != m.Cols {
@@ -90,4 +91,17 @@ func rotateRef(a, v *Matrix, p, q int, c, s float64) {
 		v.Set(i, p, c*vip-s*viq)
 		v.Set(i, q, s*vip+c*viq)
 	}
+}
+
+// offDiagNorm is the oracle's convergence norm, over the whole matrix.
+func offDiagNorm(a *Matrix) float64 {
+	s := 0.0
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			if i != j {
+				s += a.At(i, j) * a.At(i, j)
+			}
+		}
+	}
+	return math.Sqrt(s)
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -134,10 +135,10 @@ func TestIsSymmetric(t *testing.T) {
 func TestEigenRejectsNonSymmetric(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(0, 1, 5)
-	if _, err := SymmetricEigen(m); err == nil {
+	if _, err := SymmetricEigen(context.Background(), m); err == nil {
 		t.Fatal("accepted non-symmetric input")
 	}
-	if _, err := SymmetricEigen(NewMatrix(2, 3)); err == nil {
+	if _, err := SymmetricEigen(context.Background(), NewMatrix(2, 3)); err == nil {
 		t.Fatal("accepted non-square input")
 	}
 }
@@ -147,7 +148,7 @@ func TestEigenDiagonal(t *testing.T) {
 	m.Set(0, 0, 3)
 	m.Set(1, 1, 1)
 	m.Set(2, 2, 2)
-	res, err := SymmetricEigen(m)
+	res, err := SymmetricEigen(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestEigenKnown2x2(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 0, 1)
 	m.Set(1, 1, 2)
-	res, err := SymmetricEigen(m)
+	res, err := SymmetricEigen(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestEigenReconstruction(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		n := 5 + trial*7
 		m := randomSymmetric(n, rng)
-		res, err := SymmetricEigen(m)
+		res, err := SymmetricEigen(context.Background(), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +213,7 @@ func TestEigenReconstruction(t *testing.T) {
 func TestEigenVectorsOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomSymmetric(12, rng)
-	res, err := SymmetricEigen(m)
+	res, err := SymmetricEigen(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestEigenVectorsOrthonormal(t *testing.T) {
 
 func TestEigenValuesSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	res, err := SymmetricEigen(randomSymmetric(20, rng))
+	res, err := SymmetricEigen(context.Background(), randomSymmetric(20, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestQuickEigenTrace(t *testing.T) {
 		n := int(szRaw%10) + 2
 		rng := rand.New(rand.NewSource(seed))
 		m := randomSymmetric(n, rng)
-		res, err := SymmetricEigen(m)
+		res, err := SymmetricEigen(context.Background(), m)
 		if err != nil {
 			return false
 		}

@@ -1,7 +1,10 @@
 // Package linalg provides the dense linear algebra needed by spectral
 // clustering: a small dense matrix type and a Jacobi eigendecomposition
-// for real symmetric matrices. Everything is stdlib-only and
-// deterministic.
+// for real symmetric matrices. The eigensolve splits its input into the
+// connected components of the off-diagonal pattern and solves each as a
+// dense block, serially and under its caller's ctx; its output equals
+// the first whole-matrix implementation (kept in export_test.go) bit
+// for bit. Everything is stdlib-only and deterministic.
 package linalg
 
 import "fmt"

@@ -39,8 +39,13 @@ type Embedder struct {
 
 // NewEmbedder computes the Laplacian eigendecomposition of the DFG's
 // undirected similarity graph (L = D - A, parallel edges merged with
-// weight equal to their multiplicity).
+// weight equal to their multiplicity). It runs to completion; SweepCtx
+// runs the same eigensolve under its ctx.
 func NewEmbedder(g *dfg.Graph) (*Embedder, error) {
+	return newEmbedder(context.Background(), g)
+}
+
+func newEmbedder(ctx context.Context, g *dfg.Graph) (*Embedder, error) {
 	if err := faultinject.Fire(faultinject.SiteEigensolve); err != nil {
 		return nil, err
 	}
@@ -49,7 +54,7 @@ func NewEmbedder(g *dfg.Graph) (*Embedder, error) {
 		return nil, fmt.Errorf("spectral: empty graph")
 	}
 	lap := Laplacian(g)
-	eig, err := linalg.SymmetricEigen(lap)
+	eig, err := linalg.SymmetricEigen(ctx, lap)
 	if err != nil {
 		return nil, fmt.Errorf("spectral: %w", err)
 	}
@@ -178,11 +183,11 @@ func Sweep(g *dfg.Graph, kMin, kMax int, seed int64) ([]*Partition, error) {
 // SweepCtx is Sweep with cancellation, a bounded worker pool
 // (workers <= 0 means one per CPU), and the pool statistics of the
 // fan-out. The Laplacian eigendecomposition — the sweep's shared
-// prefix — is computed exactly once; only the per-k k-means stage fans
-// out. Each k clusters with the seed seed+k, exactly as the serial
-// loop always has, so the result is bit-identical at any worker count:
-// the output slice is ordered by k and each entry depends only on
-// (embedding, k, seed).
+// prefix — is computed exactly once, checking ctx once per row of
+// rotations; only the per-k k-means stage fans out. Each k clusters
+// with the seed seed+k, exactly as the serial loop always has, so the
+// result is bit-identical at any worker count: the output slice is
+// ordered by k and each entry depends only on (embedding, k, seed).
 func SweepCtx(ctx context.Context, g *dfg.Graph, kMin, kMax int, seed int64, workers int) ([]*Partition, pool.Stats, error) {
 	if kMin < 1 {
 		kMin = 1
@@ -193,7 +198,7 @@ func SweepCtx(ctx context.Context, g *dfg.Graph, kMin, kMax int, seed int64, wor
 	if kMin > kMax {
 		return nil, pool.Stats{}, fmt.Errorf("spectral: empty sweep range [%d,%d]", kMin, kMax)
 	}
-	em, err := NewEmbedder(g)
+	em, err := newEmbedder(ctx, g)
 	if err != nil {
 		return nil, pool.Stats{}, err
 	}
