@@ -136,12 +136,14 @@ fuzz:
 # The fault matrix: every failure site (eigensolve, k-means, ILP,
 # greedy, lower mapper) is armed in turn and the pipeline must degrade
 # or abort with the documented typed error; the one wall clock
-# (Budgets.Total) must abort, never settle for a best-so-far, and the
-# eigensolve must notice a 20 ms deadline within a row of rotations —
-# all under the race detector.
+# (Budgets.Total) must abort, never settle for a best-so-far, the
+# eigensolve must notice a 20 ms deadline within a row of rotations, and
+# every mapper must return ErrBudget on full-scale inputs (the latency
+# bound of TestDeadlineLatency skips under the detector) — all under
+# the race detector.
 check-fault:
 	$(GO) test -race ./internal/faultinject/ ./internal/failure/
-	$(GO) test -race -run 'TestFaultMatrix|TestRealBudgets|TestFiredClockNeverYieldsBestSoFar|TestILPToGreedyRung|TestGreedyFailureIsTyped|TestRunRecoversPanics|TestSymmetricEigenHonoursCtx' \
+	$(GO) test -race -run 'TestFaultMatrix|TestRealBudgets|TestFiredClockNeverYieldsBestSoFar|TestILPToGreedyRung|TestGreedyFailureIsTyped|TestRunRecoversPanics|TestSymmetricEigenHonoursCtx|TestDeadlineLatency' \
 		./internal/core/ ./internal/clustermap/ ./internal/pool/ ./internal/linalg/
 
 # The service contracts: exactly-once coalescing under racing clients,
@@ -174,12 +176,13 @@ check-cluster:
 	$(GO) test -race -run 'TestFleet' ./internal/loadtest/
 
 # The crash-safety suite: journal append/replay/compaction invariants,
-# the torn-tail property, and the service-level chaos tests — hard-drop
-# mid-flight, reopen, every job completes exactly once with
-# byte-identical results — all under the race detector.
+# the torn-tail property, the replay bound (MaxAttempts), and the
+# service-level chaos tests — hard-drop mid-flight, reopen, every job
+# completes exactly once with byte-identical results — all under the
+# race detector.
 check-journal:
 	$(GO) test -race ./internal/journal/
-	$(GO) test -race -run 'TestCrashRecovery|TestDrainRequeues|TestRetry|TestFailedJobsNeverCloseAdmission|TestWatchdog|TestJournalAppendFault|TestServiceRunFault' \
+	$(GO) test -race -run 'TestCrashRecovery|TestDrainRequeues|TestFailedJobsNeverCloseAdmission|TestJournalAppendFault|TestServiceRunFault' \
 		./internal/service/
 
 build:

@@ -8,8 +8,9 @@
 // recorded in a write-ahead journal, and on startup unfinished jobs
 // are replayed and re-enqueued (completed ones resolve from the result
 // cache, so nothing runs twice). Every job runs the mapper its request
-// names. Failed attempts retry with exponential backoff, over-budget
-// jobs fail with 504, and a watchdog cancels and retries stalled runs.
+// names. A job runs at most once per process: a failure is its answer,
+// over-budget jobs fail with 504, and a job the journal has started
+// -max-attempts times fails on restart instead of running again.
 // Admission refuses new work only when the queue is full (429) or the
 // daemon is draining (503).
 //
@@ -78,7 +79,7 @@ func main() {
 		retry       = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 		journalDir  = flag.String("journal-dir", "", "crash-safe job journal directory: accepted jobs survive a crash and re-run on restart (empty = no durability)")
-		maxAttempts = flag.Int("max-attempts", 3, "execution attempts per job, restarts included")
+		maxAttempts = flag.Int("max-attempts", 3, "journal replays per job")
 		peersFlag   = flag.String("peers", "", "comma-separated fleet peer base URLs (empty = standalone)")
 		selfURL     = flag.String("self", "", "this node's own base URL as it appears in -peers (required with -peers)")
 		vnodes      = flag.Int("vnodes", 0, "consistent-hash virtual nodes per peer (0 = default)")

@@ -1,6 +1,9 @@
 package kmeans
 
-import "math/rand"
+import (
+	"context"
+	"math/rand"
+)
 
 // seedPlusPlusRef is k-means++ seeding as it stood before it kept a
 // running minimum: every round measures every point against every
@@ -52,7 +55,7 @@ func ClusterRef(points [][]float64, k int, opts Options) *Result {
 	var best *Result
 	for r := 0; r < opts.Restarts; r++ {
 		rng := rand.New(rand.NewSource(opts.Seed + int64(r)*7919))
-		res := lloyd(points, seedPlusPlusRef(points, k, rng), opts.MaxIter, rng)
+		res, _ := lloyd(context.Background(), points, seedPlusPlusRef(points, k, rng), opts.MaxIter, rng)
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
 		}

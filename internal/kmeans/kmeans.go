@@ -5,6 +5,7 @@
 package kmeans
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -38,8 +39,9 @@ func (o *Options) defaults() {
 // Cluster partitions points into k clusters. Every cluster in the
 // result is non-empty provided k <= len(points); empty clusters arising
 // during iteration are re-seeded with the point farthest from its
-// centroid.
-func Cluster(points [][]float64, k int, opts Options) (*Result, error) {
+// centroid. ctx is checked once per Lloyd iteration, and its error is
+// returned once it fires.
+func Cluster(ctx context.Context, points [][]float64, k int, opts Options) (*Result, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, fmt.Errorf("kmeans: no points")
@@ -58,7 +60,10 @@ func Cluster(points [][]float64, k int, opts Options) (*Result, error) {
 	var best *Result
 	for r := 0; r < opts.Restarts; r++ {
 		rng := rand.New(rand.NewSource(opts.Seed + int64(r)*7919))
-		res := lloyd(points, seedPlusPlus(points, k, rng), opts.MaxIter, rng)
+		res, err := lloyd(ctx, points, seedPlusPlus(points, k, rng), opts.MaxIter, rng)
+		if err != nil {
+			return nil, err
+		}
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
 		}
@@ -68,7 +73,7 @@ func Cluster(points [][]float64, k int, opts Options) (*Result, error) {
 
 // lloyd iterates assignment and centroid update from the given centers
 // (which it owns) until no point changes cluster.
-func lloyd(points, centers [][]float64, maxIter int, rng *rand.Rand) *Result {
+func lloyd(ctx context.Context, points, centers [][]float64, maxIter int, rng *rand.Rand) (*Result, error) {
 	n := len(points)
 	assign := make([]int, n)
 	for i := range assign {
@@ -76,6 +81,9 @@ func lloyd(points, centers [][]float64, maxIter int, rng *rand.Rand) *Result {
 	}
 
 	for iter := 0; iter < maxIter; iter++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		changed := false
 		for i, p := range points {
 			c := nearest(p, centers)
@@ -94,7 +102,7 @@ func lloyd(points, centers [][]float64, maxIter int, rng *rand.Rand) *Result {
 	for i, p := range points {
 		inertia += sqDist(p, centers[assign[i]])
 	}
-	return &Result{Assign: assign, Centers: centers, Inertia: inertia}
+	return &Result{Assign: assign, Centers: centers, Inertia: inertia}, nil
 }
 
 // seedPlusPlus picks k initial centers with the k-means++ scheme:

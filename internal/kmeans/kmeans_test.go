@@ -1,6 +1,8 @@
 package kmeans
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,17 +25,17 @@ func blobs(centers [][]float64, nPer int, spread float64, seed int64) [][]float6
 }
 
 func TestClusterErrors(t *testing.T) {
-	if _, err := Cluster(nil, 2, Options{}); err == nil {
+	if _, err := Cluster(context.Background(), nil, 2, Options{}); err == nil {
 		t.Fatal("accepted empty input")
 	}
 	pts := [][]float64{{0}, {1}}
-	if _, err := Cluster(pts, 0, Options{}); err == nil {
+	if _, err := Cluster(context.Background(), pts, 0, Options{}); err == nil {
 		t.Fatal("accepted k=0")
 	}
-	if _, err := Cluster(pts, 3, Options{}); err == nil {
+	if _, err := Cluster(context.Background(), pts, 3, Options{}); err == nil {
 		t.Fatal("accepted k > n")
 	}
-	if _, err := Cluster([][]float64{{0, 1}, {0}}, 1, Options{}); err == nil {
+	if _, err := Cluster(context.Background(), [][]float64{{0, 1}, {0}}, 1, Options{}); err == nil {
 		t.Fatal("accepted ragged dimensions")
 	}
 }
@@ -41,7 +43,7 @@ func TestClusterErrors(t *testing.T) {
 func TestClusterSeparatedBlobs(t *testing.T) {
 	centers := [][]float64{{0, 0}, {10, 10}, {0, 10}}
 	pts := blobs(centers, 20, 0.3, 1)
-	res, err := Cluster(pts, 3, Options{Seed: 5})
+	res, err := Cluster(context.Background(), pts, 3, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +66,11 @@ func TestClusterSeparatedBlobs(t *testing.T) {
 
 func TestClusterDeterministicForSeed(t *testing.T) {
 	pts := blobs([][]float64{{0, 0}, {5, 5}}, 15, 0.5, 2)
-	a, err := Cluster(pts, 2, Options{Seed: 9})
+	a, err := Cluster(context.Background(), pts, 2, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cluster(pts, 2, Options{Seed: 9})
+	b, err := Cluster(context.Background(), pts, 2, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestClusterDeterministicForSeed(t *testing.T) {
 
 func TestClusterKEqualsN(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {2}, {3}}
-	res, err := Cluster(pts, 4, Options{Seed: 1})
+	res, err := Cluster(context.Background(), pts, 4, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestClusterKEqualsN(t *testing.T) {
 
 func TestClusterIdenticalPoints(t *testing.T) {
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	res, err := Cluster(pts, 2, Options{Seed: 3})
+	res, err := Cluster(context.Background(), pts, 2, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestClusterIdenticalPoints(t *testing.T) {
 
 func TestNoEmptyClusters(t *testing.T) {
 	pts := blobs([][]float64{{0, 0}}, 30, 0.1, 4) // one tight blob, k=5
-	res, err := Cluster(pts, 5, Options{Seed: 11})
+	res, err := Cluster(context.Background(), pts, 5, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestQuickClusterInvariants(t *testing.T) {
 		for i := range pts {
 			pts[i] = []float64{rng.Float64() * 10, rng.Float64() * 10}
 		}
-		res, err := Cluster(pts, k, Options{Seed: seed, Restarts: 2, MaxIter: 30})
+		res, err := Cluster(context.Background(), pts, k, Options{Seed: seed, Restarts: 2, MaxIter: 30})
 		if err != nil {
 			return false
 		}
@@ -160,15 +162,26 @@ func TestQuickClusterInvariants(t *testing.T) {
 // Property: more restarts never worsen the best inertia.
 func TestQuickRestartsMonotone(t *testing.T) {
 	pts := blobs([][]float64{{0, 0}, {4, 4}, {8, 0}}, 10, 1.0, 6)
-	one, err := Cluster(pts, 3, Options{Seed: 2, Restarts: 1})
+	one, err := Cluster(context.Background(), pts, 3, Options{Seed: 2, Restarts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Cluster(pts, 3, Options{Seed: 2, Restarts: 6})
+	many, err := Cluster(context.Background(), pts, 3, Options{Seed: 2, Restarts: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if many.Inertia > one.Inertia+1e-9 {
 		t.Fatalf("restarts worsened inertia: %v > %v", many.Inertia, one.Inertia)
+	}
+}
+
+// A fired context stops the clustering before its next Lloyd
+// iteration, with the context's error.
+func TestClusterHonoursCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pts := blobs([][]float64{{0, 0}, {10, 10}}, 20, 0.5, 1)
+	if res, err := Cluster(ctx, pts, 2, Options{Seed: 1}); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ctx: res %v err %v, want nil and context.Canceled", res, err)
 	}
 }

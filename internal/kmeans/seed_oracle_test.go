@@ -17,7 +17,7 @@ import (
 // Centers and Inertia, compared with ==, not a tolerance.
 func sameClustering(t *testing.T, name string, pts [][]float64, k int, seed int64) {
 	t.Helper()
-	got, err := kmeans.Cluster(pts, k, kmeans.Options{Seed: seed})
+	got, err := kmeans.Cluster(context.Background(), pts, k, kmeans.Options{Seed: seed})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

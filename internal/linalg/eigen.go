@@ -43,7 +43,7 @@ func SymmetricEigen(ctx context.Context, m *Matrix) (*EigenResult, error) {
 		return nil, fmt.Errorf("linalg: eigen of non-square %dx%d matrix", m.Rows, m.Cols)
 	}
 	if !m.IsSymmetric(1e-9) {
-		return nil, fmt.Errorf("linalg: eigen of non-symmetric matrix")
+		return nil, fmt.Errorf("linalg: eigen of non-symmetric or non-finite matrix")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -130,6 +130,38 @@ func TestIsSymmetric(t *testing.T) {
 	if NewMatrix(2, 3).IsSymmetric(1) {
 		t.Fatal("non-square matrix reported symmetric")
 	}
+	// A non-finite entry is not symmetric, wherever it sits; passed on,
+	// it makes the eigensolver run all its sweeps and return NaN
+	// eigenpairs with a nil error.
+	path := func() *Matrix {
+		p := NewMatrix(60, 60)
+		for i := 0; i+1 < 60; i++ {
+			p.Add(i, i+1, -1)
+			p.Add(i+1, i, -1)
+			p.Add(i, i, 1)
+			p.Add(i+1, i+1, 1)
+		}
+		return p
+	}
+	if !path().IsSymmetric(1e-9) {
+		t.Fatal("path Laplacian reported asymmetric")
+	}
+	for _, c := range []struct {
+		i, j int
+		v    float64
+	}{{7, 7, math.NaN()}, {7, 7, math.Inf(1)}, {7, 8, math.NaN()}, {7, 8, math.Inf(-1)}} {
+		p := path()
+		p.Set(c.i, c.j, c.v)
+		if c.i != c.j {
+			p.Set(c.j, c.i, c.v)
+		}
+		if p.IsSymmetric(1e-9) {
+			t.Fatalf("path Laplacian with %v at (%d,%d) reported symmetric", c.v, c.i, c.j)
+		}
+		if _, err := SymmetricEigen(context.Background(), p); err == nil {
+			t.Fatalf("eigensolve accepted %v at (%d,%d)", c.v, c.i, c.j)
+		}
+	}
 }
 
 func TestEigenRejectsNonSymmetric(t *testing.T) {

@@ -7,7 +7,10 @@
 // for bit. Everything is stdlib-only and deterministic.
 package linalg
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Matrix is a dense row-major matrix of float64.
 type Matrix struct {
@@ -112,16 +115,20 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	return out
 }
 
-// IsSymmetric reports whether the matrix is square and symmetric within
-// tolerance tol.
+// IsSymmetric reports whether the matrix is square, finite, and
+// symmetric within tolerance tol.
 func (m *Matrix) IsSymmetric(tol float64) bool {
 	if m.Rows != m.Cols {
 		return false
 	}
 	for i := 0; i < m.Rows; i++ {
+		if v := m.At(i, i); math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
 		for j := i + 1; j < m.Cols; j++ {
-			d := m.At(i, j) - m.At(j, i)
-			if d > tol || d < -tol {
+			// Written so that a NaN difference (a NaN entry, or two
+			// infinities) fails too; a lone infinity exceeds any tol.
+			if d := m.At(i, j) - m.At(j, i); !(d <= tol && d >= -tol) {
 				return false
 			}
 		}

@@ -149,7 +149,7 @@ func TestFleetOwnerKillMidJob(t *testing.T) {
 	f, err := NewFleet(FleetConfig{
 		N: 2,
 		Options: func(i int) service.Options {
-			return service.Options{Workers: 1, QueueSize: 8, Run: runs[i], RetryBase: -1}
+			return service.Options{Workers: 1, QueueSize: 8, Run: runs[i]}
 		},
 		FailThreshold: 1, // first transport failure downs the peer
 	})
@@ -173,7 +173,7 @@ func TestFleetOwnerKillMidJob(t *testing.T) {
 	// same options shape: fingerprints are content-addressed, so the
 	// solo server resolves each candidate to the same fingerprint the
 	// fleet will.
-	solo, err := NewHarness(service.Options{Workers: 1, QueueSize: 8, Run: runs[0], RetryBase: -1})
+	solo, err := NewHarness(service.Options{Workers: 1, QueueSize: 8, Run: runs[0]})
 	if err != nil {
 		t.Fatalf("solo NewHarness: %v", err)
 	}
@@ -246,7 +246,7 @@ func TestScrapeFleetMatchesStats(t *testing.T) {
 	f, err := NewFleet(FleetConfig{
 		N: 2,
 		Options: func(i int) service.Options {
-			return service.Options{Workers: 1, QueueSize: 8, RetryBase: -1,
+			return service.Options{Workers: 1, QueueSize: 8,
 				Run: func(ctx context.Context, job *service.Job) (core.Summary, error) {
 					return core.Summary{Kernel: "stub", Success: true}, nil
 				}}

@@ -25,7 +25,6 @@ func soakOptions() service.Options {
 		QueueSize:       1024,
 		CacheSize:       4096,
 		PipelineWorkers: 1,
-		RetryBase:       -1,
 	}
 }
 

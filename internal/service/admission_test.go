@@ -190,7 +190,7 @@ func TestAdmissionSurfacesAgree(t *testing.T) {
 				e := &env{started: make(chan struct{}, 4)}
 				jdir := filepath.Join(t.TempDir(), "journal")
 				srv, err := New(Options{
-					Workers: 1, QueueSize: 1, RetryBase: -1,
+					Workers: 1, QueueSize: 1,
 					JournalDir: jdir, JournalNoSync: true,
 					Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 						e.started <- struct{}{}

@@ -72,16 +72,15 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// shouldForward decides whether job's next attempt belongs on another
-// peer: the ring must be live, the job must not itself be a forward
-// (single hop), must not have spent its forward already, and the owner
-// must be a healthy remote peer.
+// shouldForward decides whether job's run belongs on another peer: the
+// ring must be live, the job must not itself be a forward (single hop),
+// and the owner must be a healthy remote peer.
 func (s *Server) shouldForward(job *Job) (string, bool) {
 	cl := s.opts.Cluster
 	if cl == nil || !cl.Enabled() {
 		return "", false
 	}
-	if job.Origin() != "" || job.forwardSpent() {
+	if job.Origin() != "" {
 		return "", false
 	}
 	owner := cl.Owner(job.Fingerprint)
@@ -119,20 +118,16 @@ func forwardRequest(job *Job) ([]byte, error) {
 	return json.Marshal(&wire)
 }
 
-// forwardAttempt delegates one attempt to the ring owner. handled
-// reports whether the forward concluded the attempt (remote success or
-// a typed remote failure); when false the caller runs the attempt
-// locally — the owner was down, misdirected, or refused admission.
-// Either way the job's single forward hop is spent: retries after a
-// forwarded failure run locally rather than bouncing the fleet.
+// forwardAttempt delegates the job's run to the ring owner. handled
+// reports whether the forward concluded the run (remote success or a
+// typed remote failure); when false the caller runs the job locally —
+// the owner was down, misdirected, or refused admission.
 func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (core.Summary, error, bool) {
-	job.disableForward()
-
 	tr := job.startTrace()
 	sp := tr.Root().Child("cluster.forward")
 	sp.Set("peer", owner)
 	defer tr.Root().End()
-	// unhandled is every exit that leaves the attempt to the local
+	// unhandled is every exit that leaves the run to the local
 	// executor: nothing usable came back from the owner.
 	unhandled := func(outcome string) (core.Summary, error, bool) {
 		sp.Set("outcome", outcome)
@@ -179,8 +174,7 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 	case view.Error != nil:
 		// A typed remote failure is a real outcome, not a peer problem:
 		// propagate it through the same taxonomy a local run would use,
-		// salvaging any partial summary. The retry ladder then re-runs
-		// locally or fails the job.
+		// salvaging any partial summary.
 		sp.Set("outcome", "remote-"+view.Error.Class)
 		sp.End()
 		s.met.forwarded.Inc()
@@ -188,8 +182,8 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 		if view.Result != nil {
 			sum = *view.Result
 		}
-		// Rebuilt from its class, so the origin's retry ladder, journal
-		// note and HTTP status see the failure the owner saw.
+		// Rebuilt from its class, so the origin's journal note and HTTP
+		// status see the failure the owner saw.
 		return sum, failure.FromClass(view.Error.Class, "remote: "+view.Error.Message), true
 	default:
 		// 202 (our wait was cut short), 429, or any other anomaly:

@@ -94,7 +94,6 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 		JournalDir:    jdir,
 		JournalNoSync: true,
 		CacheDir:      cdir,
-		RetryBase:     -1,
 		Run:           mkRun(true),
 	})
 	if err != nil {
@@ -142,7 +141,6 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 		JournalDir:    jdir,
 		JournalNoSync: true,
 		CacheDir:      cdir,
-		RetryBase:     -1,
 		Run:           mkRun(false),
 	})
 	if err != nil {
@@ -237,7 +235,6 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		QueueSize:     4,
 		JournalDir:    jdir,
 		JournalNoSync: true,
-		RetryBase:     -1,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 			select {
 			case <-block:
@@ -282,7 +279,6 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		Workers:       1,
 		JournalDir:    jdir,
 		JournalNoSync: true,
-		RetryBase:     -1,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 			return crashSummary(job), nil
 		},
@@ -326,7 +322,6 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 		JournalDir:    jdir,
 		JournalNoSync: true,
 		CacheDir:      cdir,
-		RetryBase:     -1,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 			started <- struct{}{}
 			select {
@@ -398,7 +393,6 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 		JournalDir:    jdir,
 		JournalNoSync: true,
 		CacheDir:      cdir,
-		RetryBase:     -1,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 			return crashSummary(job), nil
 		},
@@ -547,5 +541,76 @@ func TestCrashRecoveryCancelsRetiredMapper(t *testing.T) {
 	}
 	if n := runs.Load(); n != 0 {
 		t.Fatalf("Run called %d times for a job naming a retired mapper", n)
+	}
+}
+
+// MaxAttempts bounds journal replays: a job whose Started record shows
+// it already ran MaxAttempts times (each run ended with its process) is
+// failed on recovery without running, and a second restart replays
+// nothing, so a job that kills the process is not replayed forever.
+func TestCrashRecoveryStopsAtMaxAttempts(t *testing.T) {
+	const maxAttempts = 2
+	jdir := filepath.Join(t.TempDir(), "journal")
+	req := mustResolve(t, stubServer(t), Request{Kernel: "fir", Scale: 0.1, Arch: "4x4", Mapper: "spr", Seed: 1})
+	blob, err := encodeJobPayload(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jn, err := journal.Open(jdir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000001"
+	for _, r := range []journal.Record{
+		{Kind: journal.Submitted, JobID: id, Key: req.fingerprint, Blob: blob},
+		{Kind: journal.Started, JobID: id, Key: req.fingerprint, Attempt: maxAttempts},
+	} {
+		if err := jn.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var runs atomic.Int32
+	restart := func() *Server {
+		srv, err := New(Options{Workers: 1, JournalDir: jdir, JournalNoSync: true, MaxAttempts: maxAttempts,
+			Run: func(ctx context.Context, job *Job) (core.Summary, error) {
+				runs.Add(1)
+				return core.Summary{Kernel: "k", Success: true}, nil
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+
+	before := journalKinds()
+	srv := restart()
+	job, ok := srv.Job(id)
+	if !ok {
+		t.Fatal("the job was not recovered")
+	}
+	<-job.Done()
+	if v := job.View(); v.Status != JobFailed || v.Attempts != maxAttempts {
+		t.Fatalf("recovered job view %+v, want failed after %d attempts", v, maxAttempts)
+	}
+	srv.Shutdown(context.Background())
+	if got := kindsSince(before); !reflect.DeepEqual(got, map[string]int{"failed": 1}) {
+		t.Fatalf("recovery appended %v, want one failed record", got)
+	}
+
+	before = journalKinds()
+	srv = restart()
+	if n := srv.Stats().Recovered; n != 0 {
+		t.Fatalf("second restart recovered %d jobs, want 0", n)
+	}
+	srv.Shutdown(context.Background())
+	if got := kindsSince(before); len(got) != 0 {
+		t.Fatalf("second restart appended %v, want nothing", got)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("Run called %d times for a job past its replay bound", n)
 	}
 }

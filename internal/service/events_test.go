@@ -246,7 +246,7 @@ func TestJobEventsResumeAcrossRestart(t *testing.T) {
 	jdir := t.TempDir()
 	started := make(chan struct{})
 	srv1, err := New(Options{
-		Workers: 1, QueueSize: 4, JournalDir: jdir, JournalNoSync: true, RetryBase: -1,
+		Workers: 1, QueueSize: 4, JournalDir: jdir, JournalNoSync: true,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 			close(started)
 			<-ctx.Done()
@@ -287,7 +287,7 @@ func TestJobEventsResumeAcrossRestart(t *testing.T) {
 
 	// Process 2: same journal, an executor that succeeds.
 	srv2, err := New(Options{
-		Workers: 1, QueueSize: 4, JournalDir: jdir, JournalNoSync: true, RetryBase: -1,
+		Workers: 1, QueueSize: 4, JournalDir: jdir, JournalNoSync: true,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 			return core.Summary{Kernel: "recovered", Success: true}, nil
 		},

@@ -43,7 +43,7 @@ func newPeerPair(t *testing.T, runB RunFunc) *peerPair {
 				return inner(ctx, job)
 			}
 		}
-		srv, err := New(Options{Workers: 1, QueueSize: 16, Run: run, Cluster: cl, RetryBase: -1})
+		srv, err := New(Options{Workers: 1, QueueSize: 16, Run: run, Cluster: cl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestForwardFingerprintMismatchRunsLocally(t *testing.T) {
 	defer fake.Close()
 	var execs atomic.Int64
 	cl := cluster.New(cluster.Config{FailThreshold: 1})
-	srv, err := New(Options{Workers: 1, QueueSize: 4, RetryBase: -1, Cluster: cl,
+	srv, err := New(Options{Workers: 1, QueueSize: 4, Cluster: cl,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 			execs.Add(1)
 			return core.Summary{Kernel: "ran-locally", Success: true}, nil

@@ -44,8 +44,6 @@ func TestHTTPErrorTable(t *testing.T) {
 		Workers: 1, QueueSize: 8, Run: run,
 		RetryAfter:   3 * time.Second,
 		MaxBodyBytes: 1 << 16,
-		MaxAttempts:  1, // taxonomy errors surface on the first attempt
-		RetryBase:    -1,
 	})
 	if err != nil {
 		t.Fatal(err)

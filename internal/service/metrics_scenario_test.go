@@ -17,9 +17,7 @@ import (
 // leaves behind is exact: a miss and its hit; a coalesce onto a blocked
 // job; a batch with every item disposition (hit, coalesced, enqueued,
 // dup, error); a queue-full rejection of a single submission and of a
-// whole batch; one terminal failure per class — the budget failure on
-// its only attempt, the unclassified one retrying first; and a
-// job stream, a resumed job stream and a batch stream read to their
+// whole batch; one terminal failure per class; and a job stream, a resumed job stream and a batch stream read to their
 // end. The caller owns the returned server and listener.
 func runMetricsScenario(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
@@ -46,8 +44,7 @@ func runMetricsScenario(t *testing.T) (*Server, *httptest.Server) {
 			{Stage: "lower"},
 		}}, nil
 	}
-	// Two attempts, no backoff sleep.
-	srv, err := New(Options{Workers: 1, QueueSize: 2, Run: run, MaxAttempts: 2, RetryBase: -1})
+	srv, err := New(Options{Workers: 1, QueueSize: 2, Run: run})
 	if err != nil {
 		t.Fatal(err)
 	}

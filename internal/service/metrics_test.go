@@ -48,7 +48,6 @@ var metricszFamilies = []string{
 	"panorama_service_recovered_total",
 	"panorama_service_rejected_total",
 	"panorama_service_requeued_total",
-	"panorama_service_retried_total",
 	"panorama_service_running_jobs",
 	"panorama_service_submitted_total",
 	"panorama_sse_active_streams",
@@ -189,7 +188,6 @@ func TestStatsMatchRegistry(t *testing.T) {
 		"panorama_service_recovered_total":                    float64(st.Recovered),
 		"panorama_service_rejected_total":                     float64(st.Rejected),
 		"panorama_service_requeued_total":                     float64(st.Requeued),
-		"panorama_service_retried_total":                      float64(st.Retried),
 		"panorama_service_running_jobs":                       float64(st.RunningJobs),
 		"panorama_service_submitted_total":                    float64(st.Submitted),
 		"panorama_sse_active_streams":                         float64(st.SSEActive),
@@ -220,7 +218,7 @@ func TestStatsMatchRegistry(t *testing.T) {
 		}
 	}
 	// The scenario is only a check if it moved the numbers it compares.
-	if st.CacheHits == 0 || st.Coalesced == 0 || st.Rejected == 0 || st.Retried == 0 ||
+	if st.CacheHits == 0 || st.Coalesced == 0 || st.Rejected == 0 ||
 		st.FailedBudget*st.FailedCancel*st.FailedInfeasib*st.FailedOther == 0 ||
 		st.BatchItemsHit*st.BatchItemsCoalesced*st.BatchItemsDup*st.BatchItemsEnqueued*st.BatchItemsError == 0 ||
 		st.SSEResumed == 0 {

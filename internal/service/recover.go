@@ -94,10 +94,11 @@ func decodeJobPayload(data []byte) (*resolved, error) {
 // recoverJobs rebuilds the pending jobs replayed from the journal:
 // jobs whose computation has meanwhile landed in the cache resolve
 // instantly (and are journaled complete), undecodable payloads are
-// cancelled in the journal so they stop replaying, and everything else
-// re-enters the queue under its original job ID with its prior attempt
-// count charged against the retry budget. Runs during New, before the
-// workers start, so no locking is needed.
+// cancelled in the journal so they stop replaying, jobs the journal
+// has already started MaxAttempts times fail without running (each of
+// those runs ended with its process), and everything else re-enters
+// the queue under its original job ID with its prior attempt count.
+// Runs during New, before the workers start, so no locking is needed.
 func (s *Server) recoverJobs(pending []journal.Record) {
 	for _, rec := range pending {
 		if n := jobIDNum(rec.JobID); n > s.nextID {
@@ -130,6 +131,11 @@ func (s *Server) recoverJobs(pending []journal.Record) {
 			// The computation finished before the crash (or another
 			// node shares the cache dir): resolve without re-running.
 			s.finish(job, endRecovered, e.Summary, nil)
+			continue
+		}
+		if rec.Attempt >= s.opts.MaxAttempts {
+			s.finish(job, endFailed, core.Summary{}, fmt.Errorf(
+				"service: job %s: started %d time(s), and no run finished", job.ID, rec.Attempt))
 			continue
 		}
 		if _, dup := s.flight[job.Fingerprint]; !dup {

@@ -74,13 +74,11 @@ type Options struct {
 	// JournalNoSync skips the fsync per append (tests only).
 	JournalNoSync bool
 
-	// MaxAttempts bounds executions per job, counting attempts replayed
-	// from the journal, so a poison job gets at most one run per
-	// restart (default 3).
+	// MaxAttempts bounds journal replays per job. A job runs at most
+	// once per process; a recovered job whose journal already records
+	// MaxAttempts runs fails without running again, so a job that kills
+	// the process is not replayed forever (default 3).
 	MaxAttempts int
-	// RetryBase seeds the exponential retry backoff (default 50ms;
-	// negative disables the sleep entirely).
-	RetryBase time.Duration
 
 	// Cluster shards the content-addressed cache across a panoramad
 	// fleet: jobs whose fingerprint another peer owns are forwarded
@@ -139,9 +137,8 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 
-	attempts  int    // executions so far (journal-replayed ones included)
-	origin    string // forwarding peer's URL when the job arrived via the ring
-	noForward bool   // this job already spent its one forward hop
+	attempts int    // executions so far (journal-replayed ones included)
+	origin   string // forwarding peer's URL when the job arrived via the ring
 
 	events *eventLog // state transitions for the SSE surface
 
@@ -176,24 +173,9 @@ func (j *Job) Origin() string {
 	return j.origin
 }
 
-// disableForward spends the job's single forward hop: every later
-// attempt runs locally.
-func (j *Job) disableForward() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.noForward = true
-}
-
-// forwardSpent reports whether the job may still be forwarded.
-func (j *Job) forwardSpent() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.noForward
-}
-
 // startTrace opens the trace of job's current attempt and stamps its
-// provenance on the root span: a retried job's trace says which
-// attempt this is and which mapper it ran.
+// provenance on the root span: a job replayed from the journal says
+// which attempt this is, and every trace says which mapper it ran.
 func (j *Job) startTrace() *obs.Trace {
 	tr := obs.NewTrace(j.ID)
 	j.mu.Lock()
@@ -291,12 +273,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 3
-	}
-	if opts.RetryBase == 0 {
-		opts.RetryBase = 50 * time.Millisecond
-	}
-	if opts.RetryBase < 0 {
-		opts.RetryBase = 0
 	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 8 << 20
@@ -563,11 +539,11 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// runJob executes one dequeued job through the retry ladder and
-// publishes its outcome. A draining journal-backed server hands
-// still-queued jobs back to the journal instead of executing them;
-// a job whose result already sits in the cache (recovered duplicates,
-// a twin completed on a shared cache dir) resolves without running.
+// runJob executes one dequeued job once and publishes its outcome. A
+// draining journal-backed server hands still-queued jobs back to the
+// journal instead of executing them; a job whose result already sits in
+// the cache (recovered duplicates, a twin completed on a shared cache
+// dir) resolves without running.
 func (s *Server) runJob(job *Job) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
@@ -581,87 +557,45 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 
-	for {
-		attempt := job.beginAttempt()
-		s.jlog(journal.Record{Kind: journal.Started, JobID: job.ID, Key: job.Fingerprint,
-			Attempt: attempt, Note: job.Mapper})
-		job.emit(JobRunning)
-
-		sum, err, watchdog := s.runAttempt(job)
-		if err == nil {
-			s.finish(job, endDone, sum, nil)
-			return
-		}
-		if !shouldRetry(err, attempt, s.opts.MaxAttempts, watchdog) {
-			s.finish(job, endFailed, sum, err)
-			return
-		}
-		s.met.retried.Inc()
-		if d := backoff(s.opts.RetryBase, attempt); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-s.baseCtx.Done():
-				t.Stop()
-				s.finish(job, endFailed, sum, err)
-				return
-			}
-		}
-		if s.journal != nil && s.isDraining() {
-			// The server started draining during the backoff; leave
-			// the retry to the next process.
-			s.finish(job, endRequeued, core.Summary{}, nil)
-			return
-		}
+	attempt := job.beginAttempt()
+	s.jlog(journal.Record{Kind: journal.Started, JobID: job.ID, Key: job.Fingerprint,
+		Attempt: attempt, Note: job.Mapper})
+	job.emit(JobRunning)
+	sum, err := s.runAttempt(job)
+	how := endDone
+	if err != nil {
+		how = endFailed
 	}
+	s.finish(job, how, sum, err)
 }
 
-// runAttempt executes one attempt under the watchdog, converting a
-// panicking executor into a PanicError instead of killing the worker.
-// watchdog reports whether the stall watchdog — not the caller —
-// cancelled the run.
-func (s *Server) runAttempt(job *Job) (sum core.Summary, err error, watchdog bool) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	var tripped atomic.Bool
-	// A job without a Total budget is never watched.
-	if d := time.Duration(float64(job.Budgets.Total) * watchdogGrace); d > 0 {
-		t := time.AfterFunc(d, func() {
-			tripped.Store(true)
-			cancel()
-		})
-		defer t.Stop()
-	}
+// runAttempt executes job, converting a panicking executor into a
+// PanicError instead of killing the worker. Nothing here watches the
+// clock: the pipeline holds the run to Budgets.Total itself.
+func (s *Server) runAttempt(job *Job) (sum core.Summary, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = failure.NewPanic(-1, r, debug.Stack())
 		}
-		watchdog = tripped.Load()
 	}()
 	if ferr := faultinject.Fire(faultinject.SiteServiceRun); ferr != nil {
-		return core.Summary{}, fmt.Errorf("service: run %s: %w", job.ID, ferr), false
+		return core.Summary{}, fmt.Errorf("service: run %s: %w", job.ID, ferr)
 	}
 	if owner, ok := s.shouldForward(job); ok {
 		// Another peer owns this fingerprint: delegate the execution.
 		// An unhandled outcome (owner down, ring disagreement) falls
-		// through to local execution within the same attempt — the
-		// fleet degrades to standalone behavior, never to an error.
-		if fsum, ferr, handled := s.forwardAttempt(ctx, job, owner); handled {
-			return fsum, ferr, tripped.Load()
+		// through to local execution — the fleet degrades to
+		// standalone behavior, never to an error.
+		if fsum, ferr, handled := s.forwardAttempt(s.baseCtx, job, owner); handled {
+			return fsum, ferr
 		}
 	}
-	// Count only attempts that reach the local executor: a forwarded
-	// attempt is the owner's execution, and counting it here too would
-	// make a fleet's summed executed_total read as duplicate work.
+	// Count only runs that reach the local executor: a forwarded run is
+	// the owner's execution, and counting it here too would make a
+	// fleet's summed executed_total read as duplicate work.
 	s.met.executed.Inc()
-	sum, err = s.opts.Run(ctx, job)
-	return sum, err, tripped.Load()
+	return s.opts.Run(s.baseCtx, job)
 }
-
-// watchdogGrace is how far past Budgets.Total (as a factor) an attempt
-// may run before the watchdog cancels and retries it: the pipeline
-// enforces Total itself, so a run this late is a stalled worker.
-const watchdogGrace = 1.5
 
 func (s *Server) isDraining() bool {
 	s.mu.Lock()
@@ -673,8 +607,8 @@ func (s *Server) isDraining() bool {
 type ending int
 
 const (
-	endDone      ending = iota // an attempt returned a clean summary
-	endFailed                  // the retry ladder gave up on the attempt's error
+	endDone      ending = iota // the run returned a clean summary
+	endFailed                  // the run failed, or the journal replayed it MaxAttempts times
 	endRequeued                // a draining server hands the job back to the journal
 	endCached                  // an existing cache entry answers the job; nothing ran
 	endRecovered               // the same, found while replaying the journal in New
@@ -684,7 +618,7 @@ const (
 // the status-specific bookkeeping first, then the terminal journal
 // record, the in-flight index, the event stream, the waiters and the
 // webhook, in that order. sum is the result (for endFailed, whatever
-// partial summary the ladder salvaged); err is set for endFailed only.
+// partial summary the pipeline salvaged); err is set for endFailed only.
 func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
 	status, kind := JobDone, journal.Completed
 	switch how {
@@ -698,7 +632,7 @@ func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
 	job.status = status
 	job.err = err
 	if status == JobDone || sum.Kernel != "" || len(sum.Stages) > 0 {
-		job.summary = &sum // for a failure, the partial result the ladder salvaged
+		job.summary = &sum // for a failure, the partial result the pipeline salvaged
 	}
 	attempts := job.attempts
 	job.mu.Unlock()

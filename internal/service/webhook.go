@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math/rand"
 	"net/http"
 	"sync"
 	"time"
@@ -42,8 +43,8 @@ type webhookEvent struct {
 }
 
 // webhookNotifier delivers signed job-completion POSTs from a single
-// background sender, retrying each delivery on the same capped
-// exponential backoff the job retry ladder uses (retry.go's backoff).
+// background sender, retrying each delivery on a capped exponential
+// backoff.
 // Construction is unconditional and cheap; the sender goroutine only
 // starts once the first event is queued, so servers without webhooks
 // (most tests) never pay for one.
@@ -53,7 +54,6 @@ type webhookNotifier struct {
 	secret      string
 	timeout     time.Duration
 	maxAttempts int
-	retryBase   time.Duration
 	client      *http.Client
 
 	startOnce sync.Once
@@ -70,7 +70,6 @@ func newWebhookNotifier(met *metrics, opts Options) *webhookNotifier {
 		secret:      opts.WebhookSecret,
 		timeout:     opts.WebhookTimeout,
 		maxAttempts: opts.WebhookMaxAttempts,
-		retryBase:   opts.RetryBase,
 		client:      &http.Client{},
 		queue:       make(chan webhookEvent, webhookQueueSize),
 		done:        make(chan struct{}),
@@ -129,9 +128,7 @@ func (n *webhookNotifier) deliver(ev webhookEvent) {
 			return
 		}
 		n.met.webhookRetried.Inc()
-		if d := backoff(n.retryBase, attempt); d > 0 {
-			time.Sleep(d)
-		}
+		time.Sleep(backoff(attempt))
 	}
 }
 
@@ -158,6 +155,29 @@ func (n *webhookNotifier) post(ev webhookEvent) error {
 		return fmt.Errorf("status %d", resp.StatusCode)
 	}
 	return nil
+}
+
+// webhookBackoffBase is the sleep before a delivery's first retry; it
+// doubles per retry up to maxBackoff.
+const webhookBackoffBase = 50 * time.Millisecond
+
+// maxBackoff caps the exponential growth so a long retry chain never
+// sleeps more than a few seconds between attempts.
+const maxBackoff = 5 * time.Second
+
+// backoff returns the sleep before re-running attempt+1: the base
+// doubled per prior attempt, capped, with ±50% jitter so a burst of
+// failing deliveries doesn't thunder back in lockstep.
+func backoff(attempt int) time.Duration {
+	d := webhookBackoffBase
+	for i := 1; i < attempt && d < maxBackoff; i++ {
+		d *= 2
+	}
+	if d > maxBackoff {
+		d = maxBackoff
+	}
+	// Jitter in [d/2, 3d/2).
+	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
 // close stops accepting events and waits for the queue to drain,

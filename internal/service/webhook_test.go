@@ -64,7 +64,7 @@ func TestWebhookOnCompleteSigned(t *testing.T) {
 		return core.Summary{Kernel: "hooked", Success: true}, nil
 	}
 	srv, err := New(Options{Workers: 1, QueueSize: 4, Run: run,
-		WebhookURL: recv.URL, WebhookSecret: "fleet-secret", RetryBase: -1})
+		WebhookURL: recv.URL, WebhookSecret: "fleet-secret"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +107,8 @@ func TestWebhookOnCompleteSigned(t *testing.T) {
 	}
 }
 
-// Failed deliveries climb the retry ladder (the same backoff the job
-// retry ladder uses) and succeed without dropping the event; a failed
+// Failed deliveries climb the retry ladder and succeed without
+// dropping the event; a failed
 // job fires a job.failed event; per-request webhooks override the
 // server-wide destination.
 func TestWebhookRetryAndFailureEvent(t *testing.T) {
@@ -120,7 +120,7 @@ func TestWebhookRetryAndFailureEvent(t *testing.T) {
 		return core.Summary{}, fmt.Errorf("%w: nope", failure.ErrInfeasible)
 	}
 	srv, err := New(Options{Workers: 1, QueueSize: 4, Run: run,
-		WebhookSecret: "s", RetryBase: -1, WebhookMaxAttempts: 5})
+		WebhookSecret: "s", WebhookMaxAttempts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestWebhookShutdownDrainAndGiveUp(t *testing.T) {
 		return core.Summary{Kernel: "k", Success: true}, nil
 	}
 	srv, err := New(Options{Workers: 1, QueueSize: 4, Run: run,
-		WebhookURL: "http://127.0.0.1:1/hook", RetryBase: -1,
+		WebhookURL:         "http://127.0.0.1:1/hook",
 		WebhookMaxAttempts: 2, WebhookTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -198,5 +198,19 @@ func TestWebhookShutdownDrainAndGiveUp(t *testing.T) {
 	st := srv.Stats()
 	if st.WebhooksFailed != 1 || st.WebhooksRetried != 1 {
 		t.Errorf("webhook stats failed=%d retried=%d, want 1/1", st.WebhooksFailed, st.WebhooksRetried)
+	}
+}
+
+func TestBackoffBoundsAndJitter(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		if d := backoff(1); d < 25*time.Millisecond || d >= 75*time.Millisecond {
+			t.Fatalf("backoff attempt 1 = %v, want [25ms, 75ms)", d)
+		}
+		if d := backoff(2); d < 50*time.Millisecond || d >= 150*time.Millisecond {
+			t.Fatalf("backoff attempt 2 = %v, want [50ms, 150ms)", d)
+		}
+		if d := backoff(30); d < maxBackoff/2 || d >= maxBackoff+maxBackoff/2 {
+			t.Fatalf("capped backoff = %v, want [%v, %v)", d, maxBackoff/2, maxBackoff+maxBackoff/2)
+		}
 	}
 }

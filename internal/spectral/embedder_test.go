@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestDisconnectedGraphZeroEigenvalues(t *testing.T) {
 		t.Fatalf("third eigenvalue should be positive: %v", em.eigen.Values[2])
 	}
 	// k=2 clustering must split exactly along the components.
-	p, err := em.Cluster(2, 1)
+	p, err := em.Cluster(context.Background(), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,8 +80,9 @@ func Laplacian(g *dfg.Graph) *linalg.Matrix {
 }
 
 // Cluster runs k-means on the first k eigenvector coordinates of every
-// node and returns the resulting partition with its statistics.
-func (em *Embedder) Cluster(k int, seed int64) (*Partition, error) {
+// node and returns the resulting partition with its statistics; ctx is
+// checked once per Lloyd iteration.
+func (em *Embedder) Cluster(ctx context.Context, k int, seed int64) (*Partition, error) {
 	if err := faultinject.Fire(faultinject.SiteKMeans); err != nil {
 		return nil, err
 	}
@@ -97,7 +98,7 @@ func (em *Embedder) Cluster(k int, seed int64) (*Partition, error) {
 		}
 		pts[i] = row
 	}
-	res, err := kmeans.Cluster(pts, k, kmeans.Options{Seed: seed})
+	res, err := kmeans.Cluster(ctx, pts, k, kmeans.Options{Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("spectral: %w", err)
 	}
@@ -205,7 +206,7 @@ func SweepCtx(ctx context.Context, g *dfg.Graph, kMin, kMax int, seed int64, wor
 	parts := make([]*Partition, kMax-kMin+1)
 	stats, err := pool.Run(ctx, workers, len(parts), func(i int) error {
 		k := kMin + i
-		p, err := em.Cluster(k, seed+int64(k))
+		p, err := em.Cluster(ctx, k, seed+int64(k))
 		if err != nil {
 			return err
 		}

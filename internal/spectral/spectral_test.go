@@ -64,7 +64,7 @@ func TestClusterSeparatesCommunities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := em.Cluster(2, 1)
+	p, err := em.Cluster(context.Background(), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +86,10 @@ func TestClusterKOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := em.Cluster(0, 1); err == nil {
+	if _, err := em.Cluster(context.Background(), 0, 1); err == nil {
 		t.Fatal("accepted k=0")
 	}
-	if _, err := em.Cluster(g.NumNodes()+1, 1); err == nil {
+	if _, err := em.Cluster(context.Background(), g.NumNodes()+1, 1); err == nil {
 		t.Fatal("accepted k>n")
 	}
 }
@@ -225,7 +225,7 @@ func TestCDGConsistentWithPartitionStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := em.Cluster(4, 3)
+	p, err := em.Cluster(context.Background(), 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

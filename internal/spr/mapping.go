@@ -191,6 +191,9 @@ func attemptII(ctx context.Context, d *dfg.Graph, a *arch.CGRA, ii, restart int,
 	st.ctx = ctx
 	att = AttemptStats{II: ii}
 	if !st.initialPlacement() {
+		if err := ctx.Err(); err != nil {
+			return att, nil, err
+		}
 		att.FailReason = st.failReason
 		return att, nil, nil
 	}

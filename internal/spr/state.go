@@ -332,9 +332,13 @@ func (st *state) timeWindow(v int) (est, lst int, ok bool) {
 
 // initialPlacement assigns every node a (PE, cycle) with the least-cost
 // heuristic (Algorithm 2 lines 4-8). Returns false when any node has no
-// feasible slot at this II, recording the failure in fail/failReason.
+// feasible slot at this II, recording the failure in fail/failReason,
+// or when the attempt's context fires (checked once per node).
 func (st *state) initialPlacement() bool {
 	for _, v := range st.placementOrder() {
+		if st.cancelled() {
+			return false
+		}
 		pe, t, ok := st.bestCandidate(v, false)
 		if !ok {
 			st.fail = v
