@@ -4,7 +4,7 @@ GO ?= go
 # nightly CI job raises it (see .github/workflows/ci.yml).
 FUZZTIME ?= 10s
 
-.PHONY: check layering run-names build test vet race check-fault check-service check-journal check-diff check-obs check-overhead check-bits check-ii check-sat check-load check-cluster docs fuzz
+.PHONY: check layering run-names flag-names build test vet race check-fault check-service check-journal check-diff check-obs check-overhead check-bits check-ii check-sat check-load check-cluster docs fuzz
 
 # The repository's verification gate: formatting + godoc contract, vet,
 # build everything, then the full test suite with the race detector
@@ -24,7 +24,7 @@ FUZZTIME ?= 10s
 # load/soak SLO suite and the fleet/cluster contracts
 # all run there, once — so the targets stay as named slices for local
 # use instead of running again here.
-check: docs layering run-names vet build race check-overhead check-bits check-ii
+check: docs layering run-names flag-names vet build race check-overhead check-bits check-ii
 
 # The layering guard: everything downstream of a mapping (simulator,
 # configuration generator, renderer) and the oracle that judges it must
@@ -48,6 +48,16 @@ run-names:
 		grep -rqE "^func $$alt" --include='*_test.go' --exclude-dir=.bench_build . || bad="$$bad $$alt"; \
 	done; \
 	if [ -n "$$bad" ]; then echo "run-names: no func Test... matches -run alternative(s):$$bad"; exit 1; fi
+
+# The flag guard: every backticked `-flag` in DEPLOYMENT.md must be a
+# flag `panoramad -h` lists, so deleting or renaming a daemon flag can
+# never leave the operator guide documenting it.
+flag-names:
+	@help=$$($(GO) run ./cmd/panoramad -h 2>&1); bad=; \
+	for f in $$(grep -o '`-[a-z][a-z0-9-]*' DEPLOYMENT.md | sed 's/^`//' | sort -u); do \
+		printf '%s\n' "$$help" | grep -qE "^  $$f( |$$)" || bad="$$bad $$f"; \
+	done; \
+	if [ -n "$$bad" ]; then echo "flag-names: DEPLOYMENT.md documents flag(s) panoramad -h does not list:$$bad"; exit 1; fi
 
 # The documentation contract: everything gofmt-clean, and every
 # exported symbol in the audited packages carries a doc comment
@@ -176,7 +186,7 @@ check-cluster:
 	$(GO) test -race -run 'TestFleet' ./internal/loadtest/
 
 # The crash-safety suite: journal append/replay/compaction invariants,
-# the torn-tail property, the replay bound (MaxAttempts), and the
+# the torn-tail property, the replay bound (maxAttempts), and the
 # service-level chaos tests — hard-drop mid-flight, reopen, every job
 # completes exactly once with byte-identical results — all under the
 # race detector.

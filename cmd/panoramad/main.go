@@ -10,7 +10,7 @@
 // cache, so nothing runs twice). Every job runs the mapper its request
 // names. A job runs at most once per process: a failure is its answer,
 // over-budget jobs fail with 504, and a job the journal has started
-// -max-attempts times fails on restart instead of running again.
+// three times fails on restart instead of running again.
 // Admission refuses new work only when the queue is full (429) or the
 // daemon is draining (503).
 //
@@ -31,10 +31,11 @@
 // With -peers (and -self naming this node's own URL in that list) the
 // daemon joins a static fleet: a consistent-hash ring shards mapping
 // fingerprints across the peers, non-owners forward work to its owner
-// (falling back to local execution when the owner is down), and
+// for as long as the job's budget allows (falling back to local
+// execution when the owner is down; a down owner is probed 10 s after
+// it went down, and gets jobs again once a probe succeeds), and
 // -gossip enables periodic peer health probes plus opportunistic
-// cache fill from peers' recent completions. GET /v1/cluster/statsz
-// serves this node's ring view. -webhook-url (optionally signed with
+// cache fill from peers' recent completions. GET /v1/cluster/statsz serves this node's ring view. -webhook-url (optionally signed with
 // -webhook-secret) fires a POST per terminal job. See DEPLOYMENT.md
 // for fleet topologies and sizing.
 //
@@ -68,24 +69,21 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		cacheDir    = flag.String("cache-dir", "", "persist the result cache here (empty = memory only)")
-		cacheSize   = flag.Int("cache-size", service.DefaultCacheSize, "in-memory cache entries")
-		workers     = flag.Int("workers", 1, "jobs mapped concurrently")
-		queue       = flag.Int("queue", 16, "job queue depth; a full queue answers 429")
-		pipelineJ   = flag.Int("j", 0, "worker-pool width inside each pipeline (0 = one per CPU, 1 = serial)")
-		timeout     = flag.Duration("timeout", 5*time.Minute, "default per-job wall-clock budget (requests may lower it via timeoutMS); 0 = unbounded")
-		drain       = flag.Duration("drain", 0, "graceful-shutdown drain budget; 0 = the per-job -timeout")
-		retry       = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-		journalDir  = flag.String("journal-dir", "", "crash-safe job journal directory: accepted jobs survive a crash and re-run on restart (empty = no durability)")
-		maxAttempts = flag.Int("max-attempts", 3, "journal replays per job")
-		peersFlag   = flag.String("peers", "", "comma-separated fleet peer base URLs (empty = standalone)")
-		selfURL     = flag.String("self", "", "this node's own base URL as it appears in -peers (required with -peers)")
-		vnodes      = flag.Int("vnodes", 0, "consistent-hash virtual nodes per peer (0 = default)")
-		gossip      = flag.Duration("gossip", 0, "peer health-probe and cache-fill interval (0 = no gossip; forwarding still works)")
-		webhookURL  = flag.String("webhook-url", "", "POST a signed notification here for every terminal job (empty = disabled)")
-		webhookKey  = flag.String("webhook-secret", "", "HMAC-SHA256 key for webhook body signatures (empty = unsigned)")
+		addr       = flag.String("addr", ":8080", "listen address")
+		cacheDir   = flag.String("cache-dir", "", "persist the result cache here (empty = memory only)")
+		cacheSize  = flag.Int("cache-size", service.DefaultCacheSize, "in-memory cache entries")
+		workers    = flag.Int("workers", 1, "jobs mapped concurrently")
+		queue      = flag.Int("queue", 16, "job queue depth; a full queue answers 429")
+		pipelineJ  = flag.Int("j", 0, "worker-pool width inside each pipeline (0 = one per CPU, 1 = serial)")
+		timeout    = flag.Duration("timeout", 5*time.Minute, "per-job wall-clock budget (requests may lower it via timeoutMS, never raise it); 0 = unbounded")
+		drain      = flag.Duration("drain", 0, "graceful-shutdown drain budget; 0 = the per-job -timeout")
+		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
+		journalDir = flag.String("journal-dir", "", "crash-safe job journal directory: accepted jobs survive a crash and re-run on restart (empty = no durability)")
+		peersFlag  = flag.String("peers", "", "comma-separated fleet peer base URLs (empty = standalone)")
+		selfURL    = flag.String("self", "", "this node's own base URL as it appears in -peers (required with -peers)")
+		gossip     = flag.Duration("gossip", 0, "peer health-probe and cache-fill interval (0 = no gossip; forwarding still works)")
+		webhookURL = flag.String("webhook-url", "", "POST a signed notification here for every terminal job (empty = disabled)")
+		webhookKey = flag.String("webhook-secret", "", "HMAC-SHA256 key for webhook body signatures (empty = unsigned)")
 	)
 	flag.Parse()
 
@@ -94,11 +92,7 @@ func main() {
 		if *selfURL == "" {
 			log.Fatalf("panoramad: -peers requires -self (this node's URL in the peer list)")
 		}
-		cl = cluster.New(cluster.Config{
-			Self:         *selfURL,
-			Peers:        strings.Split(*peersFlag, ","),
-			VirtualNodes: *vnodes,
-		})
+		cl = cluster.New(cluster.Config{Self: *selfURL, Peers: strings.Split(*peersFlag, ",")})
 	}
 
 	srv, err := service.New(service.Options{
@@ -108,9 +102,7 @@ func main() {
 		CacheSize:       *cacheSize,
 		CacheDir:        *cacheDir,
 		Budgets:         core.Budgets{Total: *timeout},
-		RetryAfter:      *retry,
 		JournalDir:      *journalDir,
-		MaxAttempts:     *maxAttempts,
 		Cluster:         cl,
 		GossipInterval:  *gossip,
 		WebhookURL:      *webhookURL,

@@ -9,7 +9,8 @@
 // The package is deliberately transport-and-membership only: it knows
 // nothing about jobs, caches or journals. The service layer decides
 // what to forward, when to fall back, and how to fill its cache from
-// peer responses; panoramad's gossip loop decides when to probe. That
+// peer responses; panoramad's gossip loop adds periodic probes to the
+// ones this package starts for a suspect peer. That
 // keeps the dependency direction service → cluster and lets the ring
 // be tested in isolation.
 package cluster
@@ -18,6 +19,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,18 +49,19 @@ type Config struct {
 	Self string
 	// Peers is the static fleet membership (base URLs, self included).
 	Peers []string
-	// VirtualNodes is the ring points per peer (0 = DefaultVirtualNodes).
-	VirtualNodes int
-	// ForwardTimeout bounds one forwarded request (0 = 2 minutes; the
-	// owner runs the mapping inside this window).
-	ForwardTimeout time.Duration
-	// FailThreshold is the consecutive transport failures after which a
-	// peer is considered down until a probe succeeds (0 = 3).
-	FailThreshold int
-	// Client overrides the HTTP client (tests). Its Timeout is ignored;
-	// per-call contexts carry the deadline.
-	Client *http.Client
 }
+
+// failThreshold is the consecutive transport failures after which a
+// peer is considered down.
+const failThreshold = 3
+
+// downCooldown is how long a down peer is left alone before a
+// background probe checks whether it is back, so a fleet without
+// gossip still recovers it. 10 s is a choice, not a measurement.
+const downCooldown = 10 * time.Second
+
+// probeTimeout bounds that probe: statsz does not queue behind jobs.
+const probeTimeout = 2 * time.Second
 
 // PeerView is one peer's health as seen by this node, for
 // /v1/cluster/statsz and operator dashboards.
@@ -85,15 +88,16 @@ type Stats struct {
 type peerState struct {
 	consecFails int
 	down        bool
+	downSince   time.Time // when the peer went down, or last failed a probe
+	probing     bool      // a background probe of the peer is in flight
 }
 
 // Cluster is one node's view of the fleet: the shared hash ring plus
 // local-only health state and the forwarding client. Membership is
-// mutable (Configure/SetPeers rebuild the ring) so harnesses can wire
+// mutable (Configure rebuilds the ring) so harnesses can wire
 // peers after their listen addresses exist; lookups take a read lock
 // on the current immutable ring.
 type Cluster struct {
-	cfg    Config
 	client *http.Client
 
 	mu    sync.Mutex
@@ -111,17 +115,7 @@ type Cluster struct {
 // (or no self yet) is inert: Owner returns "" and nothing forwards,
 // so single-node deployments pay nothing for the code path existing.
 func New(cfg Config) *Cluster {
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = 2 * time.Minute
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	c := &Cluster{cfg: cfg, client: client, peers: map[string]*peerState{}}
+	c := &Cluster{client: &http.Client{}, peers: map[string]*peerState{}}
 	c.Configure(cfg.Self, cfg.Peers)
 	return c
 }
@@ -147,7 +141,7 @@ func (c *Cluster) Configure(self string, peers []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.self = self
-	c.ring = NewRing(norm, c.cfg.VirtualNodes)
+	c.ring = NewRing(norm, DefaultVirtualNodes)
 	next := map[string]*peerState{}
 	for _, p := range c.ring.Peers() {
 		if p == c.self {
@@ -160,24 +154,6 @@ func (c *Cluster) Configure(self string, peers []string) {
 		}
 	}
 	c.peers = next
-}
-
-// SetPeers replaces the membership, keeping the configured self.
-func (c *Cluster) SetPeers(peers []string) {
-	c.mu.Lock()
-	self := c.self
-	c.mu.Unlock()
-	c.Configure(self, peers)
-}
-
-// Self returns this node's own URL ("" until Configure binds one).
-func (c *Cluster) Self() string {
-	if c == nil {
-		return ""
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.self
 }
 
 // Enabled reports whether the cluster can shard at all: a bound self
@@ -215,8 +191,11 @@ func (c *Cluster) IsSelf(peer string) bool {
 	return peer != "" && peer == c.self
 }
 
-// Healthy reports whether peer is believed reachable (self always is;
-// unknown peers are not).
+// Healthy reports whether work may go to peer: self always may, an
+// unknown peer never, a remote peer while it is up. No job is ever
+// sent to a down peer to test it: once downCooldown has passed, the
+// call starts one background probe, and only that probe's success
+// marks the peer up.
 func (c *Cluster) Healthy(peer string) bool {
 	if c == nil {
 		return false
@@ -227,12 +206,40 @@ func (c *Cluster) Healthy(peer string) bool {
 		return true
 	}
 	st, ok := c.peers[peer]
-	return ok && !st.down
+	if !ok {
+		return false
+	}
+	if st.down && time.Since(st.downSince) >= downCooldown {
+		c.recheckLocked(peer, st)
+	}
+	return !st.down
 }
 
-// ReportFailure records one transport failure against peer; at the
-// configured threshold the peer turns down until a probe succeeds.
-// It reports whether the peer is now considered down.
+// recheckLocked starts a background probe of a suspect peer unless one
+// is in flight; c.mu must be held. A peer that answers is up; one that
+// does not is down for another downCooldown, whatever its streak was.
+func (c *Cluster) recheckLocked(peer string, st *peerState) {
+	if st.probing {
+		return
+	}
+	st.probing = true
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+		_, err := c.Probe(ctx, peer)
+		cancel()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		st.probing = false
+		if err != nil {
+			st.down = true
+			st.downSince = time.Now()
+		}
+	}()
+}
+
+// ReportFailure records one transport failure against peer; at
+// failThreshold consecutive failures the peer turns down until a
+// probe succeeds. It reports whether the peer is now considered down.
 func (c *Cluster) ReportFailure(peer string) bool {
 	if c == nil {
 		return false
@@ -244,8 +251,9 @@ func (c *Cluster) ReportFailure(peer string) bool {
 		return false
 	}
 	st.consecFails++
-	if st.consecFails >= c.cfg.FailThreshold {
+	if st.consecFails >= failThreshold {
 		st.down = true
+		st.downSince = time.Now()
 	}
 	return st.down
 }
@@ -323,11 +331,18 @@ func (e *PeerDownError) Error() string {
 // Unwrap exposes both the cause and the failure-taxonomy sentinel.
 func (e *PeerDownError) Unwrap() error { return failure.ErrPeerDown }
 
-// peerDown wraps err as a PeerDownError and charges the peer's breaker.
-func (c *Cluster) peerDown(peer string, err error) error {
-	c.ReportFailure(peer)
+// peerDown wraps err as a PeerDownError and charges the peer's
+// breaker, unless the caller's ctx ended first: the owner may only be
+// busy, so after a deadline a probe tells busy from hung.
+func (c *Cluster) peerDown(ctx context.Context, peer string, err error) error {
+	if ctx.Err() == nil {
+		c.ReportFailure(peer)
+	}
 	c.mu.Lock()
 	c.forwardErr++
+	if st, ok := c.peers[peer]; ok && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		c.recheckLocked(peer, st)
+	}
 	c.mu.Unlock()
 	return &PeerDownError{Peer: peer, Err: err}
 }
@@ -337,34 +352,33 @@ func (c *Cluster) peerDown(peer string, err error) error {
 // body on any HTTP-level answer (the caller interprets statuses —
 // including 421 ring disagreement); transport failures and 5xx
 // infrastructure answers come back as a PeerDownError after charging
-// the peer's health breaker.
+// the peer's health breaker. ctx alone bounds the call: the owner runs
+// the mapping inside it, so the caller derives its deadline from the
+// job's budget, and running out of it is not charged (see peerDown).
 func (c *Cluster) Forward(ctx context.Context, peer, path string, body []byte) (int, []byte, error) {
 	c.mu.Lock()
 	c.forwards++
 	self := c.self
 	c.mu.Unlock()
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ForwardTimeout)
-	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, c.peerDown(peer, err)
+		return 0, nil, c.peerDown(ctx, peer, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(HeaderForwardedFrom, self)
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return 0, nil, c.peerDown(peer, err)
+		return 0, nil, c.peerDown(ctx, peer, err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return resp.StatusCode, nil, c.peerDown(peer, err)
+		return resp.StatusCode, nil, c.peerDown(ctx, peer, err)
 	}
 	if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {
 		// Infrastructure-level refusals (a draining owner, a bad gateway)
-		// count against health: the origin serves the job locally now
-		// and probes before forwarding there again.
-		return resp.StatusCode, data, c.peerDown(peer, fmt.Errorf("status %d", resp.StatusCode))
+		// count against health: the origin serves the job locally now.
+		return resp.StatusCode, data, c.peerDown(ctx, peer, fmt.Errorf("status %d", resp.StatusCode))
 	}
 	c.ReportSuccess(peer)
 	return resp.StatusCode, data, nil

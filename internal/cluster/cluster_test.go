@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,18 +38,14 @@ func TestClusterInertWithoutPeers(t *testing.T) {
 // TestClusterHealthBreaker walks a peer down through consecutive
 // failures and back up through a success.
 func TestClusterHealthBreaker(t *testing.T) {
-	c := New(Config{
-		Self:          "http://a:1",
-		Peers:         []string{"http://a:1", "http://b:1"},
-		FailThreshold: 3,
-	})
+	c := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", "http://b:1"}})
 	peer := "http://b:1"
 	if !c.Healthy(peer) {
 		t.Fatal("fresh peer not healthy")
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < failThreshold-1; i++ {
 		if down := c.ReportFailure(peer); down {
-			t.Fatalf("peer down after %d failures, threshold 3", i+1)
+			t.Fatalf("peer down after %d failures, threshold %d", i+1, failThreshold)
 		}
 	}
 	if !c.Healthy(peer) {
@@ -76,16 +74,164 @@ func TestClusterHealthBreaker(t *testing.T) {
 	}
 }
 
+// downPeer drives failThreshold consecutive failures against peer.
+func downPeer(c *Cluster, peer string) {
+	for i := 0; i < failThreshold; i++ {
+		c.ReportFailure(peer)
+	}
+}
+
+// backdate moves peer's down time past downCooldown.
+func backdate(c *Cluster, peer string) {
+	c.mu.Lock()
+	c.peers[peer].downSince = time.Now().Add(-downCooldown - time.Second)
+	c.mu.Unlock()
+}
+
+// waitProbe waits for the background probe of peer to finish.
+func waitProbe(t *testing.T, c *Cluster, peer string) {
+	t.Helper()
+	deadline := time.Now().Add(probeTimeout + 5*time.Second)
+	for time.Now().Before(deadline) {
+		c.mu.Lock()
+		probing := c.peers[peer].probing
+		c.mu.Unlock()
+		if !probing {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatal("background probe still running past probeTimeout")
+}
+
+// hungPeer is a peer that accepts connections and never answers.
+func hungPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range conns {
+			conn.Close()
+		}
+	})
+	return "http://" + ln.Addr().String()
+}
+
+// TestClusterDownPeerIsProbedAfterCooldown: without gossip, a down
+// peer is probed in the background once downCooldown has passed, and
+// only the probe decides its health — a peer that came back is up
+// again, one still failing stays down for another cooldown.
+func TestClusterDownPeerIsProbedAfterCooldown(t *testing.T) {
+	var back atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !back.Load() {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		json.NewEncoder(w).Encode(Statsz{})
+	}))
+	defer srv.Close()
+	c := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", srv.URL}})
+	peer := srv.URL
+	downPeer(c, peer)
+	if c.Healthy(peer) {
+		t.Fatal("peer healthy right after going down")
+	}
+	if st := c.Stats(); st.Probes != 0 {
+		t.Fatalf("probed %d times inside the cooldown, want 0", st.Probes)
+	}
+
+	// Cooldown over, peer still failing: no caller gets the peer, the
+	// probe fails, and the cooldown starts again.
+	backdate(c, peer)
+	if c.Healthy(peer) {
+		t.Fatal("a caller was sent to a down peer to test it")
+	}
+	waitProbe(t, c, peer)
+	if c.Healthy(peer) {
+		t.Fatal("failed probe marked the peer up")
+	}
+	if st := c.Stats(); st.Probes != 1 || st.ProbeErr != 1 {
+		t.Fatalf("probes %d/%d errors, want 1/1 (the failed probe restarts the cooldown)", st.Probes, st.ProbeErr)
+	}
+
+	// The peer is back: the next probe marks it up for every caller.
+	back.Store(true)
+	backdate(c, peer)
+	c.Healthy(peer)
+	waitProbe(t, c, peer)
+	for i := 0; i < 2; i++ {
+		if !c.Healthy(peer) {
+			t.Fatal("peer still down after a successful probe")
+		}
+	}
+	if st := c.Stats(); st.PeersDown != 0 || st.Forwards != 0 {
+		t.Errorf("PeersDown=%d Forwards=%d, want 0/0", st.PeersDown, st.Forwards)
+	}
+}
+
+// TestClusterHungPeerGetsNoJob: a down peer that accepts connections
+// and never answers is never handed to a caller after its cooldown —
+// every caller keeps getting false and so serves locally — and the
+// single background probe gives up at probeTimeout, leaving it down.
+func TestClusterHungPeerGetsNoJob(t *testing.T) {
+	peer := hungPeer(t)
+	c := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", peer}})
+	downPeer(c, peer)
+	backdate(c, peer)
+
+	var wg sync.WaitGroup
+	var granted atomic.Int64
+	stop := time.Now().Add(probeTimeout / 2)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				if c.Healthy(peer) {
+					granted.Add(1)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := granted.Load(); n != 0 {
+		t.Fatalf("hung down peer handed to %d callers, want 0", n)
+	}
+	waitProbe(t, c, peer)
+	if c.Healthy(peer) {
+		t.Fatal("hung peer marked up")
+	}
+	if st := c.Stats(); st.Probes != 1 || st.ProbeErr != 1 || st.Forwards != 0 {
+		t.Errorf("probes=%d probeErr=%d forwards=%d, want 1/1/0", st.Probes, st.ProbeErr, st.Forwards)
+	}
+}
+
 // TestClusterConfigurePreservesHealth checks that rebuilding the ring
 // keeps the failure streaks of surviving peers.
 func TestClusterConfigurePreservesHealth(t *testing.T) {
-	c := New(Config{
-		Self:          "http://a:1",
-		Peers:         []string{"http://a:1", "http://b:1"},
-		FailThreshold: 1,
-	})
-	c.ReportFailure("http://b:1")
-	c.SetPeers([]string{"http://a:1", "http://b:1", "http://c:1"})
+	c := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", "http://b:1"}})
+	downPeer(c, "http://b:1")
+	c.Configure("http://a:1", []string{"http://a:1", "http://b:1", "http://c:1"})
 	if c.Healthy("http://b:1") {
 		t.Error("membership change reset b's down state")
 	}
@@ -130,16 +276,14 @@ func TestForwardPeerDown(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
-	c := New(Config{
-		Self:          "http://origin:1",
-		Peers:         []string{"http://origin:1", srv.URL},
-		FailThreshold: 1,
-	})
-	if _, _, err := c.Forward(context.Background(), srv.URL, "/v1/map", nil); !failure.IsPeerDown(err) {
-		t.Fatalf("503 answer: err = %v, want ErrPeerDown", err)
+	c := New(Config{Self: "http://origin:1", Peers: []string{"http://origin:1", srv.URL}})
+	for i := 0; i < failThreshold; i++ {
+		if _, _, err := c.Forward(context.Background(), srv.URL, "/v1/map", nil); !failure.IsPeerDown(err) {
+			t.Fatalf("503 answer: err = %v, want ErrPeerDown", err)
+		}
 	}
 	if c.Healthy(srv.URL) {
-		t.Error("503 did not charge the breaker at threshold 1")
+		t.Errorf("%d 503 answers did not down the peer", failThreshold)
 	}
 
 	srv.Close() // now a pure transport failure
@@ -152,9 +296,84 @@ func TestForwardPeerDown(t *testing.T) {
 	if !asPeerDown(err, &pd) || pd.Peer != srv.URL {
 		t.Errorf("PeerDownError.Peer = %v, want %s", pd, srv.URL)
 	}
-	if st := c.Stats(); st.ForwardErr != 2 {
-		t.Errorf("ForwardErr = %d, want 2", st.ForwardErr)
+	if st := c.Stats(); st.ForwardErr != failThreshold+1 {
+		t.Errorf("ForwardErr = %d, want %d", st.ForwardErr, failThreshold+1)
 	}
+}
+
+// TestForwardDeadlineIsNotCharged: a forward cut by its caller's
+// ctx does not charge the owner. If the deadline passed, a probe
+// decides instead: a busy owner that answers statsz stays up, a hung
+// one is marked down. A cancelled caller starts no probe.
+func TestForwardDeadlineIsNotCharged(t *testing.T) {
+	forwardShort := func(c *Cluster, peer string) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		if _, _, err := c.Forward(ctx, peer, "/v1/map", nil); !failure.IsPeerDown(err) {
+			t.Fatalf("forward past its deadline: err = %v, want ErrPeerDown", err)
+		}
+		if st := c.Stats(); st.Peers[peerIndex(st, peer)].Failures != 0 {
+			t.Fatalf("forward past its deadline charged %s", peer)
+		}
+	}
+
+	t.Run("busy", func(t *testing.T) {
+		release := make(chan struct{})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/map" {
+				<-release // the job is still queued or running
+				return
+			}
+			json.NewEncoder(w).Encode(Statsz{})
+		}))
+		defer srv.Close()
+		defer close(release)
+		c := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", srv.URL}})
+		for i := 0; i < failThreshold; i++ {
+			forwardShort(c, srv.URL)
+			waitProbe(t, c, srv.URL)
+		}
+		if !c.Healthy(srv.URL) {
+			t.Fatal("busy owner marked down")
+		}
+		if st := c.Stats(); st.Probes != failThreshold || st.ProbeErr != 0 {
+			t.Errorf("probes=%d probeErr=%d, want %d/0", st.Probes, st.ProbeErr, failThreshold)
+		}
+	})
+
+	t.Run("hung", func(t *testing.T) {
+		peer := hungPeer(t)
+		c := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", peer}})
+		forwardShort(c, peer)
+		waitProbe(t, c, peer)
+		if c.Healthy(peer) {
+			t.Fatal("owner silent through a forward and a probe is still up")
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		peer := hungPeer(t)
+		c := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", peer}})
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(50*time.Millisecond, cancel)
+		if _, _, err := c.Forward(ctx, peer, "/v1/map", nil); !failure.IsPeerDown(err) {
+			t.Fatalf("cancelled forward: err = %v, want ErrPeerDown", err)
+		}
+		if st := c.Stats(); st.Probes != 0 || st.Peers[peerIndex(st, peer)].Failures != 0 || !c.Healthy(peer) {
+			t.Errorf("cancelled forward: probes=%d stats=%+v, want no probe and no charge", st.Probes, st.Peers)
+		}
+	})
+}
+
+// peerIndex finds peer in a Stats snapshot.
+func peerIndex(st Stats, peer string) int {
+	for i, pv := range st.Peers {
+		if pv.URL == peer {
+			return i
+		}
+	}
+	return -1
 }
 
 func asPeerDown(err error, out **PeerDownError) bool {
@@ -184,12 +403,8 @@ func TestProbe(t *testing.T) {
 		json.NewEncoder(w).Encode(sz)
 	}))
 	defer srv.Close()
-	c := New(Config{
-		Self:          "http://origin:1",
-		Peers:         []string{"http://origin:1", srv.URL},
-		FailThreshold: 1,
-	})
-	c.ReportFailure(srv.URL) // down before the probe
+	c := New(Config{Self: "http://origin:1", Peers: []string{"http://origin:1", srv.URL}})
+	downPeer(c, srv.URL) // down before the probe
 	if c.Healthy(srv.URL) {
 		t.Fatal("setup: peer should be down")
 	}

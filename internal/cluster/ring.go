@@ -4,8 +4,8 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-peer virtual-node count used when a
-// caller passes vnodes <= 0. 1024 points per peer keeps the key
+// DefaultVirtualNodes is the per-peer virtual-node count of every
+// Cluster's ring, and NewRing's when a caller passes vnodes <= 0. 1024 points per peer keeps the key
 // distribution within a few percent of uniform for small fleets while
 // the ring stays tiny (tens of KiB for an 8-peer fleet).
 const DefaultVirtualNodes = 1024
@@ -21,7 +21,7 @@ type ringPoint struct {
 // fixed number of seeded virtual nodes, and a key belongs to the peer
 // owning the first ring point at or clockwise of the key's hash.
 // Immutability makes concurrent Owner lookups lock-free; membership
-// changes build a new ring (see Cluster.SetPeers), which is cheap at
+// changes build a new ring (see Cluster.Configure), which is cheap at
 // fleet scale.
 type Ring struct {
 	points []ringPoint

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"panorama/internal/cluster"
 	"panorama/internal/obs"
@@ -19,16 +18,9 @@ type FleetConfig struct {
 	N int
 	// Options builds peer i's service options. The fleet installs its
 	// own cluster.Cluster into each; everything else (workers, queue,
-	// Run stubs, WrapRun decorators) is the caller's. Nil uses zero
-	// options (the real pipeline at default sizing).
+	// Run stubs, gossip) is the caller's. Nil uses zero options (the
+	// real pipeline at default sizing).
 	Options func(i int) service.Options
-	// FailThreshold is each peer's breaker threshold (0 = cluster default).
-	FailThreshold int
-	// VirtualNodes is the ring density (0 = cluster default).
-	VirtualNodes int
-	// GossipInterval enables each peer's gossip loop when > 0. Peers
-	// whose Options already set one keep theirs.
-	GossipInterval time.Duration
 }
 
 // Fleet is N in-process panoramad peers wired into one ring: each
@@ -36,7 +28,7 @@ type FleetConfig struct {
 // cluster.Cluster, and after every listener is up the fleet binds all
 // base URLs into every ring so the peers agree on fingerprint
 // ownership. Per-peer execution/completion accounting (via the
-// Harness WrapRun hooks) makes fleet-wide exactly-once assertable:
+// Harness's wrapped executor) makes fleet-wide exactly-once assertable:
 // forwarded attempts bypass the origin's executor, so summing the
 // maps across peers counts real pipeline runs only.
 type Fleet struct {
@@ -57,14 +49,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if cfg.Options != nil {
 			opts = cfg.Options(i)
 		}
-		cl := cluster.New(cluster.Config{
-			VirtualNodes:  cfg.VirtualNodes,
-			FailThreshold: cfg.FailThreshold,
-		})
+		cl := cluster.New(cluster.Config{})
 		opts.Cluster = cl
-		if opts.GossipInterval == 0 {
-			opts.GossipInterval = cfg.GossipInterval
-		}
 		h, err := NewHarness(opts)
 		if err != nil {
 			f.Close(context.Background())

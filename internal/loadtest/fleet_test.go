@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"panorama/internal/cluster"
 	"panorama/internal/core"
 	"panorama/internal/service"
 )
@@ -21,10 +22,12 @@ import (
 // per-node), bounded tails, and no ring disagreement.
 func TestFleetSoak(t *testing.T) {
 	f, err := NewFleet(FleetConfig{
-		N:              3,
-		Options:        func(i int) service.Options { return soakOptions() },
-		FailThreshold:  3,
-		GossipInterval: 50 * time.Millisecond,
+		N: 3,
+		Options: func(i int) service.Options {
+			opts := soakOptions()
+			opts.GossipInterval = 50 * time.Millisecond
+			return opts
+		},
 	})
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
@@ -151,7 +154,6 @@ func TestFleetOwnerKillMidJob(t *testing.T) {
 		Options: func(i int) service.Options {
 			return service.Options{Workers: 1, QueueSize: 8, Run: runs[i]}
 		},
-		FailThreshold: 1, // first transport failure downs the peer
 	})
 	if err != nil {
 		t.Fatalf("NewFleet: %v", err)
@@ -205,8 +207,9 @@ func TestFleetOwnerKillMidJob(t *testing.T) {
 	}
 
 	// Kill the owner mid-job: sever every connection, including the
-	// in-flight forward. The origin's forward fails, the breaker downs
-	// the peer, and the same attempt falls back to local execution.
+	// in-flight forward. The origin's forward fails, the breaker charges
+	// the peer one failure, and the same attempt falls back to local
+	// execution.
 	owner.TS.CloseClientConnections()
 
 	ans := <-got
@@ -233,8 +236,14 @@ func TestFleetOwnerKillMidJob(t *testing.T) {
 	if st.ClusterFallback != 1 {
 		t.Errorf("origin fallbacks = %d, want 1", st.ClusterFallback)
 	}
-	if st.ClusterPeersDown != 1 {
-		t.Errorf("origin sees %d peers down, want 1", st.ClusterPeersDown)
+	var view cluster.PeerView
+	for _, pv := range f.Rings[0].Stats().Peers {
+		if pv.URL == owner.URL() {
+			view = pv
+		}
+	}
+	if view.Failures != 1 || !view.Healthy {
+		t.Errorf("origin's view of the killed owner %+v, want 1 failure, still up below the threshold", view)
 	}
 }
 

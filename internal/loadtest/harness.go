@@ -11,7 +11,7 @@ import (
 
 // Harness is an in-process panoramad: a real service.Server behind a
 // real HTTP listener, with per-fingerprint execution and completion
-// accounting threaded through Options.WrapRun so soak tests can assert
+// accounting wrapped around its executor so soak tests can assert
 // exactly-once behavior under coalescing, dedup and crash recovery.
 type Harness struct {
 	Srv *service.Server
@@ -30,23 +30,21 @@ func NewHarness(opts service.Options) (*Harness, error) {
 		executions:  map[string]int{},
 		completions: map[string]int{},
 	}
-	inner := opts.WrapRun
-	opts.WrapRun = func(run service.RunFunc) service.RunFunc {
-		if inner != nil {
-			run = inner(run)
-		}
-		return func(ctx context.Context, job *service.Job) (core.Summary, error) {
+	run := opts.Run
+	if run == nil {
+		run = service.Pipeline(opts.PipelineWorkers)
+	}
+	opts.Run = func(ctx context.Context, job *service.Job) (core.Summary, error) {
+		h.mu.Lock()
+		h.executions[job.Fingerprint]++
+		h.mu.Unlock()
+		sum, err := run(ctx, job)
+		if err == nil {
 			h.mu.Lock()
-			h.executions[job.Fingerprint]++
+			h.completions[job.Fingerprint]++
 			h.mu.Unlock()
-			sum, err := run(ctx, job)
-			if err == nil {
-				h.mu.Lock()
-				h.completions[job.Fingerprint]++
-				h.mu.Unlock()
-			}
-			return sum, err
 		}
+		return sum, err
 	}
 	srv, err := service.New(opts)
 	if err != nil {

@@ -177,11 +177,10 @@ func TestDrainMidLoad(t *testing.T) {
 	opts.JournalDir = jdir
 	opts.JournalNoSync = true
 	opts.CacheDir = cdir
-	opts.WrapRun = func(run service.RunFunc) service.RunFunc {
-		return func(ctx context.Context, job *service.Job) (core.Summary, error) {
-			time.Sleep(10 * time.Millisecond) // hold the worker so arrivals outpace it
-			return run(ctx, job)
-		}
+	run := service.Pipeline(opts.PipelineWorkers)
+	opts.Run = func(ctx context.Context, job *service.Job) (core.Summary, error) {
+		time.Sleep(10 * time.Millisecond) // hold the worker so arrivals outpace it
+		return run(ctx, job)
 	}
 
 	h1, err := NewHarness(opts)

@@ -143,7 +143,7 @@ const maxBatchItems = 64
 // batch proceeds.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var breq BatchRequest
-	if !decodeJSONBody(w, r, s.opts.MaxBodyBytes, &breq) {
+	if !decodeJSONBody(w, r, &breq) {
 		return
 	}
 	if len(breq.Items) == 0 {

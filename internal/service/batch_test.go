@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"panorama/internal/core"
 )
@@ -172,7 +171,7 @@ func TestBatchAtomicAdmission(t *testing.T) {
 		return core.Summary{Kernel: "stub", Success: true}, nil
 	}
 	jdir := filepath.Join(t.TempDir(), "journal")
-	srv, err := New(Options{Workers: 1, QueueSize: 1, Run: run, RetryAfter: 7 * time.Second,
+	srv, err := New(Options{Workers: 1, QueueSize: 1, Run: run,
 		JournalDir: jdir, JournalNoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -199,10 +198,9 @@ func TestBatchAtomicAdmission(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("batch over capacity: status %d, want 429", code)
 	}
-	// No completions observed yet → the configured fallback, whole
-	// seconds.
-	if got := hdr.Get("Retry-After"); got != "7" {
-		t.Fatalf("Retry-After = %q, want \"7\"", got)
+	// No completions observed yet → the 1 s fallback.
+	if got := hdr.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 	after := srv.Stats()
 	if after.BatchRejected != before.BatchRejected+1 {

@@ -30,6 +30,12 @@ import (
 // via /v1/cluster/statsz.
 const recentFingerprintCap = 32
 
+// forwardGrace is how long past the job's own budget a forward may
+// run: the owner's queue wait and the transfer of the request and the
+// answer. It is not measured; a forward that outlives it is not
+// charged to the owner (see cluster.Cluster.Forward).
+const forwardGrace = 30 * time.Second
+
 // gossipFillPerRound bounds how many cache entries one gossip round
 // pulls from one peer, so a cold node warms gradually instead of
 // stampeding its peers.
@@ -118,6 +124,16 @@ func forwardRequest(job *Job) ([]byte, error) {
 	return json.Marshal(&wire)
 }
 
+// forwardContext bounds a forward by the job's own budget: the owner
+// runs the job under the same Budgets.Total, so the forward may take
+// that long plus forwardGrace. An unbounded job forwards unbounded.
+func forwardContext(ctx context.Context, b core.Budgets) (context.Context, context.CancelFunc) {
+	if b.Total <= 0 {
+		return context.WithCancel(ctx)
+	}
+	return context.WithTimeout(ctx, b.Total+forwardGrace)
+}
+
 // forwardAttempt delegates the job's run to the ring owner. handled
 // reports whether the forward concluded the run (remote success or a
 // typed remote failure); when false the caller runs the job locally —
@@ -141,10 +157,13 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 		log.Printf("service: %v; running locally", err)
 		return unhandled("bad-request")
 	}
+	ctx, cancel := forwardContext(ctx, job.Budgets)
+	defer cancel()
 	status, data, err := s.opts.Cluster.Forward(ctx, owner, "/v1/map", body)
 	if err != nil {
-		// Transport failure or infrastructure refusal: typed ErrPeerDown
-		// from the cluster layer, already charged to the peer's health.
+		// Transport failure, infrastructure refusal or deadline: typed
+		// ErrPeerDown from the cluster layer, which did the health
+		// bookkeeping.
 		log.Printf("service: job %s: %v; running locally", job.ID, err)
 		return unhandled("peer-down")
 	}
@@ -194,8 +213,9 @@ func (s *Server) forwardAttempt(ctx context.Context, job *Job, owner string) (co
 
 // gossipLoop periodically probes every remote peer's
 // /v1/cluster/statsz: the probe outcome drives the peer's health in
-// internal/cluster (a down owner recovers only through a successful
-// probe), and the answer's recent-fingerprint list feeds the
+// internal/cluster (a down owner recovers through a successful probe,
+// this loop's or the background one internal/cluster sends after each
+// cooldown), and the answer's recent-fingerprint list feeds the
 // opportunistic cache fill. Runs until Shutdown.
 func (s *Server) gossipLoop() {
 	defer s.gossipWG.Done()

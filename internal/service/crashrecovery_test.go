@@ -544,12 +544,11 @@ func TestCrashRecoveryCancelsRetiredMapper(t *testing.T) {
 	}
 }
 
-// MaxAttempts bounds journal replays: a job whose Started record shows
-// it already ran MaxAttempts times (each run ended with its process) is
+// maxAttempts bounds journal replays: a job whose journal shows it
+// started maxAttempts (3) times, each run ending with its process, is
 // failed on recovery without running, and a second restart replays
 // nothing, so a job that kills the process is not replayed forever.
 func TestCrashRecoveryStopsAtMaxAttempts(t *testing.T) {
-	const maxAttempts = 2
 	jdir := filepath.Join(t.TempDir(), "journal")
 	req := mustResolve(t, stubServer(t), Request{Kernel: "fir", Scale: 0.1, Arch: "4x4", Mapper: "spr", Seed: 1})
 	blob, err := encodeJobPayload(req)
@@ -561,10 +560,11 @@ func TestCrashRecoveryStopsAtMaxAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const id = "job-000001"
-	for _, r := range []journal.Record{
-		{Kind: journal.Submitted, JobID: id, Key: req.fingerprint, Blob: blob},
-		{Kind: journal.Started, JobID: id, Key: req.fingerprint, Attempt: maxAttempts},
-	} {
+	records := []journal.Record{{Kind: journal.Submitted, JobID: id, Key: req.fingerprint, Blob: blob}}
+	for crash := 1; crash <= maxAttempts; crash++ {
+		records = append(records, journal.Record{Kind: journal.Started, JobID: id, Key: req.fingerprint, Attempt: crash})
+	}
+	for _, r := range records {
 		if err := jn.Append(r); err != nil {
 			t.Fatal(err)
 		}
@@ -575,7 +575,7 @@ func TestCrashRecoveryStopsAtMaxAttempts(t *testing.T) {
 
 	var runs atomic.Int32
 	restart := func() *Server {
-		srv, err := New(Options{Workers: 1, JournalDir: jdir, JournalNoSync: true, MaxAttempts: maxAttempts,
+		srv, err := New(Options{Workers: 1, JournalDir: jdir, JournalNoSync: true,
 			Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 				runs.Add(1)
 				return core.Summary{Kernel: "k", Success: true}, nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -49,8 +50,8 @@ func newPeerPair(t *testing.T, runB RunFunc) *peerPair {
 		}
 		return srv
 	}
-	p.clA = cluster.New(cluster.Config{FailThreshold: 1})
-	p.clB = cluster.New(cluster.Config{FailThreshold: 1})
+	p.clA = cluster.New(cluster.Config{})
+	p.clB = cluster.New(cluster.Config{})
 	p.srvA = mk("A", &p.execA, nil, p.clA)
 	p.srvB = mk("B", &p.execB, runB, p.clB)
 	p.tsA = httptest.NewServer(p.srvA.Handler())
@@ -181,40 +182,130 @@ func TestForwardLoopGuard(t *testing.T) {
 }
 
 // Owner unreachable: the origin falls back to local execution within
-// the same attempt, the client still gets a result, and the peer
-// breaker marks the owner down so the next job skips the forward.
+// the same attempt and the client still gets a result; after three
+// failed forwards the peer breaker marks the owner down, so the next
+// job skips the forward.
 func TestForwardOwnerDownFallback(t *testing.T) {
+	const failures = 3 // cluster's failThreshold
 	p := newPeerPair(t, nil)
-	body, _ := p.requestOwnedBy(t, p.tsB.URL, 1)
 	p.tsB.Close() // the owner is gone
 
-	code, view := postMap(t, p.tsA.URL, body)
-	if code != http.StatusOK || view.Result == nil || view.Result.Kernel != "ran-on-A" {
-		t.Fatalf("fallback map: status %d view %+v", code, view)
-	}
-	if a := p.execA.Load(); a != 1 {
-		t.Fatalf("executions A=%d, want 1 (local fallback)", a)
-	}
-	if p.clA.Healthy(p.tsB.URL) {
-		t.Error("dead owner still marked healthy at FailThreshold 1")
+	for i := int64(1); i <= failures; i++ {
+		body, _ := p.requestOwnedBy(t, p.tsB.URL, 1000*i)
+		code, view := postMap(t, p.tsA.URL, body)
+		if code != http.StatusOK || view.Result == nil || view.Result.Kernel != "ran-on-A" {
+			t.Fatalf("fallback map %d: status %d view %+v", i, code, view)
+		}
+		if a := p.execA.Load(); a != i {
+			t.Fatalf("executions A=%d, want %d (local fallback)", a, i)
+		}
+		if healthy := p.clA.Healthy(p.tsB.URL); healthy != (i < failures) {
+			t.Fatalf("after %d failed forward(s) the owner reads healthy=%v", i, healthy)
+		}
 	}
 	st := p.srvA.Stats()
-	if st.ClusterFallback != 1 || st.ClusterForwarded != 0 {
-		t.Errorf("stats fallback=%d forwarded=%d, want 1/0", st.ClusterFallback, st.ClusterForwarded)
+	if st.ClusterFallback != failures || st.ClusterForwarded != 0 {
+		t.Errorf("stats fallback=%d forwarded=%d, want %d/0", st.ClusterFallback, st.ClusterForwarded, failures)
 	}
 	if st.ClusterPeersDown != 1 {
 		t.Errorf("peersDown=%d, want 1", st.ClusterPeersDown)
 	}
 
-	// Second job owned by the down peer: the health check skips the
+	// Next job owned by the down peer: the health check skips the
 	// forward entirely — no new fallback, straight to local.
-	body2, _ := p.requestOwnedBy(t, p.tsB.URL, 1000)
-	code, _ = postMap(t, p.tsA.URL, body2)
-	if code != http.StatusOK {
-		t.Fatalf("second map: status %d", code)
+	body, _ := p.requestOwnedBy(t, p.tsB.URL, 1000*(failures+1))
+	if code, _ := postMap(t, p.tsA.URL, body); code != http.StatusOK {
+		t.Fatalf("map after the owner went down: status %d", code)
 	}
-	if st := p.srvA.Stats(); st.ClusterFallback != 1 {
-		t.Errorf("down-peer forward attempted again: fallback=%d, want still 1", st.ClusterFallback)
+	if st := p.srvA.Stats(); st.ClusterFallback != failures {
+		t.Errorf("down-peer forward attempted again: fallback=%d, want still %d", st.ClusterFallback, failures)
+	}
+}
+
+// An owner that accepts connections and never answers, once down, gets
+// no job: the origin serves every job it owns locally at once, and no
+// forward is attempted. (Its recovery runs on a background probe; see
+// internal/cluster's TestClusterHungPeerGetsNoJob.)
+func TestForwardHungOwnerServedLocally(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		var held []net.Conn // accepted, never answered
+		defer func() {
+			for _, c := range held {
+				c.Close()
+			}
+		}()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, conn)
+		}
+	}()
+	hung := "http://" + ln.Addr().String()
+
+	var execs atomic.Int64
+	run := func(ctx context.Context, job *Job) (core.Summary, error) {
+		execs.Add(1)
+		return core.Summary{Kernel: "ran-locally", Success: true}, nil
+	}
+	cl := cluster.New(cluster.Config{})
+	srv, err := New(Options{Workers: 1, QueueSize: 16, Run: run, Cluster: cl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+	cl.Configure(ts.URL, []string{ts.URL, hung})
+	for i := 0; i < 3; i++ { // cluster's failThreshold
+		cl.ReportFailure(hung)
+	}
+
+	start := time.Now()
+	const jobs = 4
+	for i := int64(1); i <= jobs; i++ {
+		body, _ := requestOwnedBy(t, srv, cl, hung, "ultrafast", 1000*i)
+		code, view := postMap(t, ts.URL, body)
+		if code != http.StatusOK || view.Result == nil || view.Result.Kernel != "ran-locally" {
+			t.Fatalf("job %d owned by the hung peer: status %d view %+v", i, code, view)
+		}
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("%d local jobs took %v: something waited on the hung owner", jobs, d)
+	}
+	if n := execs.Load(); n != jobs {
+		t.Errorf("local executions = %d, want %d", n, jobs)
+	}
+	if st := srv.Stats(); st.ClusterFallback != 0 || st.ClusterForwarded != 0 {
+		t.Errorf("fallback=%d forwarded=%d, want 0/0 (no forward attempted)", st.ClusterFallback, st.ClusterForwarded)
+	}
+	if st := cl.Stats(); st.Forwards != 0 || st.PeersDown != 1 {
+		t.Errorf("cluster forwards=%d peersDown=%d, want 0/1", st.Forwards, st.PeersDown)
+	}
+}
+
+// A forward may run as long as the job's own budget plus forwardGrace,
+// not a fixed cap below the budget; an unbounded job forwards without
+// a deadline, as it runs without one.
+func TestForwardDeadlineFollowsJobBudget(t *testing.T) {
+	const total = 5 * time.Minute
+	before := time.Now()
+	ctx, cancel := forwardContext(context.Background(), core.Budgets{Total: total})
+	defer cancel()
+	dl, ok := ctx.Deadline()
+	if !ok || dl.Before(before.Add(total+forwardGrace)) || dl.After(time.Now().Add(total+forwardGrace)) {
+		t.Fatalf("forward deadline %v (set %v), want budget %v + grace %v from now", dl, ok, total, forwardGrace)
+	}
+	ctx, cancel = forwardContext(context.Background(), core.Budgets{})
+	defer cancel()
+	if dl, ok := ctx.Deadline(); ok {
+		t.Fatalf("unbounded job's forward has deadline %v", dl)
 	}
 }
 
@@ -284,7 +375,7 @@ func TestForwardFingerprintMismatchRunsLocally(t *testing.T) {
 	}))
 	defer fake.Close()
 	var execs atomic.Int64
-	cl := cluster.New(cluster.Config{FailThreshold: 1})
+	cl := cluster.New(cluster.Config{})
 	srv, err := New(Options{Workers: 1, QueueSize: 4, Cluster: cl,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 			execs.Add(1)
@@ -322,7 +413,7 @@ func TestGossipRecoveryAndCacheFill(t *testing.T) {
 	// entry would land in A's cache by execution, making the gossip
 	// fill unobservable. A standalone B always executes locally — and
 	// /v1/cluster/statsz serves Recent either way.
-	clA := cluster.New(cluster.Config{FailThreshold: 1})
+	clA := cluster.New(cluster.Config{})
 	run := func(ctx context.Context, job *Job) (core.Summary, error) {
 		return core.Summary{Kernel: "warm", Success: true}, nil
 	}
@@ -352,7 +443,9 @@ func TestGossipRecoveryAndCacheFill(t *testing.T) {
 	fp := view.Fingerprint
 
 	// Mark B down at A; a successful probe must recover it.
-	clA.ReportFailure(tsB.URL)
+	for i := 0; i < 3; i++ { // cluster's failThreshold
+		clA.ReportFailure(tsB.URL)
+	}
 	if clA.Healthy(tsB.URL) {
 		t.Fatal("setup: B should be down at A")
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+	"time"
 
 	"panorama/internal/core"
 	"panorama/internal/kernels"
@@ -15,8 +16,9 @@ import (
 // validator with arbitrary JSON. Admission is not exercised (no jobs
 // are enqueued); the properties are that resolve never panics, never
 // accepts a request without a graph, an architecture, and a known
-// mapper, never builds a kernel graph larger than maxScale allows, and
-// is deterministic — two resolutions of one request must agree on the
+// mapper, never builds a kernel graph larger than maxScale allows, never
+// resolves a budget above the server's Budgets.Total, and is
+// deterministic — two resolutions of one request must agree on the
 // cache fingerprint, or the content-addressed cache would return wrong
 // results. Corpus under testdata/fuzz/FuzzServiceRequest; regenerate
 // with `go run ./cmd/gencorpus`.
@@ -25,7 +27,9 @@ func FuzzServiceRequest(f *testing.F) {
 	f.Add([]byte(`{"kernel":"fir","arch":"4x4","mapper":"ultrafast","seed":7}`))
 	f.Add([]byte(`{"kernel":"fir","scale":5}`))
 	f.Add([]byte(`{"dfg":{"name":"x","nodes":[{"id":0,"op":1}],"edges":[]}}`))
-	s, err := New(Options{})
+	f.Add([]byte(`{"kernel":"fir","timeoutMS":9223372036854775807}`))
+	const total = time.Minute
+	s, err := New(Options{Budgets: core.Budgets{Total: total}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -43,6 +47,9 @@ func FuzzServiceRequest(f *testing.F) {
 		}
 		if core.CheckMapper(r1.mapper) != nil {
 			t.Fatalf("resolve accepted unknown mapper %q", r1.mapper)
+		}
+		if b := r1.budgets.Total; b <= 0 || b > total {
+			t.Fatalf("timeoutMS %d resolved to budget %v, outside (0, %v]", req.TimeoutMS, b, total)
 		}
 		// An accepted kernel's graph is bounded: no scale builds more
 		// than maxScale does.

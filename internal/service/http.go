@@ -131,11 +131,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds a request body before JSON decoding.
+const maxBodyBytes = 8 << 20
+
 // decodeJSONBody decodes a size-capped request body into v, writing
 // the error response (413 oversized, 400 malformed) itself and
 // reporting whether the caller should proceed.
-func decodeJSONBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBytes)
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -162,7 +165,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 // misdirected, or refused by admission).
 func (s *Server) serveMap(w http.ResponseWriter, r *http.Request) *obs.Histogram {
 	var req Request
-	if !decodeJSONBody(w, r, s.opts.MaxBodyBytes, &req) {
+	if !decodeJSONBody(w, r, &req) {
 		return s.met.reqRejected
 	}
 	res, err := s.resolve(&req)

@@ -40,11 +40,7 @@ func TestHTTPErrorTable(t *testing.T) {
 		}
 		return core.Summary{Kernel: "stub", Success: true}, nil
 	}
-	srv, err := New(Options{
-		Workers: 1, QueueSize: 8, Run: run,
-		RetryAfter:   3 * time.Second,
-		MaxBodyBytes: 1 << 16,
-	})
+	srv, err := New(Options{Workers: 1, QueueSize: 8, Run: run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +52,9 @@ func TestHTTPErrorTable(t *testing.T) {
 	resultOf := func(seed int64) string {
 		return "/v1/result/" + mustResolve(t, srv, Request{Kernel: "fir", Seed: seed}).fingerprint
 	}
+
+	// One byte over the 8 MiB body cap.
+	oversized := `{"pad":"` + strings.Repeat("x", maxBodyBytes+1-len(`{"pad":""}`)) + `"}`
 
 	tests := []struct {
 		name       string
@@ -107,12 +106,12 @@ func TestHTTPErrorTable(t *testing.T) {
 		},
 		{
 			name: "oversized body", method: "POST", path: "/v1/map",
-			body:   `{"pad":"` + strings.Repeat("x", 1<<17) + `"}`,
+			body:   oversized,
 			status: http.StatusRequestEntityTooLarge, class: "oversized-body",
 		},
 		{
 			name: "oversized batch body", method: "POST", path: "/v1/batch",
-			body:   `{"pad":"` + strings.Repeat("x", 1<<17) + `"}`,
+			body:   oversized,
 			status: http.StatusRequestEntityTooLarge, class: "oversized-body",
 		},
 		{
@@ -246,7 +245,7 @@ func TestHTTPQueueFullPaths(t *testing.T) {
 		}
 		return core.Summary{Kernel: "stub", Success: true}, nil
 	}
-	srv, err := New(Options{Workers: 1, QueueSize: 1, Run: run, RetryAfter: 3 * time.Second})
+	srv, err := New(Options{Workers: 1, QueueSize: 1, Run: run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +277,8 @@ func TestHTTPQueueFullPaths(t *testing.T) {
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("%s: status %d, want 429: %s", tc.path, resp.StatusCode, data)
 		}
-		if got := resp.Header.Get("Retry-After"); got != "3" {
-			t.Fatalf("%s: Retry-After %q, want \"3\" (fallback, no drain samples)", tc.path, got)
+		if got := resp.Header.Get("Retry-After"); got != "1" {
+			t.Fatalf("%s: Retry-After %q, want \"1\" (fallback, no drain samples)", tc.path, got)
 		}
 		var e errorBody
 		if err := json.Unmarshal(data, &e); err != nil {

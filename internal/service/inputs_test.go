@@ -297,7 +297,7 @@ func TestConcurrentJobsShareInputs(t *testing.T) {
 	)
 	srv, err := New(Options{Workers: 4, QueueSize: 32, PipelineWorkers: 1,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
-			res, err := srv.mapJob(ctx, job)
+			res, err := mapJob(ctx, job, 1)
 			if err != nil || res.Lower.Mapping == nil {
 				return core.Summary{}, fmt.Errorf("job %s (%s seed %d) did not map: %v", job.ID, job.Mapper, job.Seed, err)
 			}

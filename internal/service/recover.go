@@ -24,6 +24,12 @@ import (
 // it still replays, keeping Total (no release ever set the others).
 const jobPayloadVersion = 2
 
+// maxAttempts bounds journal replays per job. A job runs at most once
+// per process, so a recovered job whose journal already records
+// maxAttempts runs has killed that many processes: it fails instead of
+// running again.
+const maxAttempts = 3
+
 // encodeJobPayload flattens a resolved request into the journal blob.
 func encodeJobPayload(req *resolved) ([]byte, error) {
 	gbin, err := req.graph.MarshalBinary()
@@ -95,7 +101,7 @@ func decodeJobPayload(data []byte) (*resolved, error) {
 // jobs whose computation has meanwhile landed in the cache resolve
 // instantly (and are journaled complete), undecodable payloads are
 // cancelled in the journal so they stop replaying, jobs the journal
-// has already started MaxAttempts times fail without running (each of
+// has already started maxAttempts times fail without running (each of
 // those runs ended with its process), and everything else re-enters
 // the queue under its original job ID with its prior attempt count.
 // Runs during New, before the workers start, so no locking is needed.
@@ -133,7 +139,7 @@ func (s *Server) recoverJobs(pending []journal.Record) {
 			s.finish(job, endRecovered, e.Summary, nil)
 			continue
 		}
-		if rec.Attempt >= s.opts.MaxAttempts {
+		if rec.Attempt >= maxAttempts {
 			s.finish(job, endFailed, core.Summary{}, fmt.Errorf(
 				"service: job %s: started %d time(s), and no run finished", job.ID, rec.Attempt))
 			continue

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"panorama/internal/arch"
@@ -25,18 +26,12 @@ type Request struct {
 
 	Mapper    string `json:"mapper,omitempty"` // any name in core.MapperNames() (default pan-spr)
 	Seed      int64  `json:"seed,omitempty"`
-	TimeoutMS int64  `json:"timeoutMS,omitempty"` // job Budgets.Total override; 0 = server default
+	TimeoutMS int64  `json:"timeoutMS,omitempty"` // lowers the job's Budgets.Total; 0 = server default
 
 	// Wait makes POST /v1/map block until the job finishes (bounded by
 	// the client's connection); otherwise a queued job returns 202
 	// immediately.
 	Wait bool `json:"wait,omitempty"`
-
-	// Webhook is a per-job completion callback URL overriding the
-	// server-wide Options.WebhookURL. Delivery metadata, not part of
-	// the computation: it is excluded from the fingerprint, so two
-	// requests differing only in webhook share one cache entry.
-	Webhook string `json:"webhook,omitempty"`
 }
 
 // resolved is a fully-validated request: graph and architecture
@@ -51,7 +46,6 @@ type resolved struct {
 	budgets     core.Budgets
 	fingerprint string
 	wait        bool
-	webhook     string // per-job completion callback (not fingerprinted)
 	origin      string // forwarding peer's URL when the job arrived via the ring
 }
 
@@ -103,9 +97,15 @@ func (s *Server) resolve(req *Request) (*resolved, error) {
 		return nil, err
 	}
 
+	// A request may lower the operator's budget, never raise it; under
+	// an unbounded one, no timeoutMS past the largest Duration applies.
 	budgets := s.opts.Budgets
-	if req.TimeoutMS > 0 {
-		budgets.Total = time.Duration(req.TimeoutMS) * time.Millisecond
+	limit := budgets.Total
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+	if ms := req.TimeoutMS; ms > 0 && ms < limit.Milliseconds() {
+		budgets.Total = time.Duration(ms) * time.Millisecond
 	}
 
 	return &resolved{
@@ -116,6 +116,5 @@ func (s *Server) resolve(req *Request) (*resolved, error) {
 		budgets:     budgets,
 		fingerprint: Key(g, a, mapper, req.Seed, budgets),
 		wait:        req.Wait,
-		webhook:     req.Webhook,
 	}, nil
 }

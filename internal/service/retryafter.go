@@ -6,6 +6,10 @@ import (
 	"time"
 )
 
+// retryAfterFallback is the Retry-After hint before the estimator has
+// observed a recent completion.
+const retryAfterFallback = time.Second
+
 // drainWindow is how far back the estimator looks for completions.
 const drainWindow = 30 * time.Second
 
@@ -49,7 +53,7 @@ func (d *drainEstimator) record() {
 
 // hint estimates how long a client should wait before retrying, given
 // the current backlog (queued + running jobs). With no completions
-// inside the window there is no observed rate, so the configured
+// inside the window there is no observed rate, so the given
 // fallback is returned unchanged — deterministic for tests and honest
 // at cold start. Otherwise the estimate is (backlog+1) jobs at the
 // observed drain rate (the +1 being the caller's own job), rounded up
@@ -101,10 +105,10 @@ func (d *drainEstimator) hint(backlog int, fallback time.Duration) time.Duration
 
 // retryAfterSeconds is the whole-second Retry-After value for 429
 // responses: the drain estimate over the live backlog, falling back to
-// Options.RetryAfter before any completion has been observed.
+// retryAfterFallback before any completion has been observed.
 func (s *Server) retryAfterSeconds() int {
 	backlog := len(s.queue) + int(s.running.Load())
-	wait := s.drain.hint(backlog, s.opts.RetryAfter)
+	wait := s.drain.hint(backlog, retryAfterFallback)
 	secs := int((wait + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1

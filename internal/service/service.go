@@ -46,22 +46,13 @@ type Options struct {
 	CacheSize int
 	CacheDir  string
 	// Budgets is the default budget applied to every job; a request's
-	// timeoutMS overrides Budgets.Total.
+	// timeoutMS may lower Budgets.Total, never raise it.
 	Budgets core.Budgets
-	// RetryAfter is the Retry-After fallback for 429 responses,
-	// used until the drain estimator has observed at least one recent
-	// completion (default 1s).
-	RetryAfter time.Duration
-	// Run substitutes the job executor (tests, alternative backends).
+	// Run substitutes the job executor (tests, alternative backends,
+	// harnesses that wrap Pipeline to observe every execution). Nil
+	// runs Pipeline(PipelineWorkers).
 	Run RunFunc
-	// WrapRun decorates the executor after the default is resolved, so
-	// harnesses can observe every execution of the real pipeline
-	// (exactly-once accounting in load tests) without replacing it.
-	WrapRun func(RunFunc) RunFunc
 
-	// MaxBodyBytes bounds a request body before JSON decoding; an
-	// oversized body gets 413 (default 8 MiB).
-	MaxBodyBytes int64
 	// SSEHeartbeat is the keep-alive comment interval on idle event
 	// streams (default 15s).
 	SSEHeartbeat time.Duration
@@ -74,12 +65,6 @@ type Options struct {
 	// JournalNoSync skips the fsync per append (tests only).
 	JournalNoSync bool
 
-	// MaxAttempts bounds journal replays per job. A job runs at most
-	// once per process; a recovered job whose journal already records
-	// MaxAttempts runs fails without running again, so a job that kills
-	// the process is not replayed forever (default 3).
-	MaxAttempts int
-
 	// Cluster shards the content-addressed cache across a panoramad
 	// fleet: jobs whose fingerprint another peer owns are forwarded
 	// there at execution time (falling back to local execution when the
@@ -89,17 +74,12 @@ type Options struct {
 	// (0 disables gossip; forwarding still works without it).
 	GossipInterval time.Duration
 
-	// WebhookURL makes every terminal job fire a signed POST there
-	// (per-request Request.Webhook overrides the destination). Empty
-	// disables webhooks unless a request names its own.
+	// WebhookURL makes every terminal job fire a signed POST there.
+	// Empty disables webhooks.
 	WebhookURL string
 	// WebhookSecret keys the HMAC-SHA256 body signature
 	// (X-Panorama-Signature); empty sends unsigned webhooks.
 	WebhookSecret string
-	// WebhookTimeout bounds one delivery attempt (default 10s);
-	// WebhookMaxAttempts bounds the retry ladder per event (default 3).
-	WebhookTimeout     time.Duration
-	WebhookMaxAttempts int
 }
 
 // JobStatus is the lifecycle of a Job.
@@ -268,23 +248,8 @@ func New(opts Options) (*Server, error) {
 	if opts.QueueSize <= 0 {
 		opts.QueueSize = 16
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = time.Second
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
-	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 8 << 20
-	}
 	if opts.SSEHeartbeat <= 0 {
 		opts.SSEHeartbeat = 15 * time.Second
-	}
-	if opts.WebhookTimeout <= 0 {
-		opts.WebhookTimeout = 10 * time.Second
-	}
-	if opts.WebhookMaxAttempts <= 0 {
-		opts.WebhookMaxAttempts = 3
 	}
 	cache, err := NewCache(opts.CacheSize, opts.CacheDir)
 	if err != nil {
@@ -321,10 +286,7 @@ func New(opts Options) (*Server, error) {
 	s.webhooks = newWebhookNotifier(s.met, opts)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if s.opts.Run == nil {
-		s.opts.Run = s.runPipeline
-	}
-	if s.opts.WrapRun != nil {
-		s.opts.Run = s.opts.WrapRun(s.opts.Run)
+		s.opts.Run = Pipeline(opts.PipelineWorkers)
 	}
 	if len(pending) > 0 {
 		s.recoverJobs(pending)
@@ -608,7 +570,7 @@ type ending int
 
 const (
 	endDone      ending = iota // the run returned a clean summary
-	endFailed                  // the run failed, or the journal replayed it MaxAttempts times
+	endFailed                  // the run failed, or the journal replayed it maxAttempts times
 	endRequeued                // a draining server hands the job back to the journal
 	endCached                  // an existing cache entry answers the job; nothing ran
 	endRecovered               // the same, found while replaying the journal in New
@@ -675,7 +637,7 @@ func (s *Server) finish(job *Job, how ending, sum core.Summary, err error) {
 	job.emit(status)
 	close(job.done)
 	if ended {
-		s.webhooks.notify(s, job)
+		s.webhooks.notify(job)
 	}
 }
 
@@ -688,20 +650,23 @@ func (s *Server) unregister(job *Job) {
 	s.mu.Unlock()
 }
 
-// runPipeline is the default RunFunc: the real Panorama stack, mapper
-// selected by name exactly as in the CLIs.
-func (s *Server) runPipeline(ctx context.Context, job *Job) (core.Summary, error) {
-	res, err := s.mapJob(ctx, job)
-	if res == nil {
-		return core.Summary{}, err
+// Pipeline is the default RunFunc: the real Panorama stack, mapper
+// selected by name exactly as in the CLIs, each pipeline on a worker
+// pool of the given width (core.Config.Workers).
+func Pipeline(workers int) RunFunc {
+	return func(ctx context.Context, job *Job) (core.Summary, error) {
+		res, err := mapJob(ctx, job, workers)
+		if res == nil {
+			return core.Summary{}, err
+		}
+		return res.Summarize(), err
 	}
-	return res.Summarize(), err
 }
 
 // mapJob runs the job's mapper over its (possibly shared, read-only)
 // graph and architecture and returns the full result, mapping
 // included.
-func (s *Server) mapJob(ctx context.Context, job *Job) (*core.Result, error) {
+func mapJob(ctx context.Context, job *Job, workers int) (*core.Result, error) {
 	tr := job.startTrace()
 	ctx = obs.WithSpan(ctx, tr.Root())
 	defer tr.Root().End()
@@ -710,7 +675,7 @@ func (s *Server) mapJob(ctx context.Context, job *Job) (*core.Result, error) {
 	cfg := core.Config{
 		Seed:           job.Seed,
 		RelaxOnFailure: true,
-		Workers:        s.opts.PipelineWorkers,
+		Workers:        workers,
 		Budgets:        job.Budgets,
 	}
 	return core.MapByName(ctx, req.graph, req.arch, job.Mapper, cfg)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -108,9 +109,8 @@ func TestEndToEndCacheHit(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	release := make(chan struct{})
 	srv, err := New(Options{
-		Workers:    1,
-		QueueSize:  1,
-		RetryAfter: 2 * time.Second,
+		Workers:   1,
+		QueueSize: 1,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 			select {
 			case <-release:
@@ -158,8 +158,8 @@ func TestAdmissionControl(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded submission: status %d, want 429", code)
 	}
-	if hdr.Get("Retry-After") != "2" {
-		t.Fatalf("Retry-After = %q, want %q", hdr.Get("Retry-After"), "2")
+	if hdr.Get("Retry-After") != "1" {
+		t.Fatalf("Retry-After = %q, want %q", hdr.Get("Retry-After"), "1")
 	}
 	if st := srv.Stats(); st.Rejected != 1 {
 		t.Fatalf("stats rejected=%d, want 1", st.Rejected)
@@ -316,6 +316,49 @@ func TestTypedFailureStatusCodes(t *testing.T) {
 	}
 	if st.Completed != 0 {
 		t.Fatalf("completed=%d, want 0", st.Completed)
+	}
+}
+
+// A request's timeoutMS may lower the operator's budget, never raise
+// it: an over-limit timeoutMS resolves exactly like none at all, so a
+// client cannot pin a worker past Options.Budgets.Total.
+func TestTimeoutMSCannotRaiseBudget(t *testing.T) {
+	const total = 2 * time.Second
+	srv, err := New(Options{Workers: 1, Budgets: core.Budgets{Total: total},
+		Run: func(ctx context.Context, job *Job) (core.Summary, error) { return core.Summary{}, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	base := Request{Kernel: "fir", Scale: 0.1, Arch: "4x4", Mapper: "ultrafast", Seed: 1}
+	resolveWith := func(ms int64) *resolved {
+		req := base
+		req.TimeoutMS = ms
+		return mustResolve(t, srv, req)
+	}
+	none := resolveWith(0)
+	if none.budgets.Total != total {
+		t.Fatalf("no timeoutMS: Total %v, want %v", none.budgets.Total, total)
+	}
+	for _, ms := range []int64{total.Milliseconds(), total.Milliseconds() + 1, 86_400_000, 1 << 62} {
+		if got := resolveWith(ms); got.fingerprint != none.fingerprint || got.budgets != none.budgets {
+			t.Errorf("timeoutMS %d: budgets %+v fingerprint %s, want %+v %s", ms, got.budgets, got.fingerprint, none.budgets, none.fingerprint)
+		}
+	}
+	if got := resolveWith(500); got.budgets.Total != 500*time.Millisecond || got.fingerprint == none.fingerprint {
+		t.Errorf("timeoutMS 500: budgets %+v fingerprint %s, want a lowered 500ms budget under its own key", got.budgets, got.fingerprint)
+	}
+
+	// Under an unbounded operator budget any timeoutMS lowers it, but
+	// one past the largest Duration cannot wrap into some other budget.
+	srv.opts.Budgets = core.Budgets{}
+	for _, ms := range []int64{1 << 62, math.MaxInt64} {
+		if got := resolveWith(ms); got.budgets.Total != 0 {
+			t.Errorf("unbounded server, timeoutMS %d: Total %v, want 0 (unbounded)", ms, got.budgets.Total)
+		}
+	}
+	if got := resolveWith(86_400_000); got.budgets.Total != 24*time.Hour {
+		t.Errorf("unbounded server, timeoutMS 86400000: Total %v, want 24h", got.budgets.Total)
 	}
 }
 

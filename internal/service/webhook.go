@@ -25,6 +25,13 @@ const HeaderWebhookSignature = "X-Panorama-Signature"
 // so receivers can route without parsing the body.
 const HeaderWebhookEvent = "X-Panorama-Event"
 
+// Delivery bounds: one attempt may take webhookTimeout, and an event
+// is abandoned (and counted failed) after webhookMaxAttempts attempts.
+const (
+	webhookTimeout     = 10 * time.Second
+	webhookMaxAttempts = 3
+)
+
 // webhookQueueSize bounds undelivered webhook events; beyond it new
 // events are dropped (and counted) rather than blocking job
 // completion — delivery is at-most-once by design.
@@ -37,7 +44,6 @@ type WebhookPayload struct {
 }
 
 type webhookEvent struct {
-	url   string
 	event string
 	body  []byte
 }
@@ -49,12 +55,10 @@ type webhookEvent struct {
 // starts once the first event is queued, so servers without webhooks
 // (most tests) never pay for one.
 type webhookNotifier struct {
-	met         *metrics
-	url         string
-	secret      string
-	timeout     time.Duration
-	maxAttempts int
-	client      *http.Client
+	met    *metrics
+	url    string
+	secret string
+	client *http.Client
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -62,29 +66,22 @@ type webhookNotifier struct {
 	done      chan struct{}
 }
 
-// newWebhookNotifier wires a notifier from already-defaulted Options.
+// newWebhookNotifier wires a notifier from Options.
 func newWebhookNotifier(met *metrics, opts Options) *webhookNotifier {
 	return &webhookNotifier{
-		met:         met,
-		url:         opts.WebhookURL,
-		secret:      opts.WebhookSecret,
-		timeout:     opts.WebhookTimeout,
-		maxAttempts: opts.WebhookMaxAttempts,
-		client:      &http.Client{},
-		queue:       make(chan webhookEvent, webhookQueueSize),
-		done:        make(chan struct{}),
+		met:    met,
+		url:    opts.WebhookURL,
+		secret: opts.WebhookSecret,
+		client: &http.Client{},
+		queue:  make(chan webhookEvent, webhookQueueSize),
+		done:   make(chan struct{}),
 	}
 }
 
-// notify queues a completion event for job if a destination is
-// configured (per-request webhook wins over the server-wide URL).
-// Never blocks: a full queue drops the event and counts the drop.
-func (n *webhookNotifier) notify(s *Server, job *Job) {
-	dest := job.req.webhook
-	if dest == "" {
-		dest = n.url
-	}
-	if dest == "" {
+// notify queues a completion event for job if Options.WebhookURL is
+// set. Never blocks: a full queue drops the event and counts the drop.
+func (n *webhookNotifier) notify(job *Job) {
+	if n.url == "" {
 		return
 	}
 	event := "job.done"
@@ -99,7 +96,7 @@ func (n *webhookNotifier) notify(s *Server, job *Job) {
 	}
 	n.startOnce.Do(func() { go n.run() })
 	select {
-	case n.queue <- webhookEvent{url: dest, event: event, body: body}:
+	case n.queue <- webhookEvent{event: event, body: body}:
 	default:
 		n.met.webhookDropped.Inc()
 	}
@@ -122,9 +119,9 @@ func (n *webhookNotifier) deliver(ev webhookEvent) {
 			n.met.webhookSent.Inc()
 			return
 		}
-		if attempt >= n.maxAttempts {
+		if attempt >= webhookMaxAttempts {
 			n.met.webhookFailed.Inc()
-			log.Printf("service: webhook %s: giving up after %d attempt(s): %v", ev.url, attempt, err)
+			log.Printf("service: webhook %s: giving up after %d attempt(s): %v", n.url, attempt, err)
 			return
 		}
 		n.met.webhookRetried.Inc()
@@ -135,9 +132,9 @@ func (n *webhookNotifier) deliver(ev webhookEvent) {
 // post performs one signed delivery attempt; any non-2xx answer is an
 // error (and retried).
 func (n *webhookNotifier) post(ev webhookEvent) error {
-	ctx, cancel := context.WithTimeout(context.Background(), n.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), webhookTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ev.url, bytes.NewReader(ev.body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.url, bytes.NewReader(ev.body))
 	if err != nil {
 		return err
 	}

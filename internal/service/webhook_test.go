@@ -108,9 +108,7 @@ func TestWebhookOnCompleteSigned(t *testing.T) {
 }
 
 // Failed deliveries climb the retry ladder and succeed without
-// dropping the event; a failed
-// job fires a job.failed event; per-request webhooks override the
-// server-wide destination.
+// dropping the event; a failed job fires a job.failed event.
 func TestWebhookRetryAndFailureEvent(t *testing.T) {
 	sink := &webhookSink{failFirst: 2}
 	recv := httptest.NewServer(sink.handler())
@@ -120,16 +118,14 @@ func TestWebhookRetryAndFailureEvent(t *testing.T) {
 		return core.Summary{}, fmt.Errorf("%w: nope", failure.ErrInfeasible)
 	}
 	srv, err := New(Options{Workers: 1, QueueSize: 4, Run: run,
-		WebhookSecret: "s", WebhookMaxAttempts: 5})
+		WebhookURL: recv.URL, WebhookSecret: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// No server-wide URL: the request names its own webhook.
-	body := fmt.Sprintf(`{"kernel":"fir","scale":0.1,"arch":"4x4","mapper":"ultrafast","seed":2,"wait":true,"webhook":%q}`, recv.URL)
-	code, _ := postMap(t, ts.URL, body)
+	code, _ := postMap(t, ts.URL, `{"kernel":"fir","scale":0.1,"arch":"4x4","mapper":"ultrafast","seed":2,"wait":true}`)
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("map: status %d, want 422", code)
 	}
@@ -142,8 +138,8 @@ func TestWebhookRetryAndFailureEvent(t *testing.T) {
 	if event != "job.failed" {
 		t.Errorf("event header %q, want job.failed", event)
 	}
-	if delivered != 1 || attempts != 3 {
-		t.Errorf("delivered=%d attempts=%d, want 1 delivery on the 3rd attempt", delivered, attempts)
+	if delivered != 1 || attempts != webhookMaxAttempts {
+		t.Errorf("delivered=%d attempts=%d, want 1 delivery on the last (%d) attempt", delivered, attempts, webhookMaxAttempts)
 	}
 
 	if err := srv.Shutdown(context.Background()); err != nil {
@@ -154,50 +150,84 @@ func TestWebhookRetryAndFailureEvent(t *testing.T) {
 		t.Errorf("webhook stats sent=%d retried=%d failed=%d, want 1/2/0",
 			st.WebhooksSent, st.WebhooksRetried, st.WebhooksFailed)
 	}
-	// The webhook URL is delivery metadata: it must not have changed
-	// the fingerprint. The same request without it coalesces onto the
-	// cached failure... (failures aren't cached, so just recheck the
-	// fingerprint directly).
-	resNo, err := srv.resolve(&Request{Kernel: "fir", Scale: 0.1, Arch: "4x4", Mapper: "ultrafast", Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resWith, err := srv.resolve(&Request{Kernel: "fir", Scale: 0.1, Arch: "4x4", Mapper: "ultrafast", Seed: 2, Webhook: recv.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resNo.fingerprint != resWith.fingerprint {
-		t.Error("webhook URL leaked into the fingerprint")
-	}
 }
 
-// Shutdown drains queued webhook deliveries before returning, and a
-// dead receiver exhausts the ladder into webhookFailed rather than
-// wedging shutdown.
-func TestWebhookShutdownDrainAndGiveUp(t *testing.T) {
+// A request cannot name its own webhook: only the operator's
+// WebhookURL, signed with the operator's secret, is ever posted to.
+// The field is unknown, so the request is a 400 and nothing is sent.
+func TestWebhookRequestFieldRejected(t *testing.T) {
+	sink := &webhookSink{}
+	recv := httptest.NewServer(sink.handler())
+	defer recv.Close()
 	run := func(ctx context.Context, job *Job) (core.Summary, error) {
 		return core.Summary{Kernel: "k", Success: true}, nil
 	}
-	srv, err := New(Options{Workers: 1, QueueSize: 4, Run: run,
-		WebhookURL:         "http://127.0.0.1:1/hook",
-		WebhookMaxAttempts: 2, WebhookTimeout: 500 * time.Millisecond})
+	srv, err := New(Options{Workers: 1, QueueSize: 4, Run: run, WebhookSecret: "operator-secret"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	code, _ := postMap(t, ts.URL, `{"kernel":"fir","scale":0.1,"arch":"4x4","mapper":"ultrafast","seed":3,"wait":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("map: status %d", code)
+
+	body := fmt.Sprintf(`{"kernel":"fir","scale":0.1,"arch":"4x4","mapper":"ultrafast","seed":4,"wait":true,"webhook":%q}`, recv.URL)
+	if code, _ := postMap(t, ts.URL, body); code != http.StatusBadRequest {
+		t.Fatalf("request naming a webhook: status %d, want 400", code)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	// Shutdown drains the webhook queue, so a POST would have landed.
+	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.WebhooksFailed != 1 || st.WebhooksRetried != 1 {
-		t.Errorf("webhook stats failed=%d retried=%d, want 1/1", st.WebhooksFailed, st.WebhooksRetried)
+	if n := sink.attempts.Load(); n != 0 {
+		t.Fatalf("receiver named by the request got %d POST(s), want 0", n)
+	}
+	if st := srv.Stats(); st.Executed != 0 || st.WebhooksSent != 0 {
+		t.Errorf("executed=%d webhooksSent=%d, want 0/0", st.Executed, st.WebhooksSent)
+	}
+}
+
+// Shutdown drains queued webhook deliveries before returning, and a
+// receiver that keeps failing — with a 500, or with a refused
+// connection at a dead address — exhausts the ladder into
+// webhookFailed rather than wedging shutdown.
+func TestWebhookShutdownDrainAndGiveUp(t *testing.T) {
+	sink := &webhookSink{failFirst: 1 << 30}
+	recv := httptest.NewServer(sink.handler())
+	defer recv.Close()
+	for _, tc := range []struct {
+		name, url string
+		attempts  int64 // POSTs the receiver sees
+	}{
+		{"status-500", recv.URL, webhookMaxAttempts},
+		{"dead-address", "http://127.0.0.1:1/hook", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := sink.attempts.Load()
+			run := func(ctx context.Context, job *Job) (core.Summary, error) {
+				return core.Summary{Kernel: "k", Success: true}, nil
+			}
+			srv, err := New(Options{Workers: 1, QueueSize: 4, Run: run, WebhookURL: tc.url})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			code, _ := postMap(t, ts.URL, `{"kernel":"fir","scale":0.1,"arch":"4x4","mapper":"ultrafast","seed":3,"wait":true}`)
+			if code != http.StatusOK {
+				t.Fatalf("map: status %d", code)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			st := srv.Stats()
+			if st.WebhooksFailed != 1 || st.WebhooksRetried != webhookMaxAttempts-1 {
+				t.Errorf("webhook stats failed=%d retried=%d, want 1/%d", st.WebhooksFailed, st.WebhooksRetried, webhookMaxAttempts-1)
+			}
+			if n := sink.attempts.Load() - before; n != tc.attempts {
+				t.Errorf("receiver saw %d attempts, want %d", n, tc.attempts)
+			}
+		})
 	}
 }
 
