@@ -15,8 +15,9 @@ FUZZTIME ?= 10s
 # instrumentation allocates: TestResolveAllocs in internal/service,
 # TestTransferProbeDoesNotAllocate and
 # TestMapAllocationsDoNotScaleWithAttempts in internal/ultrafast,
-# TestSearchSinkDoesNotAllocate in internal/spr — all four also run in
-# plain `go test ./...`), the full-scale eigensolver oracle (minutes
+# TestSearchSinkDoesNotAllocate in internal/spr,
+# TestSolveAllocationsDoNotScaleWithNodes in internal/ilp — all five
+# also run in plain `go test ./...`), the full-scale eigensolver oracle (minutes
 # under it) and the II ensemble golden (192 mapper runs; it skips
 # under the detector). Every `-race` line of the check-* targets below
 # is a subset of `race` — the fault-injection matrix, the service-layer
@@ -85,7 +86,7 @@ check-obs: check-overhead
 # detector — the checks `race` does not subsume.
 check-overhead:
 	$(GO) test -run 'TestNoopOverhead|TestTraceOverheadBounded|TestStageSpansSumToWallTime' ./internal/core/
-	$(GO) test -run 'TestResolveAllocs|TestTransferProbeDoesNotAllocate|TestMapAllocationsDoNotScaleWithAttempts|TestSearchSinkDoesNotAllocate' ./internal/service/ ./internal/ultrafast/ ./internal/spr/
+	$(GO) test -run 'TestResolveAllocs|TestTransferProbeDoesNotAllocate|TestMapAllocationsDoNotScaleWithAttempts|TestSearchSinkDoesNotAllocate|TestSolveAllocationsDoNotScaleWithNodes' ./internal/service/ ./internal/ultrafast/ ./internal/spr/ ./internal/ilp/
 
 # The eigensolver's bit-for-bit oracle on hand-shaped matrices, the
 # twelve kernels at scales 0.25 and 0.5, and the benchmark's full-scale

@@ -14,6 +14,19 @@
 // node ends at the fixpoint (or wipe-out) a sweep of all constraints
 // would reach and the search tree is that sweep's; the sweep survives
 // as the oracle of the package's tests, which hold Result.Nodes equal.
+//
+// Propagation is also activity-based: each constraint's minimum
+// activity (its left-hand side at the bounds that minimise it) and the
+// objective's lower bound are kept up to date as bounds move — a bound
+// that moves by d adds |coef|·d to every constraint watching it — and
+// restored with the bounds on backtrack. Examining a constraint then
+// takes slack = rhs − minimum activity once, and moves a term's bound
+// only when |coef|·(hi−lo) > slack, to lo + slack/coef or
+// hi − slack/|coef|. For slack ≥ 0 that is exactly the floor/ceil of
+// the residual a from-scratch sum would divide, everything is integer
+// arithmetic, and the queue and its order are unchanged, so every
+// solve explores the same nodes, examines the same constraints and
+// returns the same answer as the from-scratch sums the oracle keeps.
 package ilp
 
 import "fmt"

@@ -10,12 +10,14 @@ import (
 )
 
 // The equivalence oracle. refSolver is the solver as it stood before
-// propagation became event-driven: the same dfs (bound, branching
-// variable, value order — it calls the live methods for those, so the
-// oracle tracks them), over the full-sweep fixpoint loop kept verbatim
-// below. The live solver must explore the very same tree: equal Status,
-// Feasible, Objective, Assign and Nodes on every model and under every
-// node budget.
+// propagation became event-driven and before it kept activities: the
+// same dfs (bound, branching variable, value order), over the
+// full-sweep fixpoint loop kept verbatim below. It sums every
+// constraint's minimum, the objective bound and the value order afresh
+// where it needs them (only pickBranchVar is the live method), so it
+// never reads the live solver's incremental state. The live solver
+// must explore the very same tree: equal Status, Feasible, Objective,
+// Assign and Nodes on every model and under every node budget.
 
 // refPassCap is the sweep cap of the old loop. Equivalence is defined
 // only below it: a capped sweep stops short of the fixpoint, which the
@@ -154,6 +156,57 @@ func (s *refSolver) propagate() bool {
 	return true
 }
 
+// objLowerBound returns an optimistic (minimum possible) objective for
+// the current domains.
+func (s *refSolver) objLowerBound() int {
+	lb := 0
+	for _, t := range s.m.obj {
+		lb += minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
+	}
+	return lb
+}
+
+// valueOrder enumerates the domain of v, trying the objective-friendly
+// end first.
+func (s *refSolver) valueOrder(v int) []int {
+	coef := 0
+	for _, t := range s.m.obj {
+		if int(t.Var) == v {
+			coef += t.Coef
+		}
+	}
+	n := s.hi[v] - s.lo[v] + 1
+	vals := make([]int, n)
+	if coef > 0 {
+		for i := range vals {
+			vals[i] = s.lo[v] + i
+		}
+	} else {
+		for i := range vals {
+			vals[i] = s.hi[v] - i
+		}
+	}
+	return vals
+}
+
+// floorDiv returns floor(a/b) for b != 0.
+func floorDiv(a, b int) int {
+	q := a / b
+	if (a%b != 0) && ((a < 0) != (b < 0)) {
+		q--
+	}
+	return q
+}
+
+// ceilDiv returns ceil(a/b) for b != 0.
+func ceilDiv(a, b int) int {
+	q := a / b
+	if (a%b != 0) && ((a < 0) == (b < 0)) {
+		q++
+	}
+	return q
+}
+
 // randomModel draws a small model with everything the propagators
 // distinguish: both coefficient signs, zero coefficients, equalities
 // (two opposed rows), AbsVar pairs, a variable repeated inside one
@@ -244,6 +297,77 @@ func splitShaped(rng *rand.Rand) *Model {
 	return m
 }
 
+// rowShaped draws a model of the shape clustermap's row scatter builds,
+// the one that explores most of the pipeline's nodes: binary v_i_c
+// (node i covers column c) with an equality on each node's span, the
+// covered-gap-covered contiguity triples, per-column capacity rows,
+// AbsVar column balance with aux domains far wider than the load, the
+// scaled centre distance of each free pair (whose column-0 terms have
+// coefficient zero), and fixed-partner distances as objective terms on
+// the v_i_c themselves. About one model in twenty is infeasible, as a
+// row with too little capacity is.
+func rowShaped(rng *rand.Rand) *Model {
+	m := NewModel()
+	k, c := 2+rng.Intn(3), 3+rng.Intn(3)
+	v := make([][]VarID, k)
+	spans, share := make([]int, k), make([]int, k)
+	load := 0
+	for i := range v {
+		spans[i], share[i] = 1+rng.Intn(c), 1+rng.Intn(6)
+		load += share[i] * spans[i]
+		v[i] = make([]VarID, c)
+		var span Expr
+		for col := range v[i] {
+			v[i][col] = m.Binary(fmt.Sprintf("v_%d_%d", i, col))
+			span = span.Plus(v[i][col], 1)
+		}
+		m.AddEQ(span, spans[i], "span")
+		for c1 := 0; c1 < c; c1++ {
+			for c2 := c1 + 1; c2 < c; c2++ {
+				for c3 := c2 + 1; c3 < c; c3++ {
+					m.AddLE(NewExpr(Term{v[i][c1], 1}, Term{v[i][c2], -1}, Term{v[i][c3], 1}), 1, "contig")
+				}
+			}
+		}
+	}
+	var obj Expr
+	target := load / c
+	capacity := target + 2 + rng.Intn(8)
+	for col := 0; col < c; col++ {
+		var e Expr
+		for i := range v {
+			e = e.Plus(v[i][col], share[i])
+		}
+		m.AddLE(e, capacity, "capacity")
+		obj = obj.Plus(m.AbsVar("bal", e.PlusConst(-target), load+target), 3)
+	}
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			var e Expr
+			for col := 0; col < c; col++ {
+				e = e.Plus(v[i][col], col*spans[j]).Plus(v[j][col], -col*spans[i])
+			}
+			obj = obj.Plus(m.AbsVar("d", e, (c-1)*spans[i]*spans[j]+1), 1+rng.Intn(3))
+		}
+	}
+	for i := range v {
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		partner, weight := rng.Intn(c), 1+rng.Intn(3)
+		for col := 0; col < c; col++ {
+			if d := col - partner; d != 0 {
+				obj = obj.Plus(v[i][col], weight*max(d, -d))
+			}
+		}
+	}
+	m.Minimize(obj)
+	return m
+}
+
 func TestPropagationMatchesFullSweepOracle(t *testing.T) {
 	check := func(t *testing.T, name string, m *Model) (got, want int) {
 		t.Helper()
@@ -286,5 +410,18 @@ func TestPropagationMatchesFullSweepOracle(t *testing.T) {
 			got, want = got+g, want+w
 		}
 		t.Logf("constraints examined: event-driven %d, full sweep %d (%.1fx fewer)", got, want, float64(want)/float64(got))
+	})
+	t.Run("rowscatter-shaped", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(50))
+		status := map[Status]int{}
+		for i := 0; i < 150; i++ {
+			m := rowShaped(rng)
+			check(t, fmt.Sprintf("row %d", i), m)
+			status[m.Solve(Options{}).Status]++
+		}
+		t.Logf("statuses %v", status)
+		if status[Infeasible] < 5 || status[Optimal] < 50 {
+			t.Fatalf("the generator should mix feasible and infeasible rows, got %v", status)
+		}
 	})
 }

@@ -62,7 +62,8 @@ func (r *Result) Value(v VarID) int { return r.Assign[v] }
 type solver struct {
 	m        *Model
 	lo, hi   []int
-	trail    []int // lo then hi of every open node, root first; reused, so a solve allocates per depth reached, not per node
+	trail    []int // lo, hi, minAct and objAct of every open node, root first; reused, so a solve allocates per depth reached, not per node
+	stride   int   // trail entries per open node
 	best     int
 	bestAsg  []int
 	feasible bool
@@ -70,15 +71,33 @@ type solver struct {
 	maxNodes int
 
 	// watchLo[v] lists the constraints whose minimum reads lo[v] (v has a
-	// positive coefficient there), watchHi[v] those reading hi[v]; queue
-	// is the FIFO of constraints to examine, queued flags its members.
-	watchLo, watchHi [][]int32
+	// positive coefficient there), watchHi[v] those reading hi[v], one
+	// entry per term; queue is the FIFO of constraints to examine,
+	// queued flags its members.
+	watchLo, watchHi [][]watchEntry
 	queue            []int32
 	queued           []bool
 	props            int // constraints examined
 
+	// minAct[ci] is the minimum of constraint ci's left-hand side over
+	// the current domains, objAct that of the objective; both move with
+	// every bound. objUp[v] and objDown[v] sum v's positive and
+	// |negative| objective coefficients: what a unit rise of lo[v], or
+	// fall of hi[v], adds to objAct.
+	minAct         []int
+	objAct         int
+	objUp, objDown []int
+
 	ctx     context.Context
 	stopped bool // ctx fired mid-search
+}
+
+// watchEntry is one term's entry in a watch list: the constraint, and the
+// magnitude of the term's coefficient, which scales what a move of the
+// watched bound adds to that constraint's minimum activity.
+type watchEntry struct {
+	ci  int32
+	mag int
 }
 
 // deadlineCheckInterval bounds how many branch-and-bound nodes may be
@@ -148,29 +167,64 @@ func (s *solver) checkBudgets() {
 	}
 }
 
-// watch builds the per-variable watch lists, once per solve.
+// watch builds the per-variable watch lists and the objective's
+// per-variable coefficient sums, and sums the root's activities, once
+// per solve.
 func (s *solver) watch() {
-	s.watchLo = make([][]int32, len(s.lo))
-	s.watchHi = make([][]int32, len(s.lo))
-	s.queued = make([]bool, len(s.m.cons))
+	n, nc := len(s.lo), len(s.m.cons)
+	s.watchLo = make([][]watchEntry, n)
+	s.watchHi = make([][]watchEntry, n)
+	s.queue = make([]int32, 0, nc)
+	s.queued = make([]bool, nc)
+	s.minAct = make([]int, nc)
 	for ci, c := range s.m.cons {
 		for _, t := range c.terms {
 			if t.Coef > 0 {
-				s.watchLo[t.Var] = append(s.watchLo[t.Var], int32(ci))
+				s.watchLo[t.Var] = append(s.watchLo[t.Var], watchEntry{int32(ci), t.Coef})
 			} else if t.Coef < 0 {
-				s.watchHi[t.Var] = append(s.watchHi[t.Var], int32(ci))
+				s.watchHi[t.Var] = append(s.watchHi[t.Var], watchEntry{int32(ci), -t.Coef})
 			}
+			s.minAct[ci] += minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
 		}
 	}
+	s.objUp = make([]int, n)
+	s.objDown = make([]int, n)
+	for _, t := range s.m.obj {
+		if t.Coef > 0 {
+			s.objUp[t.Var] += t.Coef
+		} else {
+			s.objDown[t.Var] -= t.Coef
+		}
+		s.objAct += minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
+	}
+	s.stride = 2*n + nc + 1
 }
 
-// enqueue marks the constraints cs for re-examination.
-func (s *solver) enqueue(cs []int32) {
-	for _, ci := range cs {
-		if !s.queued[ci] {
-			s.queued[ci] = true
-			s.queue = append(s.queue, ci)
-		}
+// raisedLo accounts for lo[v] having risen by d: the minimum activity
+// of every constraint reading it grows, and each is queued.
+func (s *solver) raisedLo(v, d int) {
+	for _, w := range s.watchLo[v] {
+		s.minAct[w.ci] += w.mag * d
+		s.enqueue(w.ci)
+	}
+	s.objAct += s.objUp[v] * d
+}
+
+// loweredHi accounts for hi[v] having fallen by d, as raisedLo does
+// for lo.
+func (s *solver) loweredHi(v, d int) {
+	for _, w := range s.watchHi[v] {
+		s.minAct[w.ci] += w.mag * d
+		s.enqueue(w.ci)
+	}
+	s.objAct += s.objDown[v] * d
+}
+
+// enqueue marks constraint ci for re-examination.
+func (s *solver) enqueue(ci int32) {
+	if !s.queued[ci] {
+		s.queued[ci] = true
+		s.queue = append(s.queue, ci)
 	}
 }
 
@@ -193,45 +247,52 @@ func (s *solver) dfs(branched int) {
 			s.queue, s.queued[ci] = append(s.queue, int32(ci)), true
 		}
 	} else {
-		n := len(s.lo)
-		was := s.trail[len(s.trail)-2*n:] // the parent's lo, then its hi
-		if s.lo[branched] > was[branched] {
-			s.enqueue(s.watchLo[branched])
+		was := s.trail[len(s.trail)-s.stride:] // the parent's lo, then its hi
+		if d := s.lo[branched] - was[branched]; d > 0 {
+			s.raisedLo(branched, d)
 		}
-		if s.hi[branched] < was[n+branched] {
-			s.enqueue(s.watchHi[branched])
+		if d := was[len(s.lo)+branched] - s.hi[branched]; d > 0 {
+			s.loweredHi(branched, d)
 		}
 	}
 	if !s.propagate() {
 		return
 	}
-	if s.objLowerBound() >= s.best && s.feasible {
+	if s.objAct >= s.best && s.feasible {
 		return
 	}
 	branch := s.pickBranchVar()
 	if branch < 0 {
-		// All variables fixed: feasibility was proven by propagation.
-		obj := 0
-		for _, t := range s.m.obj {
-			obj += t.Coef * s.lo[t.Var]
-		}
-		if obj < s.best || !s.feasible {
+		// All variables fixed: feasibility was proven by propagation,
+		// and the objective's minimum is its value.
+		if obj := s.objAct; obj < s.best || !s.feasible {
 			if obj < s.best {
 				s.best = obj
 			}
 			s.feasible = true
-			s.bestAsg = append([]int(nil), s.lo...)
+			s.bestAsg = append(s.bestAsg[:0], s.lo...)
 		}
 		return
 	}
 
-	n, base := len(s.lo), len(s.trail)
-	s.trail = append(append(s.trail, s.lo...), s.hi...)
-	for _, val := range s.valueOrder(branch) {
+	// Save this node, then try the objective-friendly end of the
+	// branching variable's domain first.
+	base := len(s.trail)
+	s.trail = append(append(append(append(s.trail, s.lo...), s.hi...), s.minAct...), s.objAct)
+	lo, hi := s.lo[branch], s.hi[branch]
+	up := s.objUp[branch] > s.objDown[branch]
+	for k := 0; k <= hi-lo; k++ {
+		val := hi - k
+		if up {
+			val = lo + k
+		}
 		s.lo[branch], s.hi[branch] = val, val
-		s.dfs(branch) // may grow s.trail, so the saved bounds are re-sliced, not held
-		copy(s.lo, s.trail[base:base+n])
-		copy(s.hi, s.trail[base+n:base+2*n])
+		s.dfs(branch) // may grow s.trail, so the saved node is re-sliced, not held
+		saved := s.trail[base : base+s.stride]
+		n := copy(s.lo, saved)
+		n += copy(s.hi, saved[n:])
+		n += copy(s.minAct, saved[n:])
+		s.objAct = saved[n]
 		if s.stopped || s.nodes >= s.maxNodes {
 			break
 		}
@@ -240,19 +301,18 @@ func (s *solver) dfs(branched int) {
 }
 
 // propagate examines queued constraints, and those they disturb, until
-// the queue is empty; it returns false on a wipe-out. minSum is
-// recomputed at every examination, so backtracking restores lo and hi
-// and nothing else. Monotone propagators make the fixpoint, and whether
-// a wipe-out precedes it, independent of examination order. No pass cap
-// is needed: each tightening moves an integer bound of a finite domain
-// by at least one, so the queue drains.
+// the queue is empty; it returns false on a wipe-out. Monotone
+// propagators make the fixpoint, and whether a wipe-out precedes it,
+// independent of examination order. No pass cap is needed: each
+// tightening moves an integer bound of a finite domain by at least
+// one, so the queue drains.
 func (s *solver) propagate() bool {
 	ok := true
 	for head := 0; ok && head < len(s.queue); head++ {
 		ci := s.queue[head]
 		s.queued[ci] = false
 		s.props++
-		ok = s.examine(&s.m.cons[ci])
+		ok = s.examine(ci)
 	}
 	if !ok {
 		clear(s.queued) // the constraints still waiting are abandoned with the node
@@ -261,55 +321,38 @@ func (s *solver) propagate() bool {
 	return ok
 }
 
-// examine tightens the bounds of c's variables against its right-hand
-// side and queues the constraints reading a bound it moved; it returns
-// false when c cannot hold or a domain empties.
-func (s *solver) examine(c *constraint) bool {
-	minSum := 0
-	for _, t := range c.terms {
-		minSum += minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
-	}
-	if minSum > c.rhs {
+// examine tightens the bounds of constraint ci's variables against its
+// right-hand side and queues the constraints reading a bound it moved;
+// it returns false when ci cannot hold. With slack = rhs − minAct, a
+// term coef·x can take at most slack above its own minimum, so its
+// bound moves exactly when |coef|·(hi−lo) > slack. That is the
+// floor/ceil of the residual rhs − (minAct − own) over coef, with the
+// multiple of coef taken out: for slack ≥ 0 both give lo + slack/coef
+// (or hi − slack/|coef|), and the new bound never crosses the other, so
+// a domain cannot empty here. slack is taken once, on entry, as the
+// residual's sum was; a variable repeated in ci reads its bounds as
+// they stand when its term comes up.
+func (s *solver) examine(ci int32) bool {
+	slack := s.m.cons[ci].rhs - s.minAct[ci]
+	if slack < 0 {
 		return false
 	}
-	for _, t := range c.terms {
-		if t.Coef == 0 {
-			continue
-		}
-		own := minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
-		residual := c.rhs - (minSum - own)
-		// t.Coef * x <= residual
-		if t.Coef > 0 {
-			ub := floorDiv(residual, t.Coef)
-			if ub < s.hi[t.Var] {
-				s.hi[t.Var] = ub
-				if s.lo[t.Var] > ub {
-					return false
-				}
-				s.enqueue(s.watchHi[t.Var])
-			}
-		} else {
-			lb := ceilDiv(residual, t.Coef)
-			if lb > s.lo[t.Var] {
-				s.lo[t.Var] = lb
-				if lb > s.hi[t.Var] {
-					return false
-				}
-				s.enqueue(s.watchLo[t.Var])
-			}
+	for _, t := range s.m.cons[ci].terms {
+		v := int(t.Var)
+		switch {
+		case t.Coef > 0 && t.Coef*(s.hi[v]-s.lo[v]) > slack:
+			ub := s.lo[v] + slack/t.Coef
+			d := s.hi[v] - ub
+			s.hi[v] = ub
+			s.loweredHi(v, d)
+		case t.Coef < 0 && -t.Coef*(s.hi[v]-s.lo[v]) > slack:
+			lb := s.hi[v] - slack/-t.Coef
+			d := lb - s.lo[v]
+			s.lo[v] = lb
+			s.raisedLo(v, d)
 		}
 	}
 	return true
-}
-
-// objLowerBound returns an optimistic (minimum possible) objective for
-// the current domains.
-func (s *solver) objLowerBound() int {
-	lb := 0
-	for _, t := range s.m.obj {
-		lb += minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
-	}
-	return lb
 }
 
 // pickBranchVar returns the unfixed variable with the smallest domain,
@@ -328,51 +371,10 @@ func (s *solver) pickBranchVar() int {
 	return best
 }
 
-// valueOrder enumerates the domain of v, trying the objective-friendly
-// end first.
-func (s *solver) valueOrder(v int) []int {
-	coef := 0
-	for _, t := range s.m.obj {
-		if int(t.Var) == v {
-			coef += t.Coef
-		}
-	}
-	n := s.hi[v] - s.lo[v] + 1
-	vals := make([]int, n)
-	if coef > 0 {
-		for i := range vals {
-			vals[i] = s.lo[v] + i
-		}
-	} else {
-		for i := range vals {
-			vals[i] = s.hi[v] - i
-		}
-	}
-	return vals
-}
-
 // minProd returns the minimum of coef*x for x in [lo, hi].
 func minProd(coef, lo, hi int) int {
 	if coef >= 0 {
 		return coef * lo
 	}
 	return coef * hi
-}
-
-// floorDiv returns floor(a/b) for b != 0.
-func floorDiv(a, b int) int {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
-	}
-	return q
-}
-
-// ceilDiv returns ceil(a/b) for b != 0.
-func ceilDiv(a, b int) int {
-	q := a / b
-	if (a%b != 0) && ((a < 0) == (b < 0)) {
-		q++
-	}
-	return q
 }

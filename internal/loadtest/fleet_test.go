@@ -13,6 +13,10 @@ import (
 	"panorama/internal/service"
 )
 
+// fleetBudgets bounds every job of the fleet tests, as panoramad's
+// -timeout does: a peer forwards only a job with a budget.
+var fleetBudgets = core.Budgets{Total: time.Minute}
+
 // TestFleetSoak drives identical mixed workloads at every peer of a
 // 3-node ring concurrently — the worst case for duplication, since
 // all three origins mint the same cold specs near-simultaneously —
@@ -26,6 +30,7 @@ func TestFleetSoak(t *testing.T) {
 		Options: func(i int) service.Options {
 			opts := soakOptions()
 			opts.GossipInterval = 50 * time.Millisecond
+			opts.Budgets = fleetBudgets
 			return opts
 		},
 	})
@@ -152,7 +157,7 @@ func TestFleetOwnerKillMidJob(t *testing.T) {
 	f, err := NewFleet(FleetConfig{
 		N: 2,
 		Options: func(i int) service.Options {
-			return service.Options{Workers: 1, QueueSize: 8, Run: runs[i]}
+			return service.Options{Workers: 1, QueueSize: 8, Run: runs[i], Budgets: fleetBudgets}
 		},
 	})
 	if err != nil {
@@ -175,7 +180,7 @@ func TestFleetOwnerKillMidJob(t *testing.T) {
 	// same options shape: fingerprints are content-addressed, so the
 	// solo server resolves each candidate to the same fingerprint the
 	// fleet will.
-	solo, err := NewHarness(service.Options{Workers: 1, QueueSize: 8, Run: runs[0]})
+	solo, err := NewHarness(service.Options{Workers: 1, QueueSize: 8, Run: runs[0], Budgets: fleetBudgets})
 	if err != nil {
 		t.Fatalf("solo NewHarness: %v", err)
 	}
@@ -255,7 +260,7 @@ func TestScrapeFleetMatchesStats(t *testing.T) {
 	f, err := NewFleet(FleetConfig{
 		N: 2,
 		Options: func(i int) service.Options {
-			return service.Options{Workers: 1, QueueSize: 8,
+			return service.Options{Workers: 1, QueueSize: 8, Budgets: fleetBudgets,
 				Run: func(ctx context.Context, job *service.Job) (core.Summary, error) {
 					return core.Summary{Kernel: "stub", Success: true}, nil
 				}}

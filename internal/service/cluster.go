@@ -79,14 +79,17 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // shouldForward decides whether job's run belongs on another peer: the
-// ring must be live, the job must not itself be a forward (single hop),
-// and the owner must be a healthy remote peer.
+// ring must be live, the job must not itself be a forward (single hop)
+// and must have a budget, and the owner must be a healthy remote peer.
+// A job with no budget runs where it lands: its forward would have no
+// deadline, so an owner that accepts it and never answers would hold
+// the job and this worker forever.
 func (s *Server) shouldForward(job *Job) (string, bool) {
 	cl := s.opts.Cluster
 	if cl == nil || !cl.Enabled() {
 		return "", false
 	}
-	if job.Origin() != "" {
+	if job.Origin() != "" || job.Budgets.Total <= 0 {
 		return "", false
 	}
 	owner := cl.Owner(job.Fingerprint)
@@ -117,20 +120,17 @@ func forwardRequest(job *Job) ([]byte, error) {
 		Mapper:   job.Mapper,
 		Seed:     job.Seed,
 		Wait:     true,
-	}
-	if job.Budgets.Total > 0 {
-		wire.TimeoutMS = int64(job.Budgets.Total / time.Millisecond)
+		// Only a job with a budget is forwarded (see shouldForward).
+		TimeoutMS: int64(job.Budgets.Total / time.Millisecond),
 	}
 	return json.Marshal(&wire)
 }
 
 // forwardContext bounds a forward by the job's own budget: the owner
 // runs the job under the same Budgets.Total, so the forward may take
-// that long plus forwardGrace. An unbounded job forwards unbounded.
+// that long plus forwardGrace. Only a job with a budget is forwarded
+// (see shouldForward).
 func forwardContext(ctx context.Context, b core.Budgets) (context.Context, context.CancelFunc) {
-	if b.Total <= 0 {
-		return context.WithCancel(ctx)
-	}
 	return context.WithTimeout(ctx, b.Total+forwardGrace)
 }
 

@@ -28,6 +28,10 @@ type peerPair struct {
 	execA, execB atomic.Int64
 }
 
+// forwardBudgets bounds the jobs of the forwarding tests: only a job
+// with a budget is forwarded (see shouldForward).
+var forwardBudgets = core.Budgets{Total: time.Minute}
+
 func newPeerPair(t *testing.T, runB RunFunc) *peerPair {
 	t.Helper()
 	p := &peerPair{}
@@ -44,7 +48,7 @@ func newPeerPair(t *testing.T, runB RunFunc) *peerPair {
 				return inner(ctx, job)
 			}
 		}
-		srv, err := New(Options{Workers: 1, QueueSize: 16, Run: run, Cluster: cl})
+		srv, err := New(Options{Workers: 1, QueueSize: 16, Run: run, Cluster: cl, Budgets: forwardBudgets})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,16 +226,15 @@ func TestForwardOwnerDownFallback(t *testing.T) {
 	}
 }
 
-// An owner that accepts connections and never answers, once down, gets
-// no job: the origin serves every job it owns locally at once, and no
-// forward is attempted. (Its recovery runs on a background probe; see
-// internal/cluster's TestClusterHungPeerGetsNoJob.)
-func TestForwardHungOwnerServedLocally(t *testing.T) {
+// hungOwner listens on a loopback port, accepts every connection and
+// never answers. It returns the peer's URL and a func that closes the
+// listener and every held connection.
+func hungOwner(t *testing.T) (string, func()) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 	go func() {
 		var held []net.Conn // accepted, never answered
 		defer func() {
@@ -247,7 +250,16 @@ func TestForwardHungOwnerServedLocally(t *testing.T) {
 			held = append(held, conn)
 		}
 	}()
-	hung := "http://" + ln.Addr().String()
+	return "http://" + ln.Addr().String(), func() { ln.Close() }
+}
+
+// An owner that accepts connections and never answers, once down, gets
+// no job: the origin serves every job it owns locally at once, and no
+// forward is attempted. (Its recovery runs on a background probe; see
+// internal/cluster's TestClusterHungPeerGetsNoJob.)
+func TestForwardHungOwnerServedLocally(t *testing.T) {
+	hung, closeHung := hungOwner(t)
+	defer closeHung()
 
 	var execs atomic.Int64
 	run := func(ctx context.Context, job *Job) (core.Summary, error) {
@@ -255,7 +267,7 @@ func TestForwardHungOwnerServedLocally(t *testing.T) {
 		return core.Summary{Kernel: "ran-locally", Success: true}, nil
 	}
 	cl := cluster.New(cluster.Config{})
-	srv, err := New(Options{Workers: 1, QueueSize: 16, Run: run, Cluster: cl})
+	srv, err := New(Options{Workers: 1, QueueSize: 16, Run: run, Cluster: cl, Budgets: forwardBudgets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +302,56 @@ func TestForwardHungOwnerServedLocally(t *testing.T) {
 	}
 }
 
+// A job with no budget (panoramad -timeout 0) runs where it lands, even
+// when its owner reads healthy: its forward would have no deadline, so
+// an owner that accepts the connection and never answers would hold
+// the job and this worker forever.
+func TestForwardUnboundedJobServedLocally(t *testing.T) {
+	var execs atomic.Int64
+	run := func(ctx context.Context, job *Job) (core.Summary, error) {
+		execs.Add(1)
+		return core.Summary{Kernel: "ran-locally", Success: true}, nil
+	}
+	cl := cluster.New(cluster.Config{})
+	srv, err := New(Options{Workers: 1, QueueSize: 16, Run: run, Cluster: cl}) // Budgets{}: unbounded
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+	hung, closeHung := hungOwner(t)
+	defer closeHung() // first, so a forward stuck on the hung owner cannot wedge the shutdown
+	cl.Configure(ts.URL, []string{ts.URL, hung})
+	if !cl.Healthy(hung) {
+		t.Fatal("setup: the hung owner should read healthy")
+	}
+
+	body, _ := requestOwnedBy(t, srv, cl, hung, "ultrafast", 1)
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatalf("the unbounded job waited on the hung owner: %v", err)
+	}
+	defer resp.Body.Close()
+	var view JobView
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || view.Result == nil || view.Result.Kernel != "ran-locally" {
+		t.Fatalf("unbounded job owned by the hung peer: status %d view %+v", resp.StatusCode, view)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Errorf("local executions = %d, want 1", n)
+	}
+	if st := cl.Stats(); st.Forwards != 0 {
+		t.Errorf("cluster forwards = %d, want 0", st.Forwards)
+	}
+}
+
 // A forward may run as long as the job's own budget plus forwardGrace,
-// not a fixed cap below the budget; an unbounded job forwards without
-// a deadline, as it runs without one.
+// not a fixed cap below the budget; a job with no budget is not
+// forwarded at all, since its forward would have no deadline.
 func TestForwardDeadlineFollowsJobBudget(t *testing.T) {
 	const total = 5 * time.Minute
 	before := time.Now()
@@ -302,10 +361,16 @@ func TestForwardDeadlineFollowsJobBudget(t *testing.T) {
 	if !ok || dl.Before(before.Add(total+forwardGrace)) || dl.After(time.Now().Add(total+forwardGrace)) {
 		t.Fatalf("forward deadline %v (set %v), want budget %v + grace %v from now", dl, ok, total, forwardGrace)
 	}
-	ctx, cancel = forwardContext(context.Background(), core.Budgets{})
-	defer cancel()
-	if dl, ok := ctx.Deadline(); ok {
-		t.Fatalf("unbounded job's forward has deadline %v", dl)
+
+	p := newPeerPair(t, nil)
+	_, fp := p.requestOwnedBy(t, p.tsB.URL, 1)
+	job := &Job{ID: "j-test", Fingerprint: fp, Budgets: forwardBudgets}
+	if owner, ok := p.srvA.shouldForward(job); !ok || owner != p.tsB.URL {
+		t.Fatalf("bounded job: shouldForward = %q, %v; want %q, true", owner, ok, p.tsB.URL)
+	}
+	job.Budgets = core.Budgets{}
+	if owner, ok := p.srvA.shouldForward(job); ok {
+		t.Fatalf("unbounded job is forwarded to %q", owner)
 	}
 }
 
@@ -376,7 +441,7 @@ func TestForwardFingerprintMismatchRunsLocally(t *testing.T) {
 	defer fake.Close()
 	var execs atomic.Int64
 	cl := cluster.New(cluster.Config{})
-	srv, err := New(Options{Workers: 1, QueueSize: 4, Cluster: cl,
+	srv, err := New(Options{Workers: 1, QueueSize: 4, Cluster: cl, Budgets: forwardBudgets,
 		Run: func(ctx context.Context, job *Job) (core.Summary, error) {
 			execs.Add(1)
 			return core.Summary{Kernel: "ran-locally", Success: true}, nil
