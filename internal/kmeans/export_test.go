@@ -1,7 +1,7 @@
 package kmeans
 
 import (
-	"context"
+	"math"
 	"math/rand"
 )
 
@@ -47,15 +47,54 @@ func seedPlusPlusRef(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 	return centers
 }
 
-// ClusterRef is Cluster over the reference seeding, for the external
-// oracle test (which needs internal/spectral, an importer of this
-// package, to build its inputs).
+// nearestRef is nearest as it stood before it stopped summing at the
+// best distance so far: every distance summed in full.
+func nearestRef(p []float64, centers [][]float64) int {
+	best, bestD := 0, math.Inf(1)
+	for c, ctr := range centers {
+		if d := sqDist(p, ctr); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
+// lloydRef is lloyd over nearestRef.
+func lloydRef(points, centers [][]float64, maxIter int, rng *rand.Rand) *Result {
+	assign := make([]int, len(points))
+	for i := range assign {
+		assign[i] = -1
+	}
+	for iter := 0; iter < maxIter; iter++ {
+		changed := false
+		for i, p := range points {
+			if c := nearestRef(p, centers); c != assign[i] {
+				assign[i] = c
+				changed = true
+			}
+		}
+		recomputeCenters(points, assign, centers, rng)
+		if !changed {
+			break
+		}
+	}
+	inertia := 0.0
+	for i, p := range points {
+		inertia += sqDist(p, centers[assign[i]])
+	}
+	return &Result{Assign: assign, Centers: centers, Inertia: inertia}
+}
+
+// ClusterRef is Cluster over the reference seeding and the full-sum
+// nearest, for the external oracle tests (which need
+// internal/spectral, an importer of this package, to build their
+// inputs).
 func ClusterRef(points [][]float64, k int, opts Options) *Result {
 	opts.defaults()
 	var best *Result
 	for r := 0; r < opts.Restarts; r++ {
 		rng := rand.New(rand.NewSource(opts.Seed + int64(r)*7919))
-		res, _ := lloyd(context.Background(), points, seedPlusPlusRef(points, k, rng), opts.MaxIter, rng)
+		res := lloydRef(points, seedPlusPlusRef(points, k, rng), opts.MaxIter, rng)
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
 		}

@@ -147,6 +147,11 @@ func seedPlusPlus(points [][]float64, k int, rng *rand.Rand) [][]float64 {
 	return centers
 }
 
+// recomputeCenters sets every centre to the mean of its points, then
+// re-seeds each empty cluster, in index order, at the point farthest
+// from its cluster's centroid among clusters that can spare one.
+// Every non-empty centroid is finished before the first re-seed
+// measures against it.
 func recomputeCenters(points [][]float64, assign []int, centers [][]float64, rng *rand.Rand) {
 	k := len(centers)
 	dim := len(centers[0])
@@ -165,21 +170,6 @@ func recomputeCenters(points [][]float64, assign []int, centers [][]float64, rng
 	}
 	for c := 0; c < k; c++ {
 		if counts[c] == 0 {
-			// Re-seed an empty cluster at the point farthest from its
-			// current centroid, so every cluster stays populated.
-			far, farDist := 0, -1.0
-			for i, p := range points {
-				if d := sqDist(p, centers[assign[i]]); d > farDist && counts[assign[i]] > 1 {
-					far, farDist = i, d
-				}
-			}
-			if farDist < 0 {
-				far = rng.Intn(len(points))
-			}
-			counts[assign[far]]--
-			assign[far] = c
-			counts[c] = 1
-			copy(centers[c], points[far])
 			continue
 		}
 		inv := 1 / float64(counts[c])
@@ -187,12 +177,43 @@ func recomputeCenters(points [][]float64, assign []int, centers [][]float64, rng
 			centers[c][j] *= inv
 		}
 	}
+	for c := 0; c < k; c++ {
+		if counts[c] > 0 {
+			continue
+		}
+		far, farDist := 0, -1.0
+		for i, p := range points {
+			if d := sqDist(p, centers[assign[i]]); d > farDist && counts[assign[i]] > 1 {
+				far, farDist = i, d
+			}
+		}
+		if farDist < 0 {
+			far = rng.Intn(len(points))
+		}
+		counts[assign[far]]--
+		assign[far] = c
+		counts[c] = 1
+		copy(centers[c], points[far])
+	}
 }
 
+// nearest returns the centre closest to p, the first on a tie. A sum
+// of non-negative terms never decreases as terms are added, rounding
+// included, so once a partial distance reaches the best so far the
+// full one cannot beat it, and nearest stops summing: the pick is the
+// one the full sums make.
 func nearest(p []float64, centers [][]float64) int {
 	best, bestD := 0, math.Inf(1)
 	for c, ctr := range centers {
-		if d := sqDist(p, ctr); d < bestD {
+		ctr = ctr[:len(p)]
+		d := 0.0
+		for i, x := range p {
+			e := x - ctr[i]
+			if d += e * e; d >= bestD {
+				break
+			}
+		}
+		if d < bestD {
 			best, bestD = c, d
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -183,5 +184,39 @@ func TestClusterHonoursCtx(t *testing.T) {
 	pts := blobs([][]float64{{0, 0}, {10, 10}}, 20, 0.5, 1)
 	if res, err := Cluster(ctx, pts, 2, Options{Seed: 1}); res != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: res %v err %v, want nil and context.Canceled", res, err)
+	}
+}
+
+// An empty cluster is re-seeded at the point farthest from its
+// cluster's finished centroid. Cluster 0 is empty and cluster 2's
+// points are {10, 11, 20}: measured from their centroid 41/3 the
+// farthest is 20, but from their unscaled sum 41 it would be 10, the
+// pick of a re-seed that ran before cluster 2 was divided by its count.
+func TestEmptyClusterReseedsFromFinishedCentroids(t *testing.T) {
+	pts := [][]float64{{0}, {1}, {2}, {10}, {11}, {20}}
+	assign := []int{1, 1, 1, 2, 2, 2}
+	centers := [][]float64{{100}, {0}, {0}}
+	recomputeCenters(pts, assign, centers, rand.New(rand.NewSource(1)))
+	if want := []int{1, 1, 1, 2, 2, 0}; !reflect.DeepEqual(assign, want) {
+		t.Fatalf("assign %v after the re-seed, want %v", assign, want)
+	}
+	if want := [][]float64{{20}, {1}, {41.0 / 3}}; !reflect.DeepEqual(centers, want) {
+		t.Fatalf("centers %v after the re-seed, want %v", centers, want)
+	}
+
+	// From a start that leaves cluster 0 empty, Lloyd ends with every
+	// cluster populated.
+	res, err := lloyd(context.Background(), pts, [][]float64{{100}, {1}, {13}}, 100, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := make([]int, 3)
+	for _, c := range res.Assign {
+		count[c]++
+	}
+	for c, n := range count {
+		if n == 0 {
+			t.Fatalf("cluster %d empty after Lloyd: %v", c, res.Assign)
+		}
 	}
 }

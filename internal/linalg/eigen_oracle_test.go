@@ -43,7 +43,7 @@ func sameEigen(t *testing.T, name string, m *linalg.Matrix) {
 	}
 }
 
-func kernelLaplacian(t *testing.T, kernel string, scale float64) *linalg.Matrix {
+func kernelLaplacian(t testing.TB, kernel string, scale float64) *linalg.Matrix {
 	t.Helper()
 	spec, err := kernels.ByName(kernel)
 	if err != nil {
@@ -159,4 +159,27 @@ func TestSymmetricEigenMatchesReferenceBitForBit(t *testing.T) {
 	for _, k := range []string{"edn", "jpegidctfst", "mmul"} {
 		sameEigen(t, fmt.Sprintf("%s at scale 1", k), kernelLaplacian(t, k, 1.0))
 	}
+}
+
+// BenchmarkSymmetricEigen times one eigensolve of the full-scale mmul
+// Laplacian (n = 480, one connected component), the largest matrix the
+// benchmark's full16-panuf workload solves:
+//
+//	go test -run '^$' -bench SymmetricEigen ./internal/linalg/
+func BenchmarkSymmetricEigen(b *testing.B) {
+	lap := kernelLaplacian(b, "mmul", 1.0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := linalg.SymmetricEigen(context.Background(), lap); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The same oracle through the portable rotation kernel, so that a host
+// with AVX2 also checks the path every other CPU runs.
+func TestSymmetricEigenMatchesReferenceBitForBitOnGoKernel(t *testing.T) {
+	defer linalg.UseGoRotation()()
+	TestSymmetricEigenMatchesReferenceBitForBit(t)
 }
